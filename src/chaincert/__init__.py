@@ -21,18 +21,16 @@ provides, on top of that single representation:
 from .errors import (DimensionMismatch, InfeasibleModel, IterationLimit,
                      NumericError, SecondOrderUnavailable, SymbolicOnlyError)
 from .magnitude import LogMag, lm_max, lm_min, lm_sum
-from .tensor3 import Tensor3, operator_norm, tensor_norm_222
 from .activations import ScalarActivation, get_activation
 from .stages import (AvgPoolStage, BatchNormStage, BlockStage,
                      ElementwiseStage, MaxPoolStage, SoftmaxStage, Stage,
                      StageConstants, StageLin)
 from .biaffine import (BiAffineConstants, BiAffinePart, ConvPart,
                        DenseBiAffinePart, FCPart, IdentityPart, ResidualPart,
-                       SymbolicConvPart)
+                       SymbolicConvPart, operator_norm)
 from .layers import (LayerDescriptor, activation_layer, avgpool2d,
                      batchnorm_layer, conv1d, conv2d, custom_layer,
-                     fully_connected, layer_jvp_transposed,
-                     layer_second_contract, layer_value, maxpool2d,
+                     fully_connected, layer_second_contract, maxpool2d,
                      residual_wrap, softmax_layer)
 from .chain import ChainSpec, ParamVector, sample_params, sample_state
 from .autodiff import (LayerSparsity, OpCount, OpCounter, Tape, backward,
@@ -63,7 +61,7 @@ __all__ = [
     "DimensionMismatch", "InfeasibleModel", "IterationLimit", "NumericError",
     "SecondOrderUnavailable", "SymbolicOnlyError",
     "LogMag", "lm_max", "lm_min", "lm_sum",
-    "Tensor3", "operator_norm", "tensor_norm_222",
+    "operator_norm",
     "ScalarActivation", "get_activation",
     "AvgPoolStage", "BatchNormStage", "BlockStage", "ElementwiseStage",
     "MaxPoolStage", "SoftmaxStage", "Stage", "StageConstants", "StageLin",
@@ -71,8 +69,7 @@ __all__ = [
     "FCPart", "IdentityPart", "ResidualPart", "SymbolicConvPart",
     "LayerDescriptor", "activation_layer", "avgpool2d", "batchnorm_layer",
     "conv1d", "conv2d", "custom_layer", "fully_connected",
-    "layer_jvp_transposed", "layer_second_contract", "layer_value",
-    "maxpool2d", "residual_wrap", "softmax_layer",
+    "layer_second_contract", "maxpool2d", "residual_wrap", "softmax_layer",
     "ChainSpec", "ParamVector", "sample_params", "sample_state",
     "LayerSparsity", "OpCount", "OpCounter", "Tape", "backward",
     "backward_formula", "count_backward_cost", "forward", "grad_objective",

@@ -17,13 +17,12 @@ per-sample layout is ``(channels, spatial)`` for convolutional maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, SymbolicOnlyError
-from .tensor3 import operator_norm
 
 __all__ = [
     "BiAffineConstants",
@@ -34,12 +33,41 @@ __all__ = [
     "SymbolicConvPart",
     "IdentityPart",
     "ResidualPart",
+    "operator_norm",
 ]
 
 
 def _charge(count, n: int) -> None:
     if count is not None and n:
         count.add(n)
+
+
+def operator_norm(m: np.ndarray) -> float:
+    """Largest singular value ``||m||_{2,2}``; 0 for an empty matrix."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    if m.size == 0:
+        return 0.0
+    return float(np.linalg.norm(m, 2))
+
+
+def basis_rows(n: int, width: int, fn) -> np.ndarray:
+    """Stack ``fn(e_k)`` over the standard basis ``e_0..e_{n-1}`` of R^n.
+
+    Returns an (n, width) array whose row k is ``fn(e_k)``.  One basis
+    vector is built at a time, and the output is allocated only once the
+    first row exists, so a map that cannot be evaluated raises before any
+    dense storage is requested.
+    """
+    out = np.zeros((0, width))
+    e = np.zeros(n)
+    for k in range(n):
+        e[k] = 1.0
+        row = fn(e)
+        if k == 0:
+            out = np.empty((n, width))
+        out[k] = row
+        e[k] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -56,9 +84,16 @@ class BiAffineConstants:
 class BiAffinePart:
     """Interface shared by all bi-affine maps.
 
+    A part defines five things: ``value``, ``vjp_x``, ``vjp_u``, ``jvp`` and
+    ``constants``.  Everything else is derived here from those products: the
+    dense Jacobians ``dense_jx``/``dense_ju`` are adjoint sweeps on basis
+    cotangents, and ``second_cross`` follows from ``vjp_u`` by bilinearity
+    (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3-4).
+
     Subclasses set ``d_in``, ``d_out``, ``p`` and the four sparsity figures
     ``s_beta``, ``s_beta_u``, ``s_beta_x``, ``s_beta0`` (stored nonzeros of
     the bilinear, parameter-affine, state-affine and constant pieces).
+    ``numeric`` is False for parts that carry constants and dimensions only.
     """
 
     d_in: int
@@ -69,6 +104,7 @@ class BiAffinePart:
     s_beta_x: int
     s_beta0: int
     second_order: bool = True
+    numeric: bool = True
 
     def value(self, x: np.ndarray, u: np.ndarray, count=None) -> np.ndarray:
         raise NotImplementedError
@@ -85,45 +121,44 @@ class BiAffinePart:
         """Directional derivative at ``(x, u)`` along ``(dx, du)``."""
         raise NotImplementedError
 
+    def dense_jx(self, u: np.ndarray) -> np.ndarray:
+        """State Jacobian at ``u``, shape (d_out, d_in); row k is ``vjp_x(u, e_k)``."""
+        return basis_rows(self.d_out, self.d_in, lambda e: self.vjp_x(u, e))
+
+    def dense_ju(self, x: np.ndarray) -> np.ndarray:
+        """Parameter Jacobian at ``x``, shape (d_out, p); row k is ``vjp_u(x, e_k)``."""
+        return basis_rows(self.d_out, self.p, lambda e: self.vjp_u(x, e))
+
     def second_cross(self, w: np.ndarray) -> np.ndarray:
         """Cross second derivative contracted with ``w``, shape (d_in, p).
 
         The bilinear term is the only second-order piece of a bi-affine map;
-        pure state-state and parameter-parameter blocks vanish.
+        pure state-state and parameter-parameter blocks vanish.  ``vjp_u`` is
+        affine in ``x``, so row i is ``vjp_u(e_i, w) - vjp_u(0, w)``.
         """
-        raise NotImplementedError
-
-    def dense_jx(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def dense_ju(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        offset = self.vjp_u(np.zeros(self.d_in), w)
+        return basis_rows(self.d_in, self.p, lambda e: self.vjp_u(e, w) - offset)
 
     def constants(self) -> BiAffineConstants:
         raise NotImplementedError
 
     # shape guards -----------------------------------------------------
 
-    def _check_x(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d_in,):
+    def _check(self, v, n: int, what: str) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (n,):
             raise DimensionMismatch(
-                f"{type(self).__name__}: state has shape {x.shape}, expected ({self.d_in},)")
-        return x
+                f"{type(self).__name__}: {what} has shape {v.shape}, expected ({n},)")
+        return v
+
+    def _check_x(self, x) -> np.ndarray:
+        return self._check(x, self.d_in, "state")
 
     def _check_u(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.p,):
-            raise DimensionMismatch(
-                f"{type(self).__name__}: params have shape {u.shape}, expected ({self.p},)")
-        return u
+        return self._check(u, self.p, "parameter vector")
 
     def _check_w(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.d_out,):
-            raise DimensionMismatch(
-                f"{type(self).__name__}: cotangent has shape {w.shape}, expected ({self.d_out},)")
-        return w
+        return self._check(w, self.d_out, "cotangent")
 
 
 class DenseBiAffinePart(BiAffinePart):
@@ -175,18 +210,6 @@ class DenseBiAffinePart(BiAffinePart):
         return (np.einsum("kij,i,j->k", self.bil, dx, u)
                 + np.einsum("kij,i,j->k", self.bil, x, du)
                 + self.mx @ dx + self.mu @ du)
-
-    def second_cross(self, w):
-        w = self._check_w(w)
-        return np.einsum("kij,k->ij", self.bil, w)
-
-    def dense_jx(self, u):
-        u = self._check_u(u)
-        return np.einsum("kij,j->ki", self.bil, u) + self.mx
-
-    def dense_ju(self, x):
-        x = self._check_x(x)
-        return np.einsum("kij,i->kj", self.bil, x) + self.mu
 
     def constants(self):
         # Valid bilinear norm bound: min over the three unfoldings' spectral
@@ -267,20 +290,6 @@ class FCPart(BiAffinePart):
         dxv = dx.reshape(self.m, self.nin)
         return (dxv @ W.T + xv @ dW.T + db).ravel()
 
-    def second_cross(self, w):
-        w = self._check_w(w)
-        wv = w.reshape(self.m, self.nout)
-        out = np.zeros((self.d_in, self.p))
-        s = np.arange(self.m)[:, None, None]
-        f = np.arange(self.nout)[None, :, None]
-        l = np.arange(self.nin)[None, None, :]
-        rows = s * self.nin + l
-        cols = f * self.nin + l
-        np.add.at(out, (np.broadcast_to(rows, (self.m, self.nout, self.nin)),
-                        np.broadcast_to(cols, (self.m, self.nout, self.nin))),
-                  wv[:, :, None])
-        return out
-
     def dense_jx(self, u):
         u = self._check_u(u)
         W, _ = self._split(u)
@@ -308,7 +317,46 @@ class FCPart(BiAffinePart):
         )
 
 
-class ConvPart(BiAffinePart):
+class _ConvGeometry(BiAffinePart):
+    """Dimensions, sparsity figures and constants of a batched convolution.
+
+    Shared by the numeric and the symbolic convolution; subclasses supply
+    ``_multiplicity``, the most windows any spatial position is read by.
+    """
+
+    def __init__(self, batch: int, channels: int, spatial: int, n_patches: int,
+                 patch_len: int, n_filters: int, bias: bool, kernel_shape, stride):
+        self.m = batch
+        self.C = channels
+        self.n_sp = spatial
+        self.n_p = int(n_patches)
+        self.k_sp = int(patch_len)
+        self.n_f = n_filters
+        self.bias = bias
+        self.kernel_shape = tuple(int(k) for k in kernel_shape)
+        self.stride = tuple(int(s) for s in stride)
+        self.d_in = batch * channels * spatial
+        self.d_out = batch * n_filters * self.n_p
+        self.p = n_filters * channels * self.k_sp + (n_filters if bias else 0)
+        self.s_beta = batch * self.n_p * n_filters * channels * self.k_sp
+        self.s_beta_u = batch * n_filters * self.n_p if bias else 0
+        self.s_beta_x = 0
+        self.s_beta0 = 0
+
+    def _multiplicity(self) -> int:
+        raise NotImplementedError
+
+    def constants(self):
+        return BiAffineConstants(
+            L_b=float(np.sqrt(self._multiplicity())),
+            l_u=float(np.sqrt(self.m * self.n_p)) if self.bias else 0.0,
+            l_x=0.0,
+            b00_norm=0.0,
+            beta0_norm=0.0,
+        )
+
+
+class ConvPart(_ConvGeometry):
     """Batched cross-correlation over an explicit patch table.
 
     ``patches`` has shape (n_patches, patch_len) and lists, per output
@@ -326,23 +374,9 @@ class ConvPart(BiAffinePart):
             raise DimensionMismatch("patch table must be a 2-d integer array")
         if patches.size and (patches.min() < 0 or patches.max() >= spatial):
             raise DimensionMismatch("patch indices out of spatial range")
-        self.m = batch
-        self.C = channels
-        self.n_sp = spatial
+        super().__init__(batch, channels, spatial, *patches.shape, n_filters, bias,
+                         kernel_shape, stride)
         self.patches = patches
-        self.n_p, self.k_sp = patches.shape
-        self.n_f = n_filters
-        self.bias = bias
-        self.kernel_shape = tuple(kernel_shape)
-        self.stride = tuple(stride)
-        self.d_in = batch * channels * spatial
-        self.d_out = batch * n_filters * self.n_p
-        self.p = n_filters * channels * self.k_sp + (n_filters if bias else 0)
-        sf = channels * self.k_sp
-        self.s_beta = batch * self.n_p * n_filters * sf
-        self.s_beta_u = batch * n_filters * self.n_p if bias else 0
-        self.s_beta_x = 0
-        self.s_beta0 = 0
 
     def _split(self, u):
         nfil = self.n_f * self.C * self.k_sp
@@ -393,63 +427,13 @@ class ConvPart(BiAffinePart):
             out = out + db[None, :, None]
         return out.ravel()
 
-    def second_cross(self, w):
-        w = self._check_w(w)
-        wv = w.reshape(self.m, self.n_f, self.n_p)
-        M = np.zeros((self.d_in, self.p))
-        s = np.arange(self.m)[:, None, None]
-        f = np.arange(self.n_f)[None, :, None]
-        c = np.arange(self.C)[None, None, :]
-        for pi in range(self.n_p):
-            for k in range(self.k_sp):
-                rows = (s * self.C + c) * self.n_sp + self.patches[pi, k]
-                cols = (f * self.C + c) * self.k_sp + k
-                np.add.at(M, (np.broadcast_to(rows, (self.m, self.n_f, self.C)),
-                              np.broadcast_to(cols, (self.m, self.n_f, self.C))),
-                          wv[:, :, pi][:, :, None])
-        return M
-
-    def dense_jx(self, u):
-        u = self._check_u(u)
-        F, _ = self._split(u)
-        Js = np.zeros((self.n_f * self.n_p, self.C * self.n_sp))
-        for pi in range(self.n_p):
-            for k in range(self.k_sp):
-                rows = np.arange(self.n_f) * self.n_p + pi
-                cols = np.arange(self.C) * self.n_sp + self.patches[pi, k]
-                Js[rows[:, None], cols[None, :]] += F[:, :, k]
-        return np.kron(np.eye(self.m), Js)
-
-    def dense_ju(self, x):
-        x = self._check_x(x)
-        xg = self._gather(x)
-        J = np.zeros((self.d_out, self.p))
-        for f in range(self.n_f):
-            rows = (np.arange(self.m)[:, None] * self.n_f + f) * self.n_p \
-                + np.arange(self.n_p)[None, :]
-            cols = (f * self.C + np.arange(self.C)[:, None]) * self.k_sp \
-                + np.arange(self.k_sp)[None, :]
-            vals = xg.transpose(0, 2, 1, 3).reshape(self.m * self.n_p, self.C * self.k_sp)
-            J[rows.ravel()[:, None], cols.ravel()[None, :]] = vals
-            if self.bias:
-                J[rows.ravel(), self.n_f * self.C * self.k_sp + f] = 1.0
-        return J
-
-    def constants(self):
-        if self.patches.size:
-            mult = int(np.bincount(self.patches.ravel(), minlength=self.n_sp).max())
-        else:
-            mult = 0
-        return BiAffineConstants(
-            L_b=float(np.sqrt(mult)),
-            l_u=float(np.sqrt(self.m * self.n_p)) if self.bias else 0.0,
-            l_x=0.0,
-            b00_norm=0.0,
-            beta0_norm=0.0,
-        )
+    def _multiplicity(self):
+        if not self.patches.size:
+            return 0
+        return int(np.bincount(self.patches.ravel(), minlength=self.n_sp).max())
 
 
-class SymbolicConvPart(BiAffinePart):
+class SymbolicConvPart(_ConvGeometry):
     """Convolution declared by hyperparameters only, without a patch table.
 
     Used for architectures whose stated patch counts do not correspond to a
@@ -458,67 +442,29 @@ class SymbolicConvPart(BiAffinePart):
     available; numeric evaluation is not.
     """
 
+    numeric = False
+    refusal = ("this convolution is declared symbolically (patch count only); "
+               "numeric evaluation needs an explicit patch table")
+
     def __init__(self, batch: int, channels: int, spatial: int, n_patches: int,
                  kernel_shape: tuple, stride: tuple, n_filters: int, bias: bool = False):
-        self.m = batch
-        self.C = channels
-        self.n_sp = spatial
-        self.n_p = int(n_patches)
-        self.kernel_shape = tuple(int(k) for k in kernel_shape)
-        self.stride = tuple(int(s) for s in stride)
-        if len(self.kernel_shape) != len(self.stride):
+        if len(kernel_shape) != len(stride):
             raise DimensionMismatch("kernel and stride ranks differ")
-        self.n_f = n_filters
-        self.bias = bias
-        self.k_sp = int(np.prod(self.kernel_shape)) if self.kernel_shape else 1
-        self.d_in = batch * channels * spatial
-        self.d_out = batch * n_filters * self.n_p
-        self.p = n_filters * channels * self.k_sp + (n_filters if bias else 0)
-        sf = channels * self.k_sp
-        self.s_beta = batch * self.n_p * n_filters * sf
-        self.s_beta_u = batch * n_filters * self.n_p if bias else 0
-        self.s_beta_x = 0
-        self.s_beta0 = 0
+        super().__init__(batch, channels, spatial, n_patches, int(np.prod(kernel_shape)),
+                         n_filters, bias, kernel_shape, stride)
 
-    def _no_numeric(self):
-        raise SymbolicOnlyError(
-            "this convolution is declared symbolically (patch count only); "
-            "numeric evaluation needs an explicit patch table")
+    def _no_numeric(self, *args, **kwargs):
+        raise SymbolicOnlyError(self.refusal)
 
-    def value(self, x, u, count=None):
-        self._no_numeric()
+    value = vjp_x = vjp_u = jvp = _no_numeric
 
-    def vjp_x(self, u, w, count=None):
-        self._no_numeric()
-
-    def vjp_u(self, x, w, count=None):
-        self._no_numeric()
-
-    def jvp(self, x, u, dx, du, count=None):
-        self._no_numeric()
-
-    def second_cross(self, w):
-        self._no_numeric()
-
-    def dense_jx(self, u):
-        self._no_numeric()
-
-    def dense_ju(self, x):
-        self._no_numeric()
-
-    def constants(self):
+    def _multiplicity(self):
         # A spatial position is read by at most ceil(k/s) windows per axis,
         # for any padding scheme.
         mult = 1
         for k, s in zip(self.kernel_shape, self.stride):
             mult *= -(-k // s)
-        return BiAffineConstants(
-            L_b=float(np.sqrt(mult)),
-            l_u=float(np.sqrt(self.m * self.n_p)) if self.bias else 0.0,
-            l_x=0.0,
-            b00_norm=0.0,
-            beta0_norm=0.0,
-        )
+        return mult
 
 
 class IdentityPart(BiAffinePart):
@@ -550,18 +496,6 @@ class IdentityPart(BiAffinePart):
     def jvp(self, x, u, dx, du, count=None):
         return self._check_x(dx).copy()
 
-    def second_cross(self, w):
-        self._check_w(w)
-        return np.zeros((self.d_in, 0))
-
-    def dense_jx(self, u):
-        self._check_u(u)
-        return np.eye(self.d_in)
-
-    def dense_ju(self, x):
-        self._check_x(x)
-        return np.zeros((self.d_out, 0))
-
     def constants(self):
         return BiAffineConstants(L_b=0.0, l_u=0.0, l_x=1.0, b00_norm=0.0, beta0_norm=0.0)
 
@@ -591,6 +525,7 @@ class ResidualPart(BiAffinePart):
         self.s_beta_x = inner.s_beta_x
         self.s_beta0 = inner.s_beta0
         self.second_order = inner.second_order
+        self.numeric = inner.numeric
 
     def _split_in(self, x):
         xv = x.reshape(self.m, self.da + self.db)
@@ -626,51 +561,8 @@ class ResidualPart(BiAffinePart):
         _charge(count, self.m * self.db)
         return np.concatenate([top, dx1.reshape(self.m, self.da)], axis=1).ravel()
 
-    def _rows_x1(self):
-        return (np.arange(self.m)[:, None] * (self.da + self.db)
-                + np.arange(self.da)[None, :]).ravel()
-
-    def _rows_x2(self):
-        return (np.arange(self.m)[:, None] * (self.da + self.db)
-                + self.da + np.arange(self.db)[None, :]).ravel()
-
-    def _rows_top(self):
-        return (np.arange(self.m)[:, None] * (self.db + self.da)
-                + np.arange(self.db)[None, :]).ravel()
-
-    def _rows_bot(self):
-        return (np.arange(self.m)[:, None] * (self.db + self.da)
-                + self.db + np.arange(self.da)[None, :]).ravel()
-
-    def second_cross(self, w):
-        w = self._check_w(w)
-        w1 = w.reshape(self.m, self.db + self.da)[:, : self.db].ravel()
-        out = np.zeros((self.d_in, self.p))
-        out[self._rows_x1()] = self.inner.second_cross(w1)
-        return out
-
-    def dense_jx(self, u):
-        J = np.zeros((self.d_out, self.d_in))
-        J[np.ix_(self._rows_top(), self._rows_x1())] = self.inner.dense_jx(u)
-        J[self._rows_top(), self._rows_x2()] += 1.0
-        J[self._rows_bot(), self._rows_x1()] = 1.0
-        return J
-
-    def dense_ju(self, x):
-        x = self._check_x(x)
-        x1, _ = self._split_in(x)
-        J = np.zeros((self.d_out, self.p))
-        J[self._rows_top()] = self.inner.dense_ju(x1)
-        return J
-
     def constants(self):
         c = self.inner.constants()
         # The state Jacobian at the origin stacks the inner one with two
         # identity blocks; its norm is at most l_x + 1.
-        return BiAffineConstants(
-            L_b=c.L_b,
-            l_u=c.l_u,
-            l_x=c.l_x + 1.0,
-            b00_norm=c.b00_norm,
-            beta0_norm=c.beta0_norm,
-        )
+        return replace(c, l_x=c.l_x + 1.0)

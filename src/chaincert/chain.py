@@ -60,6 +60,11 @@ class ChainSpec:
     def second_order(self) -> bool:
         return all(l.second_order for l in self.layers)
 
+    @property
+    def numeric(self) -> bool:
+        """False when some layer carries constants and dimensions only."""
+        return all(l.part.numeric for l in self.layers)
+
     def describe(self) -> str:
         return "\n".join(f"[{t}] {l.describe()}" for t, l in enumerate(self.layers))
 

@@ -27,8 +27,9 @@ import numpy as np
 
 from .archfile import ParseError, parse_arch
 from .autodiff import forward, grad_objective, jvp
+from .biaffine import SymbolicConvPart
 from .chain import ChainSpec, ParamVector, sample_params, sample_state
-from .errors import InfeasibleModel, NumericError, SymbolicOnlyError
+from .errors import InfeasibleModel, NumericError
 from .layers import fully_connected
 from .objectives import Objective, ZeroReg
 from .oracles import (build_lq, solve_dense_reference, solve_gauss_newton_dual,
@@ -105,16 +106,19 @@ def cmd_smoothness(args) -> int:
     return 0
 
 
+def _refuse_symbolic(code: int) -> int:
+    print(f"error: {SymbolicConvPart.refusal}", file=sys.stderr)
+    return code
+
+
 def cmd_gradcheck(args) -> int:
     chain, dom, h = parse_arch(args.arch)
+    if not chain.numeric:
+        return _refuse_symbolic(2)
     rng = np.random.default_rng(args.seed)
     x0 = sample_state(chain.d0, dom.m0, rng)
     u = sample_params(chain.param_dims, dom.radii, rng)
-    try:
-        tape = forward(chain, x0, u)
-    except SymbolicOnlyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    tape = forward(chain, x0, u)
     worst = 0.0
     print(f"{'block':<18} {'rel error':>14}   status")
     for t, p in enumerate(chain.param_dims):
@@ -216,6 +220,8 @@ def cmd_train(args) -> int:
         print("error: pass --gamma <step> or --certified", file=sys.stderr)
         return 2
     chain, dom, h = parse_arch(args.arch)
+    if not chain.numeric:
+        return _refuse_symbolic(1)
     rng = np.random.default_rng(args.seed)
     x0 = sample_state(chain.d0, dom.m0, rng)
     # Zero parameters are a stationary point of the synthetic objectives,
@@ -228,7 +234,7 @@ def cmd_train(args) -> int:
             trace = train_sgd(chain, h, None, x0, cfg, u0=u0)
         else:
             trace = train_pgd(chain, h, None, x0, cfg, u0=u0)
-    except (InfeasibleModel, SymbolicOnlyError, NumericError) as exc:
+    except (InfeasibleModel, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"step size gamma      = {_g(trace.gamma)}")

@@ -32,8 +32,6 @@ __all__ = [
     "batchnorm_layer",
     "custom_layer",
     "residual_wrap",
-    "layer_value",
-    "layer_jvp_transposed",
     "layer_second_contract",
 ]
 
@@ -92,9 +90,8 @@ def _valid_patches_2d(height, width, kh, kw, sh, sw):
 def _valid_patches_1d(length, k, s):
     if k > length:
         raise DimensionMismatch(f"kernel {k} exceeds input length {length}")
-    starts = range(0, length - k + 1, s)
-    pats = [[t + i for i in range(k)] for t in starts]
-    return np.asarray(pats, dtype=int), (len(list(starts)),)
+    pats = [[t + i for i in range(k)] for t in range(0, length - k + 1, s)]
+    return np.asarray(pats, dtype=int)
 
 
 def _pair(v):
@@ -122,6 +119,20 @@ def fully_connected(batch: int, in_features: int, out_features: int,
                             "bias": bias, "activation": activation})
 
 
+def _conv_layer(batch, channels, spatial, patches, kernel, stride, filters,
+                activation, bias, declared_patches, hyper) -> LayerDescriptor:
+    if declared_patches is None or declared_patches == len(patches):
+        part = ConvPart(batch, channels, spatial, patches, filters, bias=bias,
+                        kernel_shape=kernel, stride=stride)
+    else:
+        part = SymbolicConvPart(batch, channels, spatial, declared_patches,
+                                kernel, stride, filters, bias=bias)
+    hyper.update(channels=channels, filters=filters, kernel=kernel, stride=stride,
+                 bias=bias, activation=activation, patches=part.n_p)
+    stages = _act_stages(batch, part.d_out, activation)
+    return LayerDescriptor("conv", part, stages, batch, hyper)
+
+
 def conv2d(batch: int, channels: int, height: int, width: int, filters: int,
            kernel, stride=1, activation: str = "identity", bias: bool = False,
            declared_patches: Optional[int] = None) -> LayerDescriptor:
@@ -134,40 +145,18 @@ def conv2d(batch: int, channels: int, height: int, width: int, filters: int,
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
-    patches, (ph, pw) = _valid_patches_2d(height, width, kh, kw, sh, sw)
-    n_valid = ph * pw
-    hyper = {"channels": channels, "height": height, "width": width,
-             "filters": filters, "kernel": (kh, kw), "stride": (sh, sw),
-             "bias": bias, "activation": activation}
-    if declared_patches is None or declared_patches == n_valid:
-        part = ConvPart(batch, channels, height * width, patches, filters,
-                        bias=bias, kernel_shape=(kh, kw), stride=(sh, sw))
-        hyper["patches"] = n_valid
-    else:
-        part = SymbolicConvPart(batch, channels, height * width, declared_patches,
-                                (kh, kw), (sh, sw), filters, bias=bias)
-        hyper["patches"] = declared_patches
-    stages = _act_stages(batch, part.d_out, activation)
-    return LayerDescriptor("conv", part, stages, batch, hyper)
+    patches, _ = _valid_patches_2d(height, width, kh, kw, sh, sw)
+    return _conv_layer(batch, channels, height * width, patches, (kh, kw), (sh, sw),
+                       filters, activation, bias, declared_patches,
+                       {"height": height, "width": width})
 
 
 def conv1d(batch: int, channels: int, length: int, filters: int, kernel: int,
            stride: int = 1, activation: str = "identity", bias: bool = False,
            declared_patches: Optional[int] = None) -> LayerDescriptor:
-    patches, (np_valid,) = _valid_patches_1d(length, int(kernel), int(stride))
-    hyper = {"channels": channels, "length": length, "filters": filters,
-             "kernel": (int(kernel),), "stride": (int(stride),),
-             "bias": bias, "activation": activation}
-    if declared_patches is None or declared_patches == np_valid:
-        part = ConvPart(batch, channels, length, patches, filters, bias=bias,
-                        kernel_shape=(int(kernel),), stride=(int(stride),))
-        hyper["patches"] = np_valid
-    else:
-        part = SymbolicConvPart(batch, channels, length, declared_patches,
-                                (int(kernel),), (int(stride),), filters, bias=bias)
-        hyper["patches"] = declared_patches
-    stages = _act_stages(batch, part.d_out, activation)
-    return LayerDescriptor("conv", part, stages, batch, hyper)
+    patches = _valid_patches_1d(length, int(kernel), int(stride))
+    return _conv_layer(batch, channels, length, patches, (int(kernel),), (int(stride),),
+                       filters, activation, bias, declared_patches, {"length": length})
 
 
 def activation_layer(batch: int, features: int, name: str) -> LayerDescriptor:
@@ -230,49 +219,20 @@ def residual_wrap(layer: LayerDescriptor) -> LayerDescriptor:
     return LayerDescriptor("residual-wrap", part, stages, layer.batch, {"base": layer})
 
 
-# layer operations -------------------------------------------------------
+# second-order contraction ------------------------------------------------
 
-def _forward_layer(layer: LayerDescriptor, x, u, count=None, want_lins=False):
-    z = layer.part.value(x, u, count)
-    lins = []
-    for st in layer.stages:
-        if want_lins:
-            lins.append(st.linearize(z))
-        z = st.value(z, count)
-    return z, lins
+def layer_second_contract(tape, t: int, lam):
+    """Second derivatives of ``lam . layer_t(x, u)`` at a recorded point.
 
-
-def layer_value(layer: LayerDescriptor, x, u, count=None) -> np.ndarray:
-    y, _ = _forward_layer(layer, x, u, count)
-    return y
-
-
-def layer_jvp_transposed(layer: LayerDescriptor, x, u, lam, count=None):
-    """Pull a cotangent at the layer output back to (state, params).
-
-    Returns ``(g_x, g_u)``, the transposed Jacobians of the layer at
-    ``(x, u)`` applied to ``lam``.
+    ``tape`` is a :class:`chaincert.autodiff.Tape`.  Layer ``t`` is taken at
+    its recorded input ``tape.states[t]`` and parameters ``tape.u.blocks[t]``,
+    and its recorded stage linearisations ``tape.stage_lins[t]`` are reused,
+    so nothing is evaluated forward again.  Returns ``(Hxx, Hxu, Huu)`` with
+    shapes (d_in, d_in), (d_in, p), (p, p).  The bi-affine part is affine in
+    each argument separately, so its only second-order contribution is the
+    cross block.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (layer.d_out,):
-        raise DimensionMismatch(
-            f"layer '{layer.kind}': cotangent shape {lam.shape}, expected ({layer.d_out},)")
-    _, lins = _forward_layer(layer, x, u, None, want_lins=True)
-    w = lam
-    for lin in reversed(lins):
-        w = lin.vjp(w, count)
-    gx = layer.part.vjp_x(u, w, count)
-    gu = layer.part.vjp_u(x, w, count)
-    return gx, gu
-
-
-def layer_second_contract(layer: LayerDescriptor, x, u, lam):
-    """Second derivatives of ``lam . layer(x, u)``.
-
-    Returns ``(Hxx, Hxu, Huu)`` with shapes (d_in, d_in), (d_in, p), (p, p).
-    The bi-affine part is affine in each argument separately, so its only
-    second-order contribution is the cross block.
-    """
+    layer = tape.chain.layers[t]
     if not layer.second_order:
         raise SecondOrderUnavailable(
             f"layer '{layer.kind}' contains a piecewise-linear piece")
@@ -281,7 +241,7 @@ def layer_second_contract(layer: LayerDescriptor, x, u, lam):
         raise DimensionMismatch(
             f"layer '{layer.kind}': cotangent shape {lam.shape}, expected ({layer.d_out},)")
     part = layer.part
-    _, lins = _forward_layer(layer, x, u, None, want_lins=True)
+    lins = tape.stage_lins[t]
 
     w = lam
     H = np.zeros((part.d_out, part.d_out))
@@ -293,8 +253,8 @@ def layer_second_contract(layer: LayerDescriptor, x, u, lam):
             H = J.T @ H @ J + lin.hess_contract(w)
             w = lin.vjp(w)
 
-    Jx = part.dense_jx(u)
-    Ju = part.dense_ju(x)
+    Jx = part.dense_jx(tape.u.blocks[t])
+    Ju = part.dense_ju(tape.states[t])
     Hxx = Jx.T @ H @ Jx
     Hxu = Jx.T @ H @ Ju + part.second_cross(w)
     Huu = Ju.T @ H @ Ju

@@ -154,9 +154,7 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
     if kind == "newton":
         lam = np.asarray(gh, dtype=float)
         for t in range(tau - 1, -1, -1):
-            layer = chain.layers[t]
-            Hxx, Hxu, Huu = layer_second_contract(
-                layer, tape.states[t], tape.u.blocks[t], lam)
+            Hxx, Hxu, Huu = layer_second_contract(tape, t, lam)
             P[t] = P[t] + Hxx
             R[t] = R[t] + Hxu
             Q[t] = Q[t] + Huu
@@ -231,7 +229,8 @@ def solve_newton_dp(lq: LQProblem) -> OracleStep:
                 y = lq.A[t].T @ y + lq.B[t].T @ v
             return OracleStep(ParamVector(blocks),
                               {"kind": "newton-dp", "kappa_used": kappa,
-                               "doublings": doubling})
+                               "doublings": doubling, "converged": True,
+                               "exit_reason": "exact"})
         kappa = 2.0 * kappa
     raise InfeasibleModel(
         f"stage costs stayed indefinite after {_DOUBLING_CAP} proximal doublings")
@@ -285,6 +284,9 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     from accumulated CG data.  Diagnostics report the exact number of
     adjoint/tangent calls, which is at most ``2 d_tau + 1`` whenever CG
     stops before ``d_tau`` full iterations (one call short of the cap).
+    ``exit_reason`` says why CG stopped: ``"tolerance"``, ``"zero_gradient"``
+    (nothing to solve), ``"nonpositive_curvature"`` or ``"iteration_cap"``;
+    ``converged`` is True for the first two only.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -312,7 +314,8 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     base = backward(tape, g) + r.grad(tape.u)
     if base.norm() == 0.0:
         diags = {"ad_calls": tape.ad_calls - calls0, "cg_iterations": 0,
-                 "budget": 2 * d_tau + 1, "budget_ok": True, "residual_norm": 0.0}
+                 "budget": 2 * d_tau + 1, "budget_ok": True, "residual_norm": 0.0,
+                 "converged": True, "exit_reason": "zero_gradient"}
         return OracleStep(ParamVector.zeros(pdims), diags)
 
     c0 = w_solve(base)
@@ -325,13 +328,18 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     cap = d_tau if max_iter is None else int(max_iter)
     iters = 0
     p = res.copy()
-    while np.sqrt(rr) > tol_abs and iters < cap:
+    exit_reason = "tolerance"
+    while np.sqrt(rr) > tol_abs:
+        if iters >= cap:
+            exit_reason = "iteration_cap"
+            break
         t1 = H @ p
         t2 = backward(tape, t1)
         t4 = jvp(tape, w_solve(t2))
         Ap = t1 + H @ t4
         pAp = float(p @ Ap)
         if pAp <= 0.0:
+            exit_reason = "nonpositive_curvature"
             break
         alpha = rr / pAp
         w = w + alpha * p
@@ -339,9 +347,6 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
         res = res - alpha * Ap
         rr_new = float(res @ res)
         iters += 1
-        if np.sqrt(rr_new) <= tol_abs:
-            rr = rr_new
-            break
         p = res + (rr_new / rr) * p
         rr = rr_new
 
@@ -354,6 +359,8 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
         "budget": budget,
         "budget_ok": ad_calls <= budget,
         "residual_norm": float(np.sqrt(rr)),
+        "converged": exit_reason == "tolerance",
+        "exit_reason": exit_reason,
     }
 
     if compute_gap:

@@ -11,11 +11,12 @@ than they are charged; the charge is the cost model the counters report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .activations import ScalarActivation
+from .biaffine import basis_rows
 from .errors import DimensionMismatch, SecondOrderUnavailable
 
 
@@ -36,7 +37,13 @@ class StageConstants:
 
 
 class StageLin:
-    """Linearization of a stage at a point: adjoint/forward products."""
+    """Linearization of a stage at a point: adjoint/forward products.
+
+    A linearisation keeps its ``stage`` and defines three things: ``vjp``,
+    ``jvp`` and ``hess_contract``.  ``dense_jacobian`` is derived from
+    ``jvp`` on basis vectors; ``hess_contract`` cannot be derived from
+    first-order products, so every linearisation writes its own.
+    """
 
     def vjp(self, lam, count=None):  # grad(a) @ lam, input-dim result
         raise NotImplementedError
@@ -44,8 +51,10 @@ class StageLin:
     def jvp(self, dz, count=None):  # Jacobian @ dz, output-dim result
         raise NotImplementedError
 
-    def dense_jacobian(self):  # (out, in); for second-order work at toy dims
-        raise NotImplementedError
+    def dense_jacobian(self):
+        """Jacobian (out, in) at the linearisation point; column k is ``jvp(e_k)``."""
+        st = self.stage
+        return basis_rows(st.in_total, st.out_total, self.jvp).T
 
     def hess_contract(self, lam):  # sum_k lam_k hess(a_k), (in, in)
         raise NotImplementedError
@@ -134,9 +143,6 @@ class _ElementwiseLin(StageLin):
         _charge(count, self.stage.in_total)
         return self.d1 * dz
 
-    def dense_jacobian(self):
-        return np.diag(self.d1)
-
     def hess_contract(self, lam):
         if not self.stage.second_order:
             raise SecondOrderUnavailable(
@@ -204,14 +210,6 @@ class _SoftmaxLin(StageLin):
 
     def jvp(self, dz, count=None):
         return self._apply(dz, count)
-
-    def dense_jacobian(self):
-        m, q = self.stage.batch, self.stage.classes
-        out = np.zeros((m * q, m * q))
-        for i in range(m):
-            s = self.s[i]
-            out[i * q : (i + 1) * q, i * q : (i + 1) * q] = np.diag(s) - np.outer(s, s)
-        return out
 
     def hess_contract(self, lam):
         m, q = self.stage.batch, self.stage.classes
@@ -293,14 +291,6 @@ class _AvgPoolLin(StageLin):
         _charge(count, st.grad_sparsity())
         return st._view(dz)[:, :, st.patches].mean(axis=-1).ravel()
 
-    def dense_jacobian(self):
-        st = self.stage
-        j_sp = np.zeros((st.n_out, st.spatial_in))
-        for k, pat in enumerate(st.patches):
-            for idx in pat:
-                j_sp[k, idx] += 1.0 / st.patch_size
-        return np.kron(np.eye(st.batch * st.channels), j_sp)
-
     def hess_contract(self, lam):
         n = self.stage.in_total
         return np.zeros((n, n))
@@ -352,15 +342,6 @@ class _MaxPoolLin(StageLin):
         b_idx = np.arange(st.batch)[:, None, None]
         c_idx = np.arange(st.channels)[None, :, None]
         return view[b_idx, c_idx, self.winners].ravel()
-
-    def dense_jacobian(self):
-        st = self.stage
-        out = np.zeros((st.out_total, st.in_total))
-        flat_w = self.winners.reshape(st.batch * st.channels, st.n_out)
-        for bc in range(st.batch * st.channels):
-            for k in range(st.n_out):
-                out[bc * st.n_out + k, bc * st.spatial_in + flat_w[bc, k]] = 1.0
-        return out
 
     def hess_contract(self, lam):
         raise SecondOrderUnavailable("maxpool has no second derivative")
@@ -446,19 +427,6 @@ class _BatchNormLin(StageLin):
         rows = self.stage._rows(dz)
         return self._g_apply(self._center(rows)).T.ravel()
 
-    def dense_jacobian(self):
-        st = self.stage
-        m, d = st.batch, st.features
-        P = np.eye(m) - np.ones((m, m)) / m
-        out = np.zeros((m * d, m * d))
-        for i in range(d):
-            x = self.xc[i]
-            f = self.f[i]
-            Jg = np.eye(m) / f - np.outer(x, x) / (m * f**3)
-            idx = np.arange(m) * d + i
-            out[np.ix_(idx, idx)] = Jg @ P
-        return out
-
     def hess_contract(self, lam):
         st = self.stage
         m, d = st.batch, st.features
@@ -522,13 +490,7 @@ class BlockStage(Stage):
 
     def constants(self) -> StageConstants:
         c = self.inner.constants()
-        return StageConstants(
-            m_a=np.inf,
-            lip=max(1.0, c.lip),
-            smooth=c.smooth,
-            a0_norm=c.a0_norm,
-            slope0=max(1.0, c.slope0),
-        )
+        return replace(c, m_a=np.inf, lip=max(1.0, c.lip), slope0=max(1.0, c.slope0))
 
     def grad_sparsity(self) -> int:
         return self.inner.grad_sparsity() + self.batch * self.pass_dim
@@ -551,38 +513,12 @@ class _BlockLin(StageLin):
         _charge(count, st.batch * st.pass_dim)
         return st._join(self.inner_lin.jvp(left, count), right, st.batch)
 
-    def dense_jacobian(self):
-        st = self.stage
-        jin = self.inner_lin.dense_jacobian()
-        out = np.zeros((st.out_total, st.in_total))
-        for s in range(st.batch):
-            ri = s * (st.inner_in + st.pass_dim)
-            ro = s * (st.inner_out + st.pass_dim)
-            for s2 in range(st.batch):
-                ci = s2 * (st.inner_in + st.pass_dim)
-                out[ro : ro + st.inner_out, ci : ci + st.inner_in] = jin[
-                    s * st.inner_out : (s + 1) * st.inner_out,
-                    s2 * st.inner_in : (s2 + 1) * st.inner_in,
-                ]
-            out[
-                ro + st.inner_out : ro + st.inner_out + st.pass_dim,
-                ri + st.inner_in : ri + st.inner_in + st.pass_dim,
-            ] = np.eye(st.pass_dim)
-        return out
-
     def hess_contract(self, lam):
         st = self.stage
         left, _ = st._split(lam, st.inner_out)
         hin = self.inner_lin.hess_contract(left)
         out = np.zeros((st.in_total, st.in_total))
-        per = st.inner_in + st.pass_dim
-        for s in range(st.batch):
-            for s2 in range(st.batch):
-                out[
-                    s * per : s * per + st.inner_in,
-                    s2 * per : s2 * per + st.inner_in,
-                ] = hin[
-                    s * st.inner_in : (s + 1) * st.inner_in,
-                    s2 * st.inner_in : (s2 + 1) * st.inner_in,
-                ]
+        # inner coordinate i of sample s sits at s * (inner_in + pass_dim) + i
+        rows = np.arange(st.batch)[:, None] * (st.inner_in + st.pass_dim) + np.arange(st.inner_in)
+        out[np.ix_(rows.ravel(), rows.ravel())] = hin
         return out

@@ -1,0 +1,150 @@
+"""Adjoint identities for every numeric part kind and every stage kind.
+
+The dense Jacobians and the cross term of a part, and the dense Jacobian of
+a stage linearisation, are derived from the adjoint/tangent products.  These
+property tests tie the products to each other (the adjoint identity) and
+the derived forms back to ``jvp`` and ``value``, on random small shapes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chaincert import (AvgPoolStage, BatchNormStage, BlockStage,
+                       DenseBiAffinePart, ElementwiseStage, FCPart,
+                       IdentityPart, MaxPoolStage, ResidualPart, SoftmaxStage,
+                       conv2d, get_activation)
+
+SEEDS = st.integers(0, 2**32 - 1)
+SETTINGS = settings(max_examples=15, deadline=None)
+
+
+def _dense(rng):
+    do, di, p = (int(n) for n in rng.integers(1, 5, size=3))
+    return DenseBiAffinePart(rng.standard_normal((do, di, p)),
+                             mu=rng.standard_normal((do, p)),
+                             mx=rng.standard_normal((do, di)),
+                             b0=rng.standard_normal(do))
+
+
+def _fc(rng, bias):
+    m, nin, nout = (int(n) for n in rng.integers(1, 4, size=3))
+    return FCPart(m, nin, nout, bias=bias)
+
+
+def _conv(rng, bias):
+    m, c, f = (int(n) for n in rng.integers(1, 3, size=3))
+    side = int(rng.integers(2, 5))
+    k = int(rng.integers(1, side + 1))
+    s = int(rng.integers(1, 3))
+    return conv2d(m, c, side, side, f, k, stride=s, bias=bias).part
+
+
+def _residual(inner):
+    return ResidualPart(inner, inner.m)
+
+
+PARTS = {
+    "dense": _dense,
+    "fc": lambda rng: _fc(rng, True),
+    "fc-nobias": lambda rng: _fc(rng, False),
+    "conv": lambda rng: _conv(rng, True),
+    "conv-nobias": lambda rng: _conv(rng, False),
+    "identity": lambda rng: IdentityPart(int(rng.integers(1, 6))),
+    "residual-fc": lambda rng: _residual(_fc(rng, True)),
+    "residual-conv": lambda rng: _residual(_conv(rng, True)),
+}
+
+
+def _close(a, b, scale):
+    return abs(a - b) <= 1e-9 * (1.0 + scale)
+
+
+@pytest.mark.parametrize("kind", sorted(PARTS))
+@SETTINGS
+@given(SEEDS)
+def test_part_adjoint_identity(kind, seed):
+    rng = np.random.default_rng(seed)
+    part = PARTS[kind](rng)
+    x, dx = rng.standard_normal((2, part.d_in))
+    u, du = rng.standard_normal((2, part.p))
+    w = rng.standard_normal(part.d_out)
+    jv = part.jvp(x, u, dx, du)
+    gx, gu = part.vjp_x(u, w), part.vjp_u(x, w)
+    scale = np.linalg.norm(w) * np.linalg.norm(jv) + np.linalg.norm(gx) * np.linalg.norm(dx) \
+        + np.linalg.norm(gu) * np.linalg.norm(du)
+    assert _close(float(w @ jv), float(gx @ dx) + float(gu @ du), scale)
+
+
+@pytest.mark.parametrize("kind", sorted(PARTS))
+@SETTINGS
+@given(SEEDS)
+def test_part_derived_forms_match_jvp_and_value(kind, seed):
+    rng = np.random.default_rng(seed)
+    part = PARTS[kind](rng)
+    x, dx = rng.standard_normal((2, part.d_in))
+    u, du = rng.standard_normal((2, part.p))
+    w = rng.standard_normal(part.d_out)
+    jx, ju = part.dense_jx(u), part.dense_ju(x)
+    assert jx.shape == (part.d_out, part.d_in) and ju.shape == (part.d_out, part.p)
+    assert np.allclose(jx @ dx, part.jvp(x, u, dx, np.zeros(part.p)), atol=1e-9)
+    assert np.allclose(ju @ du, part.jvp(x, u, np.zeros(part.d_in), du), atol=1e-9)
+    # the bilinear term is the four-point difference of the value
+    bil = part.value(x + dx, u + du) - part.value(x + dx, u) \
+        - part.value(x, u + du) + part.value(x, u)
+    cross = part.second_cross(w)
+    assert cross.shape == (part.d_in, part.p)
+    assert np.isclose(float(w @ bil), float(dx @ cross @ du), atol=1e-8)
+
+
+def _elementwise(rng):
+    return ElementwiseStage(get_activation("softplus"), int(rng.integers(1, 7)))
+
+
+def _pool_patches(rng, spatial):
+    size = int(rng.integers(1, spatial + 1))
+    starts = range(0, spatial - size + 1, int(rng.integers(1, 3)))
+    return np.array([[s + i for i in range(size)] for s in starts])
+
+
+def _pool(cls, rng):
+    m, c = (int(n) for n in rng.integers(1, 3, size=2))
+    spatial = int(rng.integers(1, 6))
+    return cls(m, c, spatial, _pool_patches(rng, spatial))
+
+
+def _block(rng):
+    m = int(rng.integers(1, 3))
+    inner = ElementwiseStage(get_activation("sigmoid"), m * int(rng.integers(1, 4)))
+    return BlockStage(inner, m, int(rng.integers(0, 3)))
+
+
+STAGES = {
+    "elementwise": _elementwise,
+    "softmax": lambda rng: SoftmaxStage(*(int(n) for n in rng.integers(1, 4, size=2))),
+    "avgpool": lambda rng: _pool(AvgPoolStage, rng),
+    "maxpool": lambda rng: _pool(MaxPoolStage, rng),
+    "batchnorm": lambda rng: BatchNormStage(int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                                            float(rng.uniform(0.05, 1.0))),
+    "block": _block,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STAGES))
+@SETTINGS
+@given(SEEDS)
+def test_stage_adjoint_identity(kind, seed):
+    rng = np.random.default_rng(seed)
+    stage = STAGES[kind](rng)
+    # small integers make ties common, which max pooling must break the
+    # same way in both directions
+    z = rng.integers(-2, 3, size=stage.in_total).astype(float)
+    lin = stage.linearize(z)
+    dz = rng.standard_normal(stage.in_total)
+    lam = rng.standard_normal(stage.out_total)
+    jv, vj = lin.jvp(dz), lin.vjp(lam)
+    scale = np.linalg.norm(lam) * np.linalg.norm(jv) + np.linalg.norm(vj) * np.linalg.norm(dz)
+    assert _close(float(lam @ jv), float(vj @ dz), scale)
+    J = lin.dense_jacobian()
+    assert J.shape == (stage.out_total, stage.in_total)
+    assert np.allclose(J.T @ lam, vj, atol=1e-9)

@@ -1,14 +1,20 @@
-"""Bi-affine parts: values, transposed Jacobians, cross terms, constants."""
+"""Bi-affine parts: values, transposed Jacobians, cross terms, constants.
+
+The dense Jacobians and the cross term are derived from ``vjp_x``/``vjp_u``,
+so they are checked here against the independent routes: ``value`` (exact
+bi-affinity), ``jvp`` and a four-point difference of ``value``.
+"""
 
 import numpy as np
 import pytest
 
-from chaincert import (BiAffineConstants, ConvPart, DenseBiAffinePart, FCPart,
-                       IdentityPart, ResidualPart, SymbolicConvPart,
-                       DimensionMismatch, SymbolicOnlyError)
+from chaincert import (BiAffineConstants, ChainSpec, ConvPart, DenseBiAffinePart,
+                       FCPart, IdentityPart, ResidualPart, SymbolicConvPart,
+                       DimensionMismatch, SymbolicOnlyError, conv2d,
+                       fully_connected, operator_norm)
 from chaincert.layers import _valid_patches_2d
 
-from helpers import direct_conv
+from helpers import direct_conv, jacobi_largest_sv, tensor_norm_222
 
 
 def _check_part(part, rng, x=None, u=None, atol=1e-10):
@@ -103,9 +109,23 @@ def test_symbolic_conv_refuses_numerics_but_reports_constants():
         part.value(np.zeros(2), np.zeros(2))
     with pytest.raises(SymbolicOnlyError):
         part.dense_jx(np.zeros(2))
+    with pytest.raises(SymbolicOnlyError):
+        part.dense_ju(np.zeros(2))
+    with pytest.raises(SymbolicOnlyError):
+        part.second_cross(np.zeros(2))
     c = part.constants()
     assert c.L_b == pytest.approx(3.0)  # ceil(3/1) per axis, sqrt(9)
     assert part.p == 64 * 3 * 9
+    assert not part.numeric
+    assert not ResidualPart(part, batch=128).numeric
+
+
+def test_chain_numeric_flag():
+    numeric = ChainSpec((conv2d(1, 1, 4, 4, 2, 2), fully_connected(1, 18, 2)))
+    assert numeric.numeric
+    symbolic = ChainSpec((conv2d(1, 1, 4, 4, 2, 2, declared_patches=16),
+                          fully_connected(1, 32, 2)))
+    assert not symbolic.numeric
 
 
 def test_dense_biaffine_part_consistency():
@@ -131,6 +151,16 @@ def test_dense_biaffine_L_b_upper_bounds_attained_values():
         u = rng.standard_normal(3); u /= np.linalg.norm(u)
         val = np.linalg.norm(np.einsum("oip,i,p->o", bil, x, u))
         assert val <= c.L_b + 1e-9
+
+
+def test_dense_biaffine_L_b_dominates_tensor_norm():
+    # the alternating-maximization value is attained, hence a lower bound
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        shape = tuple(int(n) for n in rng.integers(1, 5, size=3))
+        bil = rng.standard_normal(shape)
+        lower, _ = tensor_norm_222(bil, restarts=20)
+        assert DenseBiAffinePart(bil).constants().L_b >= lower * (1 - 1e-9)
 
 
 def test_identity_part():
@@ -179,3 +209,54 @@ def test_constants_dataclass_is_frozen():
     c = BiAffineConstants(1.0, 2.0, 3.0, 0.0, 0.0)
     with pytest.raises(Exception):
         c.L_b = 5.0
+
+
+# ---------------------------------------------------------------- norm oracles
+
+def test_operator_norm_matches_jacobi_svd():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        rows = int(rng.integers(1, 7))
+        cols = int(rng.integers(1, 7))
+        m = rng.standard_normal((rows, cols))
+        assert operator_norm(m) == pytest.approx(jacobi_largest_sv(m), rel=1e-10)
+
+
+def test_operator_norm_edge_cases():
+    assert operator_norm(np.zeros((3, 2))) == 0.0
+    assert operator_norm(np.array([[2.0]])) == pytest.approx(2.0)
+    v = np.array([[3.0, 4.0]])
+    assert operator_norm(v) == pytest.approx(5.0)
+
+
+def test_tensor_norm_trivial_axis_exact():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((1, 4, 3))
+    val, certified = tensor_norm_222(a)
+    assert certified
+    assert val == pytest.approx(jacobi_largest_sv(a[0]), rel=1e-10)
+
+
+def test_tensor_norm_is_attained_lower_bound():
+    # random sampling must never beat the alternating-maximization value
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((3, 3, 3))
+    val, certified = tensor_norm_222(a, restarts=50)
+    assert not certified
+    best = 0.0
+    for _ in range(3000):
+        x = rng.standard_normal(3); x /= np.linalg.norm(x)
+        y = rng.standard_normal(3); y /= np.linalg.norm(y)
+        z = rng.standard_normal(3); z /= np.linalg.norm(z)
+        best = max(best, abs(np.einsum("kij,i,j,k->", a, x, y, z)))
+    assert best <= val + 1e-9
+
+
+def test_tensor_norm_rank_one_exact():
+    # T[x,y,z] = (a·x)(b·y)(c·z) has norm ||a||*||b||*||c||
+    a = np.array([1.0, 2.0])
+    b = np.array([2.0, -1.0, 1.0])
+    c = np.array([0.5, 0.5])
+    val, _ = tensor_norm_222(np.einsum("i,j,k->kij", a, b, c), restarts=20)
+    want = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c)
+    assert val == pytest.approx(want, rel=1e-8)

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from chaincert import cli
 from chaincert.cli import main
 
 FIXDIR = os.path.join(os.path.dirname(__import__("chaincert").__file__), "fixtures")
@@ -75,10 +76,25 @@ def test_gradcheck_passes_on_smooth_arch(tiny_arch, capsys):
     assert "max relative error" in out
 
 
-def test_gradcheck_rejects_symbolic_arch(capsys):
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail the test if a command draws parameters or states."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before checking the architecture is numeric")
+    monkeypatch.setattr(cli, "sample_params", refuse)
+    monkeypatch.setattr(cli, "sample_state", refuse)
+
+
+def test_gradcheck_rejects_symbolic_arch(capsys, no_sampling):
     rc = main(["gradcheck", _fixture("vgg16-smooth.arch")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_train_rejects_symbolic_arch(capsys, no_sampling):
+    rc = main(["train", _fixture("vgg16-smooth.arch"), "--steps", "1", "--certified"])
+    assert rc == 1
+    assert "declared symbolically" in capsys.readouterr().err
 
 
 def test_oracle_bench_csv(tmp_path, capsys):

@@ -1,21 +1,46 @@
-"""Layer descriptors: constructors, forward ops, second-order contractions."""
+"""Layer descriptors: constructors, forward ops, second-order contractions.
+
+Each layer is evaluated as a one-layer chain: values come from the forward
+tape, the transposed Jacobians from pulling a cotangent back through the
+recorded stage linearisations, and the second-order blocks from
+``layer_second_contract`` on that tape.
+"""
 
 import numpy as np
 import pytest
 
-from chaincert import (DimensionMismatch, SecondOrderUnavailable,
-                       avgpool2d, batchnorm_layer, conv2d,
-                       custom_layer, fully_connected, layer_jvp_transposed,
-                       layer_second_contract, layer_value, maxpool2d,
+from chaincert import (ChainSpec, DimensionMismatch, ParamVector,
+                       SecondOrderUnavailable, avgpool2d, backward,
+                       batchnorm_layer, conv2d, custom_layer, forward,
+                       fully_connected, layer_second_contract, maxpool2d,
                        residual_wrap, softmax_layer)
 from chaincert.biaffine import FCPart
 
 from helpers import fd_grad
 
 
+def _tape(layer, x, u):
+    return forward(ChainSpec((layer,)), x, ParamVector([u]))
+
+
+def _value(layer, x, u):
+    return _tape(layer, x, u).output
+
+
+def _pullback(layer, x, u, lam):
+    """``(g_x, g_u)``: the layer's transposed Jacobians applied to ``lam``."""
+    tape = _tape(layer, x, u)
+    w = lam
+    for lin in reversed(tape.stage_lins[0]):
+        w = lin.vjp(w)
+    gx = layer.part.vjp_x(u, w)
+    gu = backward(tape, lam).blocks[0]
+    return gx, gu
+
+
 def _fd_layer_grads(layer, x, u, lam, eps=1e-6):
-    gx = fd_grad(lambda v: float(lam @ layer_value(layer, v, u)), x, eps)
-    gu = fd_grad(lambda v: float(lam @ layer_value(layer, x, v)), u, eps)
+    gx = fd_grad(lambda v: float(lam @ _value(layer, v, u)), x, eps)
+    gu = fd_grad(lambda v: float(lam @ _value(layer, x, v)), u, eps)
     return gx, gu
 
 
@@ -23,7 +48,7 @@ def _check_layer_first_order(layer, rng, tol=1e-6):
     x = rng.standard_normal(layer.d_in) * 0.7
     u = rng.standard_normal(layer.p) * 0.7
     lam = rng.standard_normal(layer.d_out)
-    gx, gu = layer_jvp_transposed(layer, x, u, lam)
+    gx, gu = _pullback(layer, x, u, lam)
     fx, fu = _fd_layer_grads(layer, x, u, lam)
     assert np.allclose(gx, fx, atol=tol)
     assert np.allclose(gu, fu, atol=tol)
@@ -34,10 +59,10 @@ def _check_layer_second_order(layer, rng, tol=5e-4):
     x = rng.standard_normal(layer.d_in) * 0.5
     u = rng.standard_normal(layer.p) * 0.5
     lam = rng.standard_normal(layer.d_out)
-    Hxx, Hxu, Huu = layer_second_contract(layer, x, u, lam)
+    Hxx, Hxu, Huu = layer_second_contract(_tape(layer, x, u), 0, lam)
 
     def scalar(xv, uv):
-        return float(lam @ layer_value(layer, xv, uv))
+        return float(lam @ _value(layer, xv, uv))
 
     eps = 1e-4
     dx = layer.d_in
@@ -102,9 +127,10 @@ def test_pooling_layers():
     _check_layer_first_order(ap, rng)
     mp = maxpool2d(1, 1, 4, 4, size=2, stride=2)
     x = np.arange(16.0)
-    assert layer_value(mp, x, np.zeros(0)) == pytest.approx([5.0, 7.0, 13.0, 15.0])
+    tape = _tape(mp, x, np.zeros(0))
+    assert tape.output == pytest.approx([5.0, 7.0, 13.0, 15.0])
     with pytest.raises(SecondOrderUnavailable):
-        layer_second_contract(mp, x, np.zeros(0), np.ones(4))
+        layer_second_contract(tape, 0, np.ones(4))
 
 
 def test_relu_layer_is_first_order_only():
@@ -112,7 +138,7 @@ def test_relu_layer_is_first_order_only():
     layer = fully_connected(1, 3, 3, activation="relu", bias=False)
     _check_layer_first_order(layer, rng)
     with pytest.raises(SecondOrderUnavailable):
-        layer_second_contract(layer, np.ones(3), np.ones(9), np.ones(3))
+        layer_second_contract(_tape(layer, np.ones(3), np.ones(9)), 0, np.ones(3))
 
 
 def test_residual_wrap_layer():

@@ -180,6 +180,8 @@ def test_tau_one_closed_form():
     want = np.linalg.solve(N, -(q + B @ c))
     assert np.allclose(step.v.blocks[0], want, atol=1e-12)
     assert step.diagnostics["doublings"] == 0
+    assert step.diagnostics["converged"] is True
+    assert step.diagnostics["exit_reason"] == "exact"
 
 
 def test_indefinite_model_doubles_proximal_weight():
@@ -267,6 +269,20 @@ def test_gn_dual_zero_gradient_shortcut():
     assert step.v.norm() == 0.0
     assert step.diagnostics["cg_iterations"] == 0
     assert step.diagnostics["ad_calls"] <= 2
+    assert step.diagnostics["converged"] is True
+    assert step.diagnostics["exit_reason"] == "zero_gradient"
+
+
+def test_gn_dual_reports_exit_reason():
+    chain, u, x0, h = _small_instance(9, tau=2, width=3, batch=2)
+    done = solve_gauss_newton_dual(forward(chain, x0, u), h, None, 1.0, tol=1e-12)
+    assert done.diagnostics["converged"] is True
+    assert done.diagnostics["exit_reason"] == "tolerance"
+    capped = solve_gauss_newton_dual(forward(chain, x0, u), h, None, 1.0,
+                                     tol=1e-12, max_iter=1)
+    assert capped.diagnostics["converged"] is False
+    assert capped.diagnostics["exit_reason"] == "iteration_cap"
+    assert capped.diagnostics["cg_iterations"] == 1
 
 
 def test_gn_dual_duality_gap_closes():
