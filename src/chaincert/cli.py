@@ -178,7 +178,7 @@ def cmd_oracle_bench(args) -> int:
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(out)
     writer.writerow(["tau", "width", "params", "dp_seconds", "dense_seconds",
-                     "gn_dual_seconds", "newton_agree", "gn_agree"])
+                     "gn_dual_seconds", "newton_agree", "gn_agree", "gn_ad_calls"])
     try:
         for tau in args.tau:
             chain = _bench_chain(tau, args.width, rng)
@@ -190,7 +190,8 @@ def cmd_oracle_bench(args) -> int:
             tape = forward(chain, x0, u)
             lq_n = build_lq(tape, h, r, "newton", args.kappa)
             lq_g = build_lq(tape, h, r, "gauss-newton", args.kappa)
-            t_dp = _time(lambda: solve_newton_dp(lq_n), args.reps)
+            t_dp = _time(lambda: solve_newton_dp(build_lq(
+                forward(chain, x0, u), h, r, "newton", args.kappa)), args.reps)
             t_dense = _time(lambda: solve_dense_reference(lq_n), args.reps)
             t_gn = _time(lambda: solve_gauss_newton_dual(
                 forward(chain, x0, u), h, r, args.kappa), args.reps)
@@ -199,13 +200,13 @@ def cmd_oracle_bench(args) -> int:
             # compare on the proximal weight the sweep actually used
             lq_used = replace(lq_n, kappa=step_dp.diagnostics["kappa_used"])
             v_nd = solve_dense_reference(lq_used).v
-            v_gd = solve_gauss_newton_dual(forward(chain, x0, u), h, r, args.kappa).v
+            step_gd = solve_gauss_newton_dual(forward(chain, x0, u), h, r, args.kappa)
             v_gn = solve_dense_reference(lq_g).v
             agree_n = (v_dp - v_nd).norm() / (1.0 + v_nd.norm())
-            agree_g = (v_gd - v_gn).norm() / (1.0 + v_gn.norm())
+            agree_g = (step_gd.v - v_gn).norm() / (1.0 + v_gn.norm())
             writer.writerow([tau, args.width, chain.total_params,
                              _g(t_dp), _g(t_dense), _g(t_gn),
-                             _g(agree_n), _g(agree_g)])
+                             _g(agree_n), _g(agree_g), step_gd.diagnostics["ad_calls"]])
     finally:
         if args.out:
             out.close()

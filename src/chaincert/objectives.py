@@ -247,7 +247,11 @@ def cluster_objective(n: int, q: int, tol: float = 1e-10) -> Objective:
 # regularizers ------------------------------------------------------------
 
 class Regularizer:
-    """Decomposable parameter penalty: value, gradient, per-block Hessians."""
+    """Decomposable parameter penalty: value, gradient, per-block curvature.
+
+    The Hessian of block t is the constant ``alpha_t I``; ``curvatures``
+    gives the scales ``alpha_t``, from which every Hessian form is derived.
+    """
 
     def value(self, u: ParamVector) -> float:
         raise NotImplementedError
@@ -255,8 +259,13 @@ class Regularizer:
     def grad(self, u: ParamVector) -> ParamVector:
         raise NotImplementedError
 
-    def hess_blocks(self, dims):
+    def curvatures(self, dims) -> np.ndarray:
+        """Hessian scale ``alpha_t`` of each block, shape (len(dims),)."""
         raise NotImplementedError
+
+    def hess_blocks(self, dims):
+        """Dense per-block Hessians ``alpha_t I``."""
+        return [a * np.eye(d) for a, d in zip(self.curvatures(dims), dims)]
 
     @property
     def smooth(self) -> float:
@@ -270,8 +279,8 @@ class ZeroReg(Regularizer):
     def grad(self, u):
         return ParamVector([np.zeros(d) for d in u.dims])
 
-    def hess_blocks(self, dims):
-        return [np.zeros((d, d)) for d in dims]
+    def curvatures(self, dims):
+        return np.zeros(len(dims))
 
     @property
     def smooth(self):
@@ -300,9 +309,8 @@ class BlockRidge(Regularizer):
         al = self._alpha(len(u.blocks))
         return ParamVector([a * b for a, b in zip(al, u.blocks)])
 
-    def hess_blocks(self, dims):
-        al = self._alpha(len(dims))
-        return [a * np.eye(d) for a, d in zip(al, dims)]
+    def curvatures(self, dims):
+        return np.array(self._alpha(len(dims)))
 
     @property
     def smooth(self):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import Tape, backward, jvp
 from .chain import ParamVector
-from .errors import DimensionMismatch, InfeasibleModel
+from .errors import DimensionMismatch, InfeasibleModel, NumericError
 from .layers import layer_second_contract
 from .objectives import Regularizer, ZeroReg
 
@@ -174,6 +174,11 @@ def solve_gradient_step(lq: LQProblem, gamma: float) -> OracleStep:
     return OracleStep(ParamVector(blocks), {"kind": "gradient", "gamma": gamma})
 
 
+def _check_finite(v: ParamVector, solver: str) -> None:
+    if not np.all(np.isfinite(v.flat())):
+        raise NumericError(f"{solver} produced a non-finite step")
+
+
 def _chol_pd(N: np.ndarray):
     """Cholesky factor if N passes the pivot threshold, else None."""
     try:
@@ -204,17 +209,20 @@ def solve_newton_dp(lq: LQProblem) -> OracleStep:
         feasible = True
         for t in range(tau - 1, -1, -1):
             A, B, Rt = lq.A[t], lq.B[t], lq.R[t]
-            N = kappa * np.eye(B.shape[0]) + lq.Q[t] + B @ C @ B.T
+            CB = C @ B.T
+            N = kappa * np.eye(B.shape[0]) + lq.Q[t] + B @ CB
             N = 0.5 * (N + N.T)
             L = _chol_pd(N)
             if L is None:
+                if not np.all(np.isfinite(N)):
+                    raise NumericError(f"Newton-DP stage cost {t} is non-finite")
                 feasible = False
                 break
-            ACB = A @ C @ B.T
-            M = Rt + ACB
+            M = Rt + A @ CB
             Bc = lq.q[t] + B @ c
-            Ninv_Mt = np.linalg.solve(N, M.T)
-            Ninv_bc = np.linalg.solve(N, Bc)
+            # one factorisation of N serves the gain and the offset
+            sol = np.linalg.solve(N, np.column_stack((M.T, Bc)))
+            Ninv_Mt, Ninv_bc = sol[:, :-1], sol[:, -1]
             K[t] = -Ninv_Mt
             k[t] = -Ninv_bc
             Cn = lq.P[t] + A @ C @ A.T - M @ Ninv_Mt
@@ -227,7 +235,9 @@ def solve_newton_dp(lq: LQProblem) -> OracleStep:
                 v = K[t] @ y + k[t]
                 blocks.append(v)
                 y = lq.A[t].T @ y + lq.B[t].T @ v
-            return OracleStep(ParamVector(blocks),
+            step = ParamVector(blocks)
+            _check_finite(step, "Newton-DP")
+            return OracleStep(step,
                               {"kind": "newton-dp", "kappa_used": kappa,
                                "doublings": doubling, "converged": True,
                                "exit_reason": "exact"})
@@ -277,16 +287,21 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
                             compute_gap: bool = False) -> OracleStep:
     """Prox-linear step through the dual, metered in chain-derivative calls.
 
-    The quadratic loss model must be convex (checked, refused otherwise).
-    The dual reduces to a positive-definite system in an output-sized
-    variable, solved by conjugate gradients where each iteration costs one
-    adjoint and one tangent call; the primal step is recovered for free
-    from accumulated CG data.  Diagnostics report the exact number of
+    The quadratic loss model must be convex and every shifted regularizer
+    curvature ``alpha_t + kappa`` positive (both checked before any
+    derivative call, refused otherwise).  The regularizer Hessian is
+    ``alpha_t I`` per block, so its shifted inverse is a per-block division
+    and no parameter-sized matrix is formed.  The dual reduces to a
+    positive-definite system in an output-sized variable, solved by
+    conjugate gradients where each iteration costs one adjoint and one
+    tangent call; the primal step is recovered for free from accumulated
+    CG data.  Diagnostics report the exact number of
     adjoint/tangent calls, which is at most ``2 d_tau + 1`` whenever CG
     stops before ``d_tau`` full iterations (one call short of the cap).
     ``exit_reason`` says why CG stopped: ``"tolerance"``, ``"zero_gradient"``
     (nothing to solve), ``"nonpositive_curvature"`` or ``"iteration_cap"``;
-    ``converged`` is True for the first two only.
+    ``converged`` is True for the first two only.  A non-finite step raises
+    ``NumericError``.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -295,6 +310,11 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     pdims = chain.param_dims
     d_tau = chain.d_out
     calls0 = tape.ad_calls
+    shift = r.curvatures(pdims) + kappa
+    if not np.all(shift > 0.0):
+        raise InfeasibleModel(
+            f"regularizer curvature plus kappa is {float(shift.min()):g} in some "
+            "block; the duality route needs it positive")
 
     y = tape.output
     g, H = h.grad_hess(y)
@@ -305,11 +325,8 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
             "loss quadratic model is not convex; the duality route needs a "
             "convex model")
 
-    rhess = r.hess_blocks(pdims)
-    Wmats = [rh + kappa * np.eye(pt) for rh, pt in zip(rhess, pdims)]
-
     def w_solve(pv: ParamVector) -> ParamVector:
-        return ParamVector([np.linalg.solve(Wm, b) for Wm, b in zip(Wmats, pv.blocks)])
+        return ParamVector([b / s for s, b in zip(shift, pv.blocks)])
 
     base = backward(tape, g) + r.grad(tape.u)
     if base.norm() == 0.0:
@@ -351,6 +368,7 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
         rr = rr_new
 
     v = -1.0 * (c0 + w_solve(zeta))
+    _check_finite(v, "Gauss-Newton dual")
     ad_calls = tape.ad_calls - calls0
     budget = 2 * d_tau + 1
     diags = {
@@ -374,7 +392,7 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
         jv = jvp(tape, v)
         prim_h = h_val + float(g @ jv) + 0.5 * float(jv @ (H @ jv))
         rv = r.grad(tape.u).dot(v)
-        vWv = sum(float(b @ (Wm @ b)) for Wm, b in zip(Wmats, v.blocks))
+        vWv = sum(s * float(b @ b) for s, b in zip(shift, v.blocks))
         prim_val = prim_h + r_val + rv + 0.5 * vWv
         diags["dual_value"] = dual_val
         diags["primal_model_value"] = prim_val

@@ -105,11 +105,13 @@ def test_oracle_bench_csv(tmp_path, capsys):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["tau", "width", "params", "dp_seconds", "dense_seconds",
-                       "gn_dual_seconds", "newton_agree", "gn_agree"]
+                       "gn_dual_seconds", "newton_agree", "gn_agree", "gn_ad_calls"]
     assert len(rows) == 3
     for row in rows[1:]:
         assert float(row[6]) < 1e-8
         assert float(row[7]) < 1e-6
+        # two set-up calls, then two per CG iteration, at most d_tau = 3 of them
+        assert int(row[8]) in (2, 4, 6, 8)
 
 
 def test_train_certified(tiny_arch, capsys):

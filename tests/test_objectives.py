@@ -162,3 +162,17 @@ def test_regularizers():
 
     rs = BlockRidge(1.5)
     assert rs.value(u) == pytest.approx(0.75 * u.norm() ** 2)
+
+
+@pytest.mark.parametrize("reg, alphas", [
+    (ZeroReg(), [0.0, 0.0]),
+    (BlockRidge(1.5), [1.5, 1.5]),
+    (BlockRidge((2.0, 0.5)), [2.0, 0.5]),
+], ids=["zero", "ridge-scalar", "ridge-per-block"])
+def test_hess_blocks_are_curvature_times_identity(reg, alphas):
+    dims = (3, 2)
+    assert np.array_equal(reg.curvatures(dims), alphas)
+    H = reg.hess_blocks(dims)
+    assert len(H) == 2
+    for Ht, a, d in zip(H, alphas, dims):
+        assert np.array_equal(Ht, a * np.eye(d))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from chaincert import (BlockRidge, ChainSpec, InfeasibleModel, LQProblem,
-                       build_lq, forward, fully_connected,
+                       NumericError, ZeroReg, build_lq, forward, fully_connected,
                        grad_objective, sample_params, solve_dense_reference,
                        solve_gauss_newton_dual, solve_gradient_step,
                        solve_newton_dp, squared_objective)
@@ -235,10 +235,12 @@ def test_dense_reference_size_cap():
 # Gauss-Newton through the dual
 
 
-def test_gn_dual_matches_dense_and_respects_budget():
+@pytest.mark.parametrize("r", [BlockRidge(0.2), ZeroReg(), BlockRidge(0.3),
+                               BlockRidge([0.3, 0.0, 1.2])],
+                         ids=["ridge-0.2", "zero", "ridge-0.3", "ridge-per-block"])
+def test_gn_dual_matches_dense_and_respects_budget(r):
     for seed in range(6):
         chain, u, x0, h = _small_instance(seed + 20, tau=3, width=3, batch=2)
-        r = BlockRidge(0.2)
         tape = forward(chain, x0, u)
         lq = build_lq(tape, h, r, "gauss-newton", 1.0)
         dense = solve_dense_reference(lq)
@@ -310,6 +312,29 @@ def test_gn_dual_rejects_nonconvex_loss_model():
     tape = forward(chain, x0, u)
     with pytest.raises(InfeasibleModel):
         solve_gauss_newton_dual(tape, ConcaveLoss(), None, 1.0)
+
+
+@pytest.mark.parametrize("alphas", [[0.3, -1.0, 0.2], [0.3, 0.1, -2.5]],
+                         ids=["zero-shift", "negative-shift"])
+def test_gn_dual_refuses_nonpositive_shifted_curvature(alphas):
+    # kappa = 1 leaves alpha_t + kappa at 0 or below in one block
+    chain, u, x0, h = _small_instance(10)
+    tape = forward(chain, x0, u)
+    with pytest.raises(InfeasibleModel):
+        solve_gauss_newton_dual(tape, h, BlockRidge(alphas), 1.0)
+    assert tape.ad_calls == 0
+
+
+@pytest.mark.parametrize("kind", ["gauss-newton", "newton"])
+def test_oracles_raise_on_non_finite_output(kind):
+    chain, u, x0, h = _small_instance(11)
+    tape = forward(chain, x0, u)
+    # forward refuses non-finite states, so the recorded output is edited
+    tape.states[-1] = np.full(chain.d_out, np.nan)
+    with pytest.raises(NumericError):
+        solve_newton_dp(build_lq(tape, h, None, kind, 1.0))
+    with pytest.raises(NumericError):
+        solve_gauss_newton_dual(tape, h, None, 1.0)
 
 
 def test_gn_dual_actual_objective_decrease():
