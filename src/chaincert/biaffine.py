@@ -377,6 +377,7 @@ class ConvPart(_ConvGeometry):
         super().__init__(batch, channels, spatial, *patches.shape, n_filters, bias,
                          kernel_shape, stride)
         self.patches = patches
+        self._cols_index = None
 
     def _split(self, u):
         nfil = self.n_f * self.C * self.k_sp
@@ -384,14 +385,38 @@ class ConvPart(_ConvGeometry):
         b = u[nfil:] if self.bias else np.zeros(self.n_f)
         return F, b
 
-    def _gather(self, x):
-        return x.reshape(self.m, self.C, self.n_sp)[:, :, self.patches]
+    def _index(self):
+        """Flat im2col index (n_patches, channels * patch_len), built on first use.
+
+        Column ``(c, j)`` of window ``p`` reads ``c * n_sp + patches[p, j]`` of
+        one sample's ``(channels, spatial)`` block.  It is never built by the
+        constructor, so a large conv that is only inspected allocates nothing.
+        """
+        if self._cols_index is None:
+            offsets = np.arange(self.C, dtype=np.intp)[None, :, None] * self.n_sp
+            self._cols_index = (offsets + self.patches[:, None, :]).reshape(
+                self.n_p, self.C * self.k_sp)
+        return self._cols_index
+
+    def _cols(self, x):
+        """im2col matrix (m, n_patches, channels * patch_len) of ``x``."""
+        return np.take(x.reshape(self.m, self.C * self.n_sp), self._index(), axis=1)
+
+    def _apply(self, F, cols):
+        """Filters applied to gathered windows, as (m, n_filters, n_patches).
+
+        One GEMM per sample: a single tall GEMM over the whole batch was no
+        faster and, with OpenBLAS on two threads, raised the peak memory of
+        the benchmark CNN by about 7 MB (14%).
+        """
+        out = np.matmul(cols, F.reshape(self.n_f, self.C * self.k_sp).T)
+        return out.transpose(0, 2, 1)
 
     def value(self, x, u, count=None):
         x, u = self._check_x(x), self._check_u(u)
         F, b = self._split(u)
         _charge(count, self.s_beta + self.s_beta_u)
-        out = np.einsum("fck,mcpk->mfp", F, self._gather(x))
+        out = self._apply(F, self._cols(x))
         if self.bias:
             out = out + b[None, :, None]
         return out.ravel()
@@ -401,16 +426,20 @@ class ConvPart(_ConvGeometry):
         F, _ = self._split(u)
         wv = w.reshape(self.m, self.n_f, self.n_p)
         _charge(count, self.s_beta)
-        contrib = np.einsum("fck,mfp->mcpk", F, wv)
-        gx = np.zeros((self.m, self.C, self.n_sp))
-        np.add.at(gx, (slice(None), slice(None), self.patches), contrib)
+        F2 = F.reshape(self.n_f, self.C * self.k_sp)
+        index = self._index().ravel()
+        gx = np.empty((self.m, self.C * self.n_sp))
+        for s in range(self.m):
+            # col2im: each window column adds back into the input it read
+            gx[s] = np.bincount(index, weights=(wv[s].T @ F2).ravel(),
+                                minlength=self.C * self.n_sp)
         return gx.ravel()
 
     def vjp_u(self, x, w, count=None):
         x, w = self._check_x(x), self._check_w(w)
         wv = w.reshape(self.m, self.n_f, self.n_p)
         _charge(count, self.s_beta + self.s_beta_u)
-        gF = np.einsum("mcpk,mfp->fck", self._gather(x), wv)
+        gF = np.matmul(wv, self._cols(x)).sum(axis=0)
         if self.bias:
             return np.concatenate([gF.ravel(), wv.sum(axis=(0, 2))])
         return gF.ravel()
@@ -421,8 +450,7 @@ class ConvPart(_ConvGeometry):
         F, _ = self._split(u)
         dF, db = self._split(du)
         _charge(count, 2 * self.s_beta + self.s_beta_u)
-        out = (np.einsum("fck,mcpk->mfp", F, self._gather(dx))
-               + np.einsum("fck,mcpk->mfp", dF, self._gather(x)))
+        out = self._apply(F, self._cols(dx)) + self._apply(dF, self._cols(x))
         if self.bias:
             out = out + db[None, :, None]
         return out.ravel()

@@ -96,33 +96,31 @@ def eval_convex_cluster(yhat: np.ndarray, tol: float):
     if n == 1:
         return 0.0, np.zeros_like(yhat)
     I, J = _pair_ops(n)
+    # Dense incidence matrix of the pair graph: D^T v is one small GEMM.
+    Dt = np.zeros((n, len(I)))
+    Dt[I, np.arange(len(I))] = 1.0
+    Dt[J, np.arange(len(I))] = -1.0
 
-    def d_apply(y):
-        return y[I] - y[J]
-
-    def dt_apply(v):
-        out = np.zeros((n, q))
-        np.add.at(out, I, v)
-        np.add.at(out, J, -v)
-        return out
-
-    def primal(y):
-        diffs = d_apply(y)
+    def primal(y, diffs):
         return 0.5 * float(np.sum((y - yhat) ** 2)) + float(
             np.sqrt((diffs * diffs).sum(axis=1)).sum())
 
     # ||D^T D|| = n for the complete pair graph, so 1/n is a safe dual step.
+    # Each iterate's primal point y and its differences D y serve both the
+    # stopping test and the next dual update.
     v = np.zeros((len(I), q))
-    prev = primal(yhat - dt_apply(v))
+    y = yhat
+    diffs = y[I] - y[J]
+    prev = primal(y, diffs)
     for _ in range(_CLUSTER_CAP):
-        y = yhat - dt_apply(v)
-        v = v + d_apply(y) / n
+        v = v + diffs / n
         norms = np.sqrt((v * v).sum(axis=1, keepdims=True))
         v = v / np.maximum(norms, 1.0)
-        cur = primal(yhat - dt_apply(v))
+        y = yhat - Dt @ v
+        diffs = y[I] - y[J]
+        cur = primal(y, diffs)
         if abs(cur - prev) <= tol:
-            y = yhat - dt_apply(v)
-            return primal(y), yhat - y
+            return cur, yhat - y
         prev = cur
     raise IterationLimit(f"clustering inner solve: no convergence in {_CLUSTER_CAP} steps")
 

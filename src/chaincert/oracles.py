@@ -8,7 +8,8 @@ against the running adjoint).  The solvers then compute steps three ways:
 * an exact dynamic-programming sweep for the full quadratic model,
 * a dual conjugate-gradient method for the prox-linear (Gauss-Newton)
   model that touches the chain only through adjoint and tangent calls,
-  with a certified call budget.
+  with a call budget that holds whenever CG stops before ``d_tau``
+  iterations and is reported otherwise.
 
 A dense reference solver materialises the whole model for cross-checking
 on small instances.

@@ -243,9 +243,27 @@ class _PoolBase(Stage):
         self.n_out, self.patch_size = patches.shape
         self.in_total = self.batch * self.channels * self.spatial_in
         self.out_total = self.batch * self.channels * self.n_out
+        self._window_index = None
 
     def _view(self, z):
         return z.reshape(self.batch, self.channels, self.spatial_in)
+
+    def _index(self):
+        """Flat input coordinate of every window entry, as (out_total, patch_size).
+
+        Row ``(b, c, o)`` lists the inputs that output ``o`` of sample ``b``,
+        channel ``c`` reads.  Built on first use, never by the
+        constructor.
+        """
+        if self._window_index is None:
+            rows = np.arange(self.batch * self.channels, dtype=np.intp) * self.spatial_in
+            self._window_index = (rows[:, None, None] + self.patches).reshape(
+                self.out_total, self.patch_size)
+        return self._window_index
+
+    def _scatter(self, index, weights):
+        """Adjoint of a gather: add ``weights`` into the input coordinates ``index``."""
+        return np.bincount(index, weights=weights, minlength=self.in_total)
 
 
 class AvgPoolStage(_PoolBase):
@@ -277,14 +295,7 @@ class _AvgPoolLin(StageLin):
     def vjp(self, lam, count=None):
         st = self.stage
         _charge(count, st.grad_sparsity())
-        out = np.zeros((st.batch, st.channels, st.spatial_in))
-        contrib = lam.reshape(st.batch, st.channels, st.n_out) / st.patch_size
-        np.add.at(
-            out,
-            (slice(None), slice(None), st.patches),
-            contrib[:, :, :, None],
-        )
-        return out.ravel()
+        return st._scatter(st._index().ravel(), np.repeat(lam / st.patch_size, st.patch_size))
 
     def jvp(self, dz, count=None):
         st = self.stage
@@ -309,9 +320,8 @@ class MaxPoolStage(_PoolBase):
         z = self._check(z)
         gathered = self._view(z)[:, :, self.patches]
         # argmax returns the first maximum: ties break toward lowest index
-        arg = gathered.argmax(axis=-1)
-        winners = self.patches[np.arange(self.n_out)[None, None, :], arg]
-        return _MaxPoolLin(self, winners)
+        arg = gathered.argmax(axis=-1).ravel()
+        return _MaxPoolLin(self, self._index()[np.arange(self.out_total), arg])
 
     def constants(self) -> StageConstants:
         return StageConstants(m_a=np.inf, lip=1.0, smooth=np.inf, a0_norm=0.0, slope0=1.0)
@@ -323,25 +333,16 @@ class MaxPoolStage(_PoolBase):
 class _MaxPoolLin(StageLin):
     def __init__(self, stage: MaxPoolStage, winners):
         self.stage = stage
-        self.winners = winners  # (batch, channels, n_out) input spatial index
+        self.winners = winners  # flat input coordinate each output reads
 
     def vjp(self, lam, count=None):
         st = self.stage
         _charge(count, st.out_total)
-        out = np.zeros((st.batch, st.channels, st.spatial_in))
-        contrib = lam.reshape(st.batch, st.channels, st.n_out)
-        b_idx = np.arange(st.batch)[:, None, None]
-        c_idx = np.arange(st.channels)[None, :, None]
-        np.add.at(out, (b_idx, c_idx, self.winners), contrib)
-        return out.ravel()
+        return st._scatter(self.winners, lam)
 
     def jvp(self, dz, count=None):
-        st = self.stage
-        _charge(count, st.out_total)
-        view = st._view(dz)
-        b_idx = np.arange(st.batch)[:, None, None]
-        c_idx = np.arange(st.channels)[None, :, None]
-        return view[b_idx, c_idx, self.winners].ravel()
+        _charge(count, self.stage.out_total)
+        return dz.reshape(self.stage.in_total)[self.winners]
 
     def hess_contract(self, lam):
         raise SecondOrderUnavailable("maxpool has no second derivative")

@@ -6,6 +6,7 @@ import pytest
 from chaincert import (AvgPoolStage, BatchNormStage, BlockStage,
                        ElementwiseStage, MaxPoolStage, SoftmaxStage,
                        get_activation)
+from chaincert.layers import _valid_patches_2d
 
 from helpers import fd_jacobian
 
@@ -103,6 +104,52 @@ def test_maxpool_stage_value_and_first_order():
     assert st.value(z) == pytest.approx([3.0, 5.0])
     _check_stage_consistency(st, rng.standard_normal(4) * 2, rng, second=False)
     assert not st.second_order
+
+
+def _pool_jacobian(st, z):
+    """Pooling Jacobian built entry by entry from the window table.
+
+    Average pooling weights every window entry by 1/patch (an index listed
+    twice counts twice); max pooling takes the first maximal entry.
+    """
+    J = np.zeros((st.out_total, st.in_total))
+    Z = z.reshape(st.batch, st.channels, st.spatial_in)
+    row = 0
+    for b in range(st.batch):
+        for c in range(st.channels):
+            base = (b * st.channels + c) * st.spatial_in
+            for window in st.patches:
+                if st.name == "avgpool":
+                    for i in window:
+                        J[row, base + i] += 1.0 / len(window)
+                else:
+                    J[row, base + window[int(np.argmax(Z[b, c, window]))]] = 1.0
+                row += 1
+    return J
+
+
+# 3x3 windows at stride 1 on a 5x5 grid: inner positions are read by up to
+# nine windows.  The hand table repeats index 0 inside its first window.
+_OVERLAPPING = {
+    "grid": (25, _valid_patches_2d(5, 5, 3, 3, 1, 1)[0]),
+    "hand": (4, np.array([[0, 0, 1], [1, 2, 3], [3, 2, 0]])),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_OVERLAPPING))
+@pytest.mark.parametrize("cls", [AvgPoolStage, MaxPoolStage], ids=["avg", "max"])
+def test_pool_vjp_scatters_overlapping_windows(cls, table):
+    spatial, patches = _OVERLAPPING[table]
+    st = cls(2, 3, spatial, patches)
+    rng = np.random.default_rng(11)
+    # small integers make ties within a window common
+    for z in (rng.integers(0, 3, st.in_total).astype(float), np.zeros(st.in_total)):
+        lin = st.linearize(z)
+        lam = rng.standard_normal(st.out_total)
+        want = _pool_jacobian(st, z)
+        assert np.allclose(lin.dense_jacobian(), want, rtol=0, atol=1e-15)
+        assert np.allclose(lin.vjp(lam), lin.dense_jacobian().T @ lam, rtol=0, atol=1e-13)
+        assert np.allclose(lin.vjp(lam), want.T @ lam, rtol=0, atol=1e-13)
 
 
 def test_batchnorm_stage_consistency_and_centering():

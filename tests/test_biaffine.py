@@ -5,14 +5,16 @@ so they are checked here against the independent routes: ``value`` (exact
 bi-affinity), ``jvp`` and a four-point difference of ``value``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chaincert import (BiAffineConstants, ChainSpec, ConvPart, DenseBiAffinePart,
-                       FCPart, IdentityPart, ResidualPart, SymbolicConvPart,
-                       DimensionMismatch, SymbolicOnlyError, conv2d,
-                       fully_connected, operator_norm)
-from chaincert.layers import _valid_patches_2d
+                       FCPart, IdentityPart, OpCounter, ResidualPart,
+                       SymbolicConvPart, DimensionMismatch, SymbolicOnlyError,
+                       conv2d, fully_connected, operator_norm)
+from chaincert.layers import _valid_patches_1d, _valid_patches_2d
 
 from helpers import direct_conv, jacobi_largest_sv, tensor_norm_222
 
@@ -99,6 +101,98 @@ def test_conv_part_bias_constant():
     part = ConvPart(batch=3, channels=1, spatial=4, patches=patches,
                     n_filters=2, bias=True, kernel_shape=(2,), stride=(2,))
     assert part.constants().l_u == pytest.approx(np.sqrt(3 * 2))
+
+
+def _conv_by_loops(patches, m, C, n_sp, F, b, x, w, dx, dF, db):
+    """The four conv products by explicit per-sample, per-window loops.
+
+    Returns (value, vjp_x, vjp_u, jvp) at ``(x, F, b)``, with cotangent ``w``
+    and tangent ``(dx, dF, db)``; ``b``/``db`` are None without a bias.
+    """
+    n_f, _, k = F.shape
+    n_p = len(patches)
+    X, dX = x.reshape(m, C, n_sp), dx.reshape(m, C, n_sp)
+    W = w.reshape(m, n_f, n_p)
+    val = np.zeros((m, n_f, n_p))
+    tan = np.zeros((m, n_f, n_p))
+    gx = np.zeros((m, C, n_sp))
+    gF = np.zeros((n_f, C, k))
+    gb = np.zeros(n_f)
+    for s in range(m):
+        for f in range(n_f):
+            for p in range(n_p):
+                for c in range(C):
+                    for j in range(k):
+                        i = patches[p, j]
+                        val[s, f, p] += F[f, c, j] * X[s, c, i]
+                        tan[s, f, p] += F[f, c, j] * dX[s, c, i] + dF[f, c, j] * X[s, c, i]
+                        gx[s, c, i] += F[f, c, j] * W[s, f, p]
+                        gF[f, c, j] += X[s, c, i] * W[s, f, p]
+                if b is not None:
+                    val[s, f, p] += b[f]
+                    tan[s, f, p] += db[f]
+                    gb[f] += W[s, f, p]
+    gu = gF.ravel() if b is None else np.concatenate([gF.ravel(), gb])
+    return val.ravel(), gx.ravel(), gu, tan.ravel()
+
+
+_CONV_CASES = {
+    # name: (batch, channels, spatial, patch table, filters, bias)
+    "2d-stride1-bias": (2, 2, 25, _valid_patches_2d(5, 5, 3, 3, 1, 1)[0], 3, True),
+    "2d-stride2": (3, 2, 30, _valid_patches_2d(5, 6, 2, 3, 2, 2)[0], 2, False),
+    "1d-stride2-bias": (3, 2, 9, _valid_patches_1d(9, 3, 2), 2, True),
+    "1d-stride1": (1, 3, 6, _valid_patches_1d(6, 2, 1), 2, False),
+    # overlapping windows, and window 0 reads position 0 twice
+    "hand-repeated": (2, 2, 5, np.array([[0, 0, 2], [1, 2, 3], [3, 4, 1]]), 2, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONV_CASES))
+def test_conv_part_products_match_explicit_loops(case):
+    m, C, n_sp, patches, n_f, bias = _CONV_CASES[case]
+    part = ConvPart(batch=m, channels=C, spatial=n_sp, patches=patches,
+                    n_filters=n_f, bias=bias)
+    rng = np.random.default_rng(len(case))
+    k = patches.shape[1]
+    F, dF = rng.standard_normal((2, n_f, C, k))
+    b, db = rng.standard_normal((2, n_f)) if bias else (None, None)
+    u = F.ravel() if b is None else np.concatenate([F.ravel(), b])
+    du = dF.ravel() if db is None else np.concatenate([dF.ravel(), db])
+    x, dx = rng.standard_normal((2, part.d_in))
+    w = rng.standard_normal(part.d_out)
+    want = _conv_by_loops(patches, m, C, n_sp, F, b, x, w, dx, dF, db)
+
+    # charged units: one per stored nonzero of each applied piece
+    s_beta = m * len(patches) * n_f * C * k
+    s_beta_u = m * n_f * len(patches) if bias else 0
+    calls = [
+        (lambda c: part.value(x, u, c), s_beta + s_beta_u),
+        (lambda c: part.vjp_x(u, w, c), s_beta),
+        (lambda c: part.vjp_u(x, w, c), s_beta + s_beta_u),
+        (lambda c: part.jvp(x, u, dx, du, c), 2 * s_beta + s_beta_u),
+    ]
+    for (call, units), ref in zip(calls, want):
+        count = OpCounter()
+        got = call(count)
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert count.total == units
+
+
+def test_numeric_conv_construction_allocates_no_im2col_index():
+    # the im2col index of this part would be 222*222 * 512*9 int64, 1.8 GB
+    patches, _ = _valid_patches_2d(224, 224, 3, 3, 1, 1)
+    tracemalloc.start()
+    try:
+        part = ConvPart(batch=1, channels=512, spatial=224 * 224, patches=patches,
+                        n_filters=4, kernel_shape=(3, 3), stride=(1, 1))
+        part.constants()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert part.numeric
+    assert part.n_p * part.C * part.k_sp * 8 > 1e9
+    assert peak < 64 * 2**20
 
 
 def test_symbolic_conv_refuses_numerics_but_reports_constants():

@@ -10,9 +10,10 @@ import pytest
 
 from chaincert import (BlockRidge, ChainSpec, InfeasibleModel, LQProblem,
                        NumericError, ZeroReg, build_lq, forward, fully_connected,
-                       grad_objective, sample_params, solve_dense_reference,
-                       solve_gauss_newton_dual, solve_gradient_step,
-                       solve_newton_dp, squared_objective)
+                       grad_objective, sample_params, sample_state,
+                       solve_dense_reference, solve_gauss_newton_dual,
+                       solve_gradient_step, solve_newton_dp, squared_objective)
+from chaincert.cli import _bench_chain
 from chaincert.errors import DimensionMismatch
 
 from helpers import flat, unflat
@@ -260,6 +261,25 @@ def test_gn_dual_call_meter_formula():
     step = solve_gauss_newton_dual(tape, h, None, 1.0, tol=1e-12)
     k = step.diagnostics["cg_iterations"]
     assert step.diagnostics["ad_calls"] == 2 + 2 * k
+
+
+def test_gn_dual_reports_budget_overrun_when_cg_needs_every_iteration():
+    # The tau=2, width-3 chain of `chaincert oracle-bench --tau 1 2 --width 3`
+    # (seed 0, kappa 0.5): CG needs all d_tau = 3 iterations, so the meter
+    # 2 + 2k reads 8 against the 2 d_tau + 1 = 7 budget, and says so.
+    rng = np.random.default_rng(0)
+    for tau in (1, 2):
+        chain = _bench_chain(tau, 3, rng)
+        u = sample_params(chain.param_dims, 1.0, rng)
+        x0 = sample_state(chain.d0, 1.0, rng)
+        y = rng.standard_normal((1, 3))
+    step = solve_gauss_newton_dual(forward(chain, x0, u), squared_objective(y),
+                                   ZeroReg(), 0.5)
+    diag = step.diagnostics
+    assert diag["ad_calls"] == 2 + 2 * diag["cg_iterations"]
+    assert diag["budget_ok"] == (diag["ad_calls"] <= diag["budget"])
+    assert diag["cg_iterations"] == chain.d_out == 3
+    assert (diag["ad_calls"], diag["budget"], diag["budget_ok"]) == (8, 7, False)
 
 
 def test_gn_dual_zero_gradient_shortcut():
