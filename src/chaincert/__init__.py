@@ -18,8 +18,9 @@ provides, on top of that single representation:
   (:mod:`chaincert.archfile`, :mod:`chaincert.cli`).
 """
 
-from .errors import (DimensionMismatch, InfeasibleModel, IterationLimit,
-                     NumericError, SecondOrderUnavailable, SymbolicOnlyError)
+from .errors import (DimensionMismatch, InfeasibleModel, InvalidBasis,
+                     IterationLimit, NumericError, SecondOrderUnavailable,
+                     SymbolicOnlyError)
 from .magnitude import LogMag, lm_max, lm_min, lm_sum
 from .activations import ScalarActivation, get_activation
 from .stages import (AvgPoolStage, BatchNormStage, BlockStage,
@@ -58,8 +59,8 @@ from .archfile import (ArchFile, ParseError, build_arch, parse_arch,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimensionMismatch", "InfeasibleModel", "IterationLimit", "NumericError",
-    "SecondOrderUnavailable", "SymbolicOnlyError",
+    "DimensionMismatch", "InfeasibleModel", "InvalidBasis", "IterationLimit",
+    "NumericError", "SecondOrderUnavailable", "SymbolicOnlyError",
     "LogMag", "lm_max", "lm_min", "lm_sum",
     "operator_norm",
     "ScalarActivation", "get_activation",

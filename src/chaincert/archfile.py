@@ -32,8 +32,9 @@ import numpy as np
 from .biaffine import ConvPart, FCPart, IdentityPart, SymbolicConvPart
 from .chain import ChainSpec
 from .errors import DimensionMismatch
-from .layers import (LayerDescriptor, _valid_patches_2d, activation_layer,
-                     batchnorm_layer, fully_connected, softmax_layer)
+from .layers import (LayerDescriptor, _valid_grid, _valid_patches_2d,
+                     activation_layer, batchnorm_layer, fully_connected,
+                     softmax_layer)
 from .objectives import Objective, cluster_objective
 from .smoothness import BoundedDomain
 from .stages import (AvgPoolStage, BatchNormStage, ElementwiseStage,
@@ -291,12 +292,13 @@ def _build_conv(rec: dict, m: int, shape, ln: int) -> Tuple[LayerDescriptor, tup
     sh, sw = rec["stride"]
     nf = rec["filters"]
     bias = rec["bias"]
-    patches_tab, (vh, vw) = _valid_patches_2d(H, W, kh, kw, sh, sw)
+    vh, vw = _valid_grid(H, W, kh, kw, sh, sw)
     declared = rec.get("patches")
     hyper = {"channels": C, "height": H, "width": W, "filters": nf,
              "kernel": (kh, kw), "stride": (sh, sw), "bias": bias,
              "activation": rec.get("activation", "identity")}
     if declared is None or declared == (vh, vw):
+        patches_tab, _ = _valid_patches_2d(H, W, kh, kw, sh, sw)
         part = ConvPart(m, C, H * W, patches_tab, nf, bias=bias,
                         kernel_shape=(kh, kw), stride=(sh, sw))
         ph, pw = vh, vw

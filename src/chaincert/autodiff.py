@@ -97,11 +97,20 @@ def forward(chain: ChainSpec, x0, u: ParamVector, counter: Optional[OpCounter] =
     return Tape(chain, x0, u, states, stage_lins, own.total - start)
 
 
+def _first_non_finite(per_layer) -> int:
+    """Index of the first layer, in sweep order, whose array is non-finite.
+
+    The sweeps test their whole result once and scan only when that fails.
+    """
+    return next(t for t, arr in per_layer if not np.isfinite(arr).all())
+
+
 def backward(tape: Tape, mu, counter: Optional[OpCounter] = None) -> ParamVector:
     """Transposed chain Jacobian applied to an output cotangent ``mu``.
 
     Returns the parameter gradient blocks; one reverse sweep, every layer's
-    stage pullback shared between its state and parameter halves.
+    stage pullback shared between its state and parameter halves.  A
+    non-finite adjoint raises ``NumericError`` naming its layer.
     """
     chain = tape.chain
     mu = np.asarray(mu, dtype=float)
@@ -117,12 +126,18 @@ def backward(tape: Tape, mu, counter: Optional[OpCounter] = None) -> ParamVector
         x_prev = tape.states[t]
         grads[t] = layer.part.vjp_u(x_prev, w, counter)
         lam = layer.part.vjp_x(tape.u.blocks[t], w, counter)
+    if not np.isfinite(np.concatenate(grads)).all():
+        t = _first_non_finite(reversed(list(enumerate(grads))))
+        raise NumericError(f"non-finite adjoint at layer {t} ({chain.layers[t].kind})")
     tape.ad_calls += 1
     return ParamVector(grads)
 
 
 def jvp(tape: Tape, du: ParamVector, dx0=None, counter: Optional[OpCounter] = None) -> np.ndarray:
-    """Directional derivative of the chain output along ``(dx0, du)``."""
+    """Directional derivative of the chain output along ``(dx0, du)``.
+
+    A non-finite tangent raises ``NumericError`` naming its layer.
+    """
     chain = tape.chain
     if du.dims != chain.param_dims:
         raise DimensionMismatch(
@@ -130,11 +145,16 @@ def jvp(tape: Tape, du: ParamVector, dx0=None, counter: Optional[OpCounter] = No
     dx = np.zeros(chain.d0) if dx0 is None else np.asarray(dx0, dtype=float)
     if dx.shape != (chain.d0,):
         raise DimensionMismatch(f"input direction shape {dx.shape}, expected ({chain.d0},)")
+    tangents = []
     for t, layer in enumerate(chain.layers):
         dz = layer.part.jvp(tape.states[t], tape.u.blocks[t], dx, du.blocks[t], counter)
         for lin in tape.stage_lins[t]:
             dz = lin.jvp(dz, counter)
+        tangents.append(dz)
         dx = dz
+    if not np.isfinite(dx).all():
+        t = _first_non_finite(enumerate(tangents))
+        raise NumericError(f"non-finite tangent after layer {t} ({chain.layers[t].kind})")
     tape.ad_calls += 1
     return dx
 

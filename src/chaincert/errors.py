@@ -23,3 +23,7 @@ class InfeasibleModel(RuntimeError):
 
 class IterationLimit(RuntimeError):
     """An iterative solver hit its iteration cap before its tolerance."""
+
+
+class InvalidBasis(ValueError):
+    """A curvature basis is not orthonormal or misses the range it must span."""

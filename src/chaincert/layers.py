@@ -77,21 +77,30 @@ class LayerDescriptor:
 
 # patch tables -----------------------------------------------------------
 
-def _valid_patches_2d(height, width, kh, kw, sh, sw):
+def _valid_grid(height, width, kh, kw, sh, sw):
+    """Output grid ``(rows, cols)`` of a valid (unpadded) 2-d window sweep."""
     if kh > height or kw > width:
         raise DimensionMismatch(f"kernel {kh}x{kw} exceeds input {height}x{width}")
-    r0 = range(0, height - kh + 1, sh)
-    c0 = range(0, width - kw + 1, sw)
-    pats = [[(r + i) * width + (c + j) for i in range(kh) for j in range(kw)]
-            for r in r0 for c in c0]
-    return np.asarray(pats, dtype=int), (len(r0), len(c0))
+    return (height - kh) // sh + 1, (width - kw) // sw + 1
+
+
+def _valid_patches_2d(height, width, kh, kw, sh, sw):
+    """Flat input indices of every valid window, shape (rows * cols, kh * kw).
+
+    Windows run row-major over the output grid; entries row-major within
+    the window.
+    """
+    rows, cols = _valid_grid(height, width, kh, kw, sh, sw)
+    starts = (np.arange(rows)[:, None] * (sh * width) + np.arange(cols) * sw).ravel()
+    offsets = (np.arange(kh)[:, None] * width + np.arange(kw)).ravel()
+    return (starts[:, None] + offsets).astype(int, copy=False), (rows, cols)
 
 
 def _valid_patches_1d(length, k, s):
     if k > length:
         raise DimensionMismatch(f"kernel {k} exceeds input length {length}")
-    pats = [[t + i for i in range(k)] for t in range(0, length - k + 1, s)]
-    return np.asarray(pats, dtype=int)
+    starts = np.arange(0, length - k + 1, s)
+    return (starts[:, None] + np.arange(k)).astype(int, copy=False)
 
 
 def _pair(v):
@@ -227,10 +236,12 @@ def layer_second_contract(tape, t: int, lam):
     ``tape`` is a :class:`chaincert.autodiff.Tape`.  Layer ``t`` is taken at
     its recorded input ``tape.states[t]`` and parameters ``tape.u.blocks[t]``,
     and its recorded stage linearisations ``tape.stage_lins[t]`` are reused,
-    so nothing is evaluated forward again.  Returns ``(Hxx, Hxu, Huu)`` with
-    shapes (d_in, d_in), (d_in, p), (p, p).  The bi-affine part is affine in
-    each argument separately, so its only second-order contribution is the
-    cross block.
+    so nothing is evaluated forward again.  Returns ``(Hxx, Hxu, H)`` with
+    shapes (d_in, d_in), (d_in, p), (d_part, d_part), where ``H`` is the
+    contracted Hessian of the stages at the part output: the parameter
+    block is ``Huu = Ju^T H Ju``, which callers keep factored instead of
+    forming a (p, p) array.  The bi-affine part is affine in each argument
+    separately, so its only second-order contribution is the cross block.
     """
     layer = tape.chain.layers[t]
     if not layer.second_order:
@@ -257,5 +268,4 @@ def layer_second_contract(tape, t: int, lam):
     Ju = part.dense_ju(tape.states[t])
     Hxx = Jx.T @ H @ Jx
     Hxu = Jx.T @ H @ Ju + part.second_cross(w)
-    Huu = Ju.T @ H @ Ju
-    return Hxx, Hxu, Huu
+    return Hxx, Hxu, H

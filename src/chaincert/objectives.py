@@ -248,7 +248,7 @@ class Regularizer:
     """Decomposable parameter penalty: value, gradient, per-block curvature.
 
     The Hessian of block t is the constant ``alpha_t I``; ``curvatures``
-    gives the scales ``alpha_t``, from which every Hessian form is derived.
+    gives the scales ``alpha_t``, and no dense Hessian is ever formed.
     """
 
     def value(self, u: ParamVector) -> float:
@@ -260,10 +260,6 @@ class Regularizer:
     def curvatures(self, dims) -> np.ndarray:
         """Hessian scale ``alpha_t`` of each block, shape (len(dims),)."""
         raise NotImplementedError
-
-    def hess_blocks(self, dims):
-        """Dense per-block Hessians ``alpha_t I``."""
-        return [a * np.eye(d) for a, d in zip(self.curvatures(dims), dims)]
 
     @property
     def smooth(self) -> float:

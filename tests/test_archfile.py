@@ -177,3 +177,20 @@ def test_bn_eps_override_changes_bound():
 def test_parse_missing_file():
     with pytest.raises(OSError):
         parse_arch(_fixture("nope.arch"))
+
+
+def test_vgg16_parse_builds_no_conv_patch_table():
+    # Every VGG16 conv layer is symbolic, so its window table would be thrown
+    # away; the first layer's (222 * 222 windows of 9 int64 entries) alone
+    # would take 3.5 MB.  Only the small pooling tables are built.
+    import tracemalloc
+
+    table_bytes = 222 * 222 * 9 * 8
+    tracemalloc.start()
+    try:
+        chain, _, _ = parse_arch(_fixture("vgg16.arch"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(l.part, SymbolicConvPart) for l in chain.layers[:13])
+    assert peak < table_bytes

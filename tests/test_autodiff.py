@@ -169,3 +169,31 @@ def test_residual_routing_measures_above_formula():
     res = count_backward_cost(chain, seed=0)
     # skip additions are charged honestly, so the measure exceeds the formula
     assert res.backward > res.backward_predicted
+
+
+def _fc_tape(seed=0):
+    rng = np.random.default_rng(seed)
+    chain = ChainSpec((
+        fully_connected(2, 3, 4, activation="softplus"),
+        fully_connected(2, 4, 2, activation="identity"),
+    ))
+    u = sample_params(chain.param_dims, 1.0, rng)
+    return chain, u, forward(chain, sample_state(chain.d0, 1.0, rng), u)
+
+
+def test_backward_raises_on_non_finite_adjoint():
+    chain, _, tape = _fc_tape()
+    mu = np.zeros(chain.d_out)
+    mu[1] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 1"):
+        backward(tape, mu)
+    assert tape.ad_calls == 0
+
+
+def test_jvp_raises_on_non_finite_tangent():
+    chain, u, tape = _fc_tape()
+    du = ParamVector([np.zeros(d) for d in chain.param_dims])
+    du.blocks[0][0] = np.nan
+    with pytest.raises(NumericError, match="layer 0"):
+        jvp(tape, du)
+    assert tape.ad_calls == 0

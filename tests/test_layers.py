@@ -3,7 +3,8 @@
 Each layer is evaluated as a one-layer chain: values come from the forward
 tape, the transposed Jacobians from pulling a cotangent back through the
 recorded stage linearisations, and the second-order blocks from
-``layer_second_contract`` on that tape.
+``layer_second_contract`` on that tape (the parameter block through the
+Newton model that ``build_lq`` keeps factored).
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from chaincert import (ChainSpec, DimensionMismatch, ParamVector,
                        SecondOrderUnavailable, avgpool2d, backward,
-                       batchnorm_layer, conv2d, custom_layer, forward,
+                       batchnorm_layer, build_lq, conv2d, custom_layer, forward,
                        fully_connected, layer_second_contract, maxpool2d,
                        residual_wrap, softmax_layer)
 from chaincert.biaffine import FCPart
@@ -38,6 +39,16 @@ def _pullback(layer, x, u, lam):
     return gx, gu
 
 
+class _LinearObjective:
+    """``y -> lam . y``: the parameter curvature of its Newton model is ``Huu``."""
+
+    def __init__(self, lam):
+        self.lam = lam
+
+    def grad_hess(self, y):
+        return self.lam, np.zeros((self.lam.size, self.lam.size))
+
+
 def _fd_layer_grads(layer, x, u, lam, eps=1e-6):
     gx = fd_grad(lambda v: float(lam @ _value(layer, v, u)), x, eps)
     gu = fd_grad(lambda v: float(lam @ _value(layer, x, v)), u, eps)
@@ -59,7 +70,9 @@ def _check_layer_second_order(layer, rng, tol=5e-4):
     x = rng.standard_normal(layer.d_in) * 0.5
     u = rng.standard_normal(layer.p) * 0.5
     lam = rng.standard_normal(layer.d_out)
-    Hxx, Hxu, Huu = layer_second_contract(_tape(layer, x, u), 0, lam)
+    tape = _tape(layer, x, u)
+    Hxx, Hxu, _ = layer_second_contract(tape, 0, lam)
+    Huu = build_lq(tape, _LinearObjective(lam), None, "newton", 1.0).dense_Q(0)
 
     def scalar(xv, uv):
         return float(lam @ _value(layer, xv, uv))
@@ -169,3 +182,46 @@ def test_describe_strings():
     layer = fully_connected(2, 3, 4, activation="softplus")
     text = layer.describe()
     assert "fully-connected" in text
+
+
+def _loop_patches_2d(height, width, kh, kw, sh, sw):
+    pats = []
+    for r in range(0, height - kh + 1, sh):
+        for c in range(0, width - kw + 1, sw):
+            pats.append([(r + i) * width + (c + j) for i in range(kh) for j in range(kw)])
+    return np.asarray(pats, dtype=int)
+
+
+@pytest.mark.parametrize("args", [(5, 7, 2, 3, 2, 1), (9, 8, 3, 3, 3, 2),
+                                  (4, 6, 4, 6, 1, 1), (6, 5, 1, 1, 1, 1),
+                                  (7, 7, 3, 2, 1, 3)],
+                         ids=["stride-2x1", "stride-3x2", "kernel-is-input",
+                              "one-by-one", "stride-1x3"])
+def test_valid_patches_2d_match_explicit_loops(args):
+    from chaincert.layers import _valid_grid, _valid_patches_2d
+    want = _loop_patches_2d(*args)
+    got, grid = _valid_patches_2d(*args)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert grid == _valid_grid(*args)
+    assert grid[0] * grid[1] == len(want)
+
+
+@pytest.mark.parametrize("length, k, s", [(7, 3, 2), (5, 5, 1), (9, 2, 3), (4, 1, 1)])
+def test_valid_patches_1d_match_explicit_loops(length, k, s):
+    from chaincert.layers import _valid_patches_1d
+    want = np.asarray([[t + i for i in range(k)] for t in range(0, length - k + 1, s)],
+                      dtype=int)
+    got = _valid_patches_1d(length, k, s)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_valid_patches_refuse_oversized_kernels():
+    from chaincert.layers import _valid_grid, _valid_patches_1d, _valid_patches_2d
+    with pytest.raises(DimensionMismatch):
+        _valid_grid(4, 4, 5, 1, 1, 1)
+    with pytest.raises(DimensionMismatch):
+        _valid_patches_2d(4, 4, 1, 5, 1, 1)
+    with pytest.raises(DimensionMismatch):
+        _valid_patches_1d(3, 4, 1)

@@ -155,9 +155,9 @@ def test_regularizers():
     g = r.grad(u)
     assert np.allclose(g.blocks[0], 2.0 * u.blocks[0])
     assert np.allclose(g.blocks[1], 0.5 * u.blocks[1])
-    H = r.hess_blocks(u.dims)
-    assert np.allclose(H[0], 2.0 * np.eye(3))
-    assert np.allclose(H[1], 0.5 * np.eye(2))
+    alphas = r.curvatures(u.dims)
+    assert np.allclose(alphas[0] * np.eye(3), 2.0 * np.eye(3))
+    assert np.allclose(alphas[1] * np.eye(2), 0.5 * np.eye(2))
     assert r.smooth == 2.0
 
     rs = BlockRidge(1.5)
@@ -169,10 +169,10 @@ def test_regularizers():
     (BlockRidge(1.5), [1.5, 1.5]),
     (BlockRidge((2.0, 0.5)), [2.0, 0.5]),
 ], ids=["zero", "ridge-scalar", "ridge-per-block"])
-def test_hess_blocks_are_curvature_times_identity(reg, alphas):
+def test_curvatures_are_block_hessian_scales(reg, alphas):
     dims = (3, 2)
-    assert np.array_equal(reg.curvatures(dims), alphas)
-    H = reg.hess_blocks(dims)
-    assert len(H) == 2
-    for Ht, a, d in zip(H, alphas, dims):
-        assert np.array_equal(Ht, a * np.eye(d))
+    got = reg.curvatures(dims)
+    assert np.array_equal(got, alphas)
+    assert len(got) == 2
+    for a_got, a, d in zip(got, alphas, dims):
+        assert np.array_equal(a_got * np.eye(d), a * np.eye(d))

@@ -5,14 +5,18 @@ Hessian of the full objective, so the structured solvers are checked
 against an independently trusted target.
 """
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from chaincert import (BlockRidge, ChainSpec, InfeasibleModel, LQProblem,
-                       NumericError, ZeroReg, build_lq, forward, fully_connected,
-                       grad_objective, sample_params, sample_state,
-                       solve_dense_reference, solve_gauss_newton_dual,
-                       solve_gradient_step, solve_newton_dp, squared_objective)
+from chaincert import (BlockRidge, ChainSpec, InfeasibleModel, InvalidBasis,
+                       LQProblem, NumericError, ZeroReg, build_lq, forward,
+                       fully_connected, grad_objective, layer_second_contract,
+                       sample_params, sample_state, solve_dense_reference,
+                       solve_gauss_newton_dual, solve_gradient_step,
+                       solve_newton_dp, squared_objective)
 from chaincert.cli import _bench_chain
 from chaincert.errors import DimensionMismatch
 
@@ -175,7 +179,7 @@ def test_tau_one_closed_form():
     lq = build_lq(tape, h, None, "gauss-newton", kappa)
     step = solve_newton_dp(lq)
 
-    B, Q, q = lq.B[0], lq.Q[0], lq.q[0]
+    B, Q, q = lq.B[0], lq.dense_Q(0), lq.q[0]
     C, c = lq.P[1], lq.p[1]
     N = kappa * np.eye(B.shape[0]) + Q + B @ C @ B.T
     want = np.linalg.solve(N, -(q + B @ c))
@@ -199,7 +203,6 @@ def test_indefinite_model_doubles_proximal_weight():
     assert step.diagnostics["doublings"] == 2
     assert step.diagnostics["kappa_used"] == 4.0
 
-    from dataclasses import replace
     dense = solve_dense_reference(replace(lq, kappa=4.0))
     assert np.allclose(flat(step.v), flat(dense.v), atol=1e-12)
 
@@ -230,6 +233,165 @@ def test_dense_reference_size_cap():
     lq = LQProblem(A, B, P, p, Q, q, R, 1.0)
     with pytest.raises(ValueError):
         solve_dense_reference(lq)
+
+
+# ---------------------------------------------------------------------------
+# factored stage curvature
+
+
+def _fc_instance(seed, batch, width, tau=3):
+    """FC chain with p_t = width (width + 1) against d_part = batch * width."""
+    rng = np.random.default_rng(seed)
+    chain = ChainSpec(tuple(
+        fully_connected(batch, width, width,
+                        activation="softplus" if t + 1 < tau else "identity")
+        for t in range(tau)))
+    u = sample_params(chain.param_dims, 1.0, rng)
+    x0 = sample_state(chain.d0, 1.0, rng)
+    h = squared_objective(rng.standard_normal((batch, width)))
+    return chain, u, x0, h
+
+
+def _assert_curvature_matches_dense(tape, lq, alpha):
+    """``dense_Q(t)`` against ``alpha I + Ju^T H Ju`` formed densely."""
+    lam = lq.p[lq.tau]
+    for t in range(lq.tau - 1, -1, -1):
+        H = layer_second_contract(tape, t, lam)[2]
+        Ju = tape.chain.layers[t].part.dense_ju(tape.states[t])
+        want = alpha * np.eye(Ju.shape[1]) + Ju.T @ H @ Ju
+        assert np.allclose(lq.dense_Q(t), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        lam = lq.A[t] @ lam
+
+
+def _identity_basis_twin(lq):
+    """The same model with each ``Q_t`` materialised in the identity basis."""
+    return LQProblem(lq.A, lq.B, lq.P, lq.p, [lq.dense_Q(t) for t in range(lq.tau)],
+                     lq.q, lq.R, lq.kappa)
+
+
+@pytest.mark.parametrize("batch, width, factored, same_samples", [
+    (1, 6, True, False), (2, 5, True, False), (8, 2, False, False), (2, 5, True, True),
+], ids=["p-7x-d", "p-3x-d", "identity-basis", "identical-samples"])
+def test_factored_dp_matches_identity_basis_and_dense(batch, width, factored,
+                                                      same_samples):
+    # Identical samples make every parameter Jacobian rank-deficient (rank
+    # width of batch * width), so Cholesky QR meets a singular Gram matrix.
+    doubled = 0
+    for seed in range(8):
+        chain, u, x0, h = _fc_instance(seed, batch, width)
+        if same_samples:
+            x0 = np.tile(x0[:width], batch)
+        tape = forward(chain, x0, u)
+        lq = build_lq(tape, h, BlockRidge(0.1), "newton", 0.5)
+        assert all((U is not None) == factored for U in lq.U)
+        _assert_curvature_matches_dense(tape, lq, 0.1)
+        twin = _identity_basis_twin(lq)
+        step, step_twin = solve_newton_dp(lq), solve_newton_dp(twin)
+        for key in ("doublings", "kappa_used"):
+            assert step.diagnostics[key] == step_twin.diagnostics[key]
+        assert (step.v - step_twin.v).norm() <= 1e-12 * step_twin.v.norm()
+        kappa = step.diagnostics["kappa_used"]
+        dense = solve_dense_reference(replace(lq, kappa=kappa))
+        assert np.allclose(flat(dense.v), flat(solve_dense_reference(
+            replace(twin, kappa=kappa)).v), rtol=1e-10, atol=0.0)
+        for got in (step, step_twin):
+            assert (got.v - dense.v).norm() / dense.v.norm() < 1e-9
+        doubled += step.diagnostics["doublings"] > 0
+    assert doubled >= 2
+
+
+@pytest.mark.parametrize("rank", [6, 3, 0], ids=["full-rank", "rank-deficient", "zero"])
+def test_range_basis_is_orthonormal_and_factors_its_input(rank):
+    from chaincert.oracles import _range_basis
+    rng = np.random.default_rng(rank)
+    J = rng.standard_normal((40, rank)) @ rng.standard_normal((rank, 6))
+    U, F = _range_basis(J)
+    assert U.shape == (40, 6) and F.shape == (6, 6)
+    assert np.abs(U.T @ U - np.eye(6)).max() < 1e-13
+    assert np.allclose(U @ F, J, rtol=0.0, atol=1e-12 * max(1.0, np.abs(J).max()))
+
+
+def test_range_basis_falls_back_when_cholesky_qr_is_inaccurate(monkeypatch):
+    from chaincert.oracles import _range_basis
+    J = np.random.default_rng(4).standard_normal((40, 6))
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) * (1.0 + 1e-9))
+    U, F = _range_basis(J)
+    assert np.abs(U.T @ U - np.eye(6)).max() < 1e-13
+    assert np.allclose(U @ F, J, rtol=0.0, atol=1e-12 * np.abs(J).max())
+
+
+def test_lq_rejects_bad_bases():
+    chain, u, x0, h = _fc_instance(0, 1, 4, tau=2)
+    lq = build_lq(forward(chain, x0, u), h, BlockRidge(0.1), "newton", 1.0)
+    U, S = lq.U[0], lq.S[0]
+    assert U.shape == (20, 4)
+
+    def with_basis(U0, S0=S, alpha=lq.alpha):
+        return LQProblem(lq.A, lq.B, lq.P, lq.p, [S0, lq.S[1]], lq.q, lq.R, 1.0,
+                         [U0, lq.U[1]], alpha)
+
+    with_basis(U)  # well-formed
+    with pytest.raises(InvalidBasis, match="orthonormal"):
+        with_basis(2.0 * U)
+    # orthonormal, but a different 4-dimensional subspace
+    Q_other = np.linalg.qr(np.random.default_rng(1).standard_normal((20, 4)))[0]
+    with pytest.raises(InvalidBasis, match="outside"):
+        with_basis(Q_other)
+    with pytest.raises(InvalidBasis, match="outside"):
+        with_basis(U[:, :3])  # orthonormal, but misses part of the range
+    with pytest.raises(DimensionMismatch):
+        with_basis(U[:19])
+    with pytest.raises(DimensionMismatch):
+        with_basis(U, S0=np.zeros((5, 5)))
+    with pytest.raises(DimensionMismatch):
+        with_basis(U, alpha=np.zeros(3))
+
+
+def test_newton_path_forms_no_parameter_sized_square():
+    # p_t = 1056 against d_part = 32; one (p_t, p_t) float64 array is 8.9 MB
+    chain, u, x0, h = _fc_instance(3, 1, 32, tau=2)
+    p_t = chain.param_dims[0]
+    assert p_t >= 16 * chain.layers[0].part.d_out
+    tape = forward(chain, x0, u)
+    tracemalloc.start()
+    try:
+        step = solve_newton_dp(build_lq(tape, h, BlockRidge(0.1), "newton", 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(step.v.flat()))
+    assert peak < 8 * p_t * p_t
+
+
+@pytest.mark.parametrize("kind", ["gradient", "gauss-newton", "newton"])
+def test_build_lq_raises_on_non_finite_block(kind):
+    chain, u, x0, h = _small_instance(12)
+    tape = forward(chain, x0, u)
+    tape.states[1] = np.full(chain.layers[1].d_in, np.nan)  # forward refuses these
+    with pytest.raises(NumericError, match="layer 1"):
+        build_lq(tape, h, None, kind, 1.0)
+
+
+def test_build_lq_raises_on_non_finite_curvature():
+    class NanHessian:
+        """A stage linearisation whose second-order contraction is NaN."""
+
+        def __init__(self, lin):
+            self.lin = lin
+
+        def __getattr__(self, name):
+            return getattr(self.lin, name)
+
+        def hess_contract(self, w):
+            return np.full((w.size, w.size), np.nan)
+
+    chain, u, x0, h = _small_instance(13)
+    tape = forward(chain, x0, u)
+    build_lq(tape, h, None, "gauss-newton", 1.0)  # first-order blocks are finite
+    tape.stage_lins[0] = [NanHessian(lin) for lin in tape.stage_lins[0]]
+    with pytest.raises(NumericError, match="layer 0"):
+        build_lq(tape, h, None, "newton", 1.0)
 
 
 # ---------------------------------------------------------------------------
