@@ -29,12 +29,22 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Branch-free and stable: with e = exp(-|x|) <= 1 this is 1/(1+e) for
+    # x >= 0 and e/(1+e) below, so the far negative tail keeps its relative
+    # accuracy (the form 0.5(1 + tanh(x/2)) underflows to 0 below about -37).
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _sigmoid_d1(x: np.ndarray) -> np.ndarray:
+    s = _sigmoid(x)
+    return s * (1.0 - s)
+
+
+def _sigmoid_d2(x: np.ndarray) -> np.ndarray:
+    s = _sigmoid(x)
+    return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
 @dataclass(frozen=True)
@@ -96,7 +106,7 @@ SOFTPLUS = _register(
         name="softplus",
         fn=_softplus,
         d1=_sigmoid,
-        d2=lambda x: _sigmoid(x) * (1.0 - _sigmoid(x)),
+        d2=_sigmoid_d1,
         lip=1.0,
         smooth=0.25,
         bound=np.inf,
@@ -110,7 +120,7 @@ SOFTPLUS_CENTERED = _register(
         name="softplus-centered",
         fn=lambda x: _softplus(x) - LOG2,
         d1=_sigmoid,
-        d2=lambda x: _sigmoid(x) * (1.0 - _sigmoid(x)),
+        d2=_sigmoid_d1,
         lip=1.0,
         smooth=0.25,
         bound=np.inf,
@@ -124,8 +134,8 @@ SIGMOID = _register(
     ScalarActivation(
         name="sigmoid",
         fn=_sigmoid,
-        d1=lambda x: _sigmoid(x) * (1.0 - _sigmoid(x)),
-        d2=lambda x: _sigmoid(x) * (1.0 - _sigmoid(x)) * (1.0 - 2.0 * _sigmoid(x)),
+        d1=_sigmoid_d1,
+        d2=_sigmoid_d2,
         lip=0.25,
         smooth=0.1,
         bound=1.0,

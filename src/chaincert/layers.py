@@ -128,10 +128,12 @@ def fully_connected(batch: int, in_features: int, out_features: int,
                             "bias": bias, "activation": activation})
 
 
-def _conv_layer(batch, channels, spatial, patches, kernel, stride, filters,
+def _conv_layer(batch, channels, spatial, n_valid, table, kernel, stride, filters,
                 activation, bias, declared_patches, hyper) -> LayerDescriptor:
-    if declared_patches is None or declared_patches == len(patches):
-        part = ConvPart(batch, channels, spatial, patches, filters, bias=bias,
+    # The window table is built only for a numeric part: a symbolic one would
+    # throw it away, and at fixture scale it takes megabytes.
+    if declared_patches is None or declared_patches == n_valid:
+        part = ConvPart(batch, channels, spatial, table(), filters, bias=bias,
                         kernel_shape=kernel, stride=stride)
     else:
         part = SymbolicConvPart(batch, channels, spatial, declared_patches,
@@ -154,17 +156,21 @@ def conv2d(batch: int, channels: int, height: int, width: int, filters: int,
     """
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
-    patches, _ = _valid_patches_2d(height, width, kh, kw, sh, sw)
-    return _conv_layer(batch, channels, height * width, patches, (kh, kw), (sh, sw),
-                       filters, activation, bias, declared_patches,
+    rows, cols = _valid_grid(height, width, kh, kw, sh, sw)
+    return _conv_layer(batch, channels, height * width, rows * cols,
+                       lambda: _valid_patches_2d(height, width, kh, kw, sh, sw)[0],
+                       (kh, kw), (sh, sw), filters, activation, bias, declared_patches,
                        {"height": height, "width": width})
 
 
 def conv1d(batch: int, channels: int, length: int, filters: int, kernel: int,
            stride: int = 1, activation: str = "identity", bias: bool = False,
            declared_patches: Optional[int] = None) -> LayerDescriptor:
-    patches = _valid_patches_1d(length, int(kernel), int(stride))
-    return _conv_layer(batch, channels, length, patches, (int(kernel),), (int(stride),),
+    k, s = int(kernel), int(stride)
+    # a 1-d sweep is the one-row case of the 2-d grid
+    _, n_valid = _valid_grid(1, length, 1, k, 1, s)
+    return _conv_layer(batch, channels, length, n_valid,
+                       lambda: _valid_patches_1d(length, k, s), (k,), (s,),
                        filters, activation, bias, declared_patches, {"length": length})
 
 

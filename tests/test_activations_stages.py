@@ -41,6 +41,37 @@ def test_activation_declared_constants_hold_empirically():
             assert np.all(np.abs(act.fn(xs)) <= act.bound + 1e-12), name
 
 
+def _masked_sigmoid(x):
+    """Sigmoid split by sign: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_masked_reference_to_ulps():
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([np.linspace(-750.0, 750.0, 30001),
+                         rng.uniform(-750.0, 750.0, 20000),
+                         [0.0, -0.0, 5e-324, -5e-324, -745.0, -708.5, 36.0, -37.0, -40.0]])
+    want = s = _masked_sigmoid(xs)
+    got = get_activation("sigmoid").fn(xs)
+    # Relative accuracy holds in the far negative tail, down to subnormals;
+    # entries below about -745.1 underflow to 0 in both.
+    pos = want > 0
+    assert np.all(got[~pos] == 0.0)
+    assert np.all(np.abs(got[pos] - want[pos]) <= 4 * np.spacing(want[pos]))
+    assert np.all(got[xs == 0.0] == 0.5)
+    for name, d1, d2 in (("softplus", s, s * (1 - s)),
+                         ("softplus-centered", s, s * (1 - s)),
+                         ("sigmoid", s * (1 - s), s * (1 - s) * (1 - 2 * s))):
+        act = get_activation(name)
+        assert np.allclose(act.d1(xs), d1, rtol=1e-15, atol=0), name
+        assert np.allclose(act.d2(xs), d2, rtol=1e-15, atol=0), name
+
+
 def test_softplus_centered_is_softplus_shifted():
     xs = np.linspace(-3, 3, 11)
     sp = get_activation("softplus").fn(xs)

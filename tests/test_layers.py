@@ -225,3 +225,33 @@ def test_valid_patches_refuse_oversized_kernels():
         _valid_patches_2d(4, 4, 1, 5, 1, 1)
     with pytest.raises(DimensionMismatch):
         _valid_patches_1d(3, 4, 1)
+
+
+def test_symbolic_conv_constructors_build_no_window_table():
+    # A declared patch count that differs from the valid-window count gives a
+    # symbolic part, which would throw the table away: at 224 x 224 with a
+    # 3 x 3 kernel that table is 222 * 222 windows of 9 int64 entries.
+    import tracemalloc
+
+    from chaincert.biaffine import ConvPart, SymbolicConvPart
+    from chaincert.layers import conv1d
+
+    table_bytes = 222 * 222 * 9 * 8
+    tracemalloc.start()
+    try:
+        layer2 = conv2d(1, 3, 224, 224, 64, 3, declared_patches=224 * 224)
+        layer1 = conv1d(1, 3, 224 * 224, 64, 9, declared_patches=224 * 224)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(layer2.part, SymbolicConvPart) and layer2.part.n_p == 224 * 224
+    assert isinstance(layer1.part, SymbolicConvPart) and layer1.part.n_p == 224 * 224
+    assert peak < table_bytes / 8
+    # the valid count still selects the numeric part, and a kernel larger
+    # than its input is refused either way
+    assert isinstance(conv2d(1, 1, 5, 5, 1, 3, declared_patches=9).part, ConvPart)
+    assert isinstance(conv1d(1, 1, 7, 1, 3, stride=2, declared_patches=3).part, ConvPart)
+    with pytest.raises(DimensionMismatch):
+        conv2d(1, 1, 4, 4, 1, 5, declared_patches=1)
+    with pytest.raises(DimensionMismatch):
+        conv1d(1, 1, 3, 1, 4, declared_patches=1)

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chaincert import (BlockRidge, DimensionMismatch, Objective,
-                       ParamVector, SecondOrderUnavailable, ZeroReg,
+from chaincert import (BlockRidge, DimensionMismatch, IterationLimit,
+                       Objective, ParamVector, SecondOrderUnavailable, ZeroReg,
                        cluster_objective, eval_convex_cluster, eval_logistic,
                        eval_squared, logistic_objective, squared_objective)
+from chaincert import objectives
 
-from helpers import cluster_two_points, fd_grad
+from helpers import cluster_reference, cluster_two_points, fd_grad
 
 
 def test_squared_value_and_grad_hand():
@@ -71,6 +73,67 @@ def test_cluster_single_point_is_zero():
     val, grad = eval_convex_cluster(np.array([[5.0, -1.0]]), tol=1e-10)
     assert val == 0.0
     assert grad == pytest.approx(np.zeros((1, 2)))
+
+
+# Probe 17 of the benchmark's cluster-envelope design at seed 1, a slow
+# geometry.  Plain projected gradient on the dual, stopped when two
+# successive primal values agree to 1e-10, stops here after 12,419 steps with
+# a gradient 3.3e-4 from the minimizer's, 20 times the certified sqrt(2e-10).
+SLOW_PROBE = np.array([
+    [5.902381681157174, 5.321129706347712],
+    [0.18286992462676244, 4.670529606199635],
+    [-0.07929492958618756, -0.6818949256062172],
+    [3.3389474962126995, -1.1637871187702764],
+    [-0.16641268567448098, 3.9720947692731507],
+    [-4.092851976977389, 7.588192947975722],
+    [-5.508245528711587, 4.6409812841993805],
+    [4.079322047010116, 0.6618960805313068],
+])
+
+
+def _assert_certified(yhat, tol, val, grad):
+    """``tol`` certifies value and gradient against a sound reference solve."""
+    ref_val, ref_grad, ref_gap = cluster_reference(yhat)
+    # P* lies in [ref_val - ref_gap, ref_val]; the answer must lie in
+    # [P*, P* + tol], up to rounding of a sum of n(n-1)/2 norms.
+    slack = 1e-14 * (1.0 + abs(ref_val)) * yhat.shape[0] ** 2
+    assert ref_val - ref_gap - slack <= val <= ref_val + tol + slack
+    bound = np.sqrt(2.0 * tol) + np.sqrt(2.0 * max(ref_gap, 0.0))
+    assert np.linalg.norm(grad - ref_grad) <= bound
+
+
+def test_cluster_slow_geometry_is_certified():
+    tol = 1e-10
+    val, grad = eval_convex_cluster(SLOW_PROBE, tol)
+    _assert_certified(SLOW_PROBE, tol, val, grad)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 3), st.floats(0.2, 5.0),
+       st.integers(0, 2**32 - 1))
+def test_cluster_certificate_and_invariance(n, q, scale, seed):
+    rng = np.random.default_rng(seed)
+    tol = 1e-10
+    yhat = rng.standard_normal((n, q)) * scale
+    val, grad = eval_convex_cluster(yhat, tol)
+    _assert_certified(yhat, tol, val, grad)
+    # Rotating R^q, permuting the points and translating them moves the
+    # minimizer with the input: the value is unchanged and the gradient is
+    # permuted and rotated.  Both answers are within their certificates.
+    rot, r = np.linalg.qr(rng.standard_normal((q, q)))
+    rot = rot * np.sign(np.diag(r))
+    perm = rng.permutation(n)
+    shift = rng.standard_normal(q) * scale
+    val2, grad2 = eval_convex_cluster(yhat[perm] @ rot + shift, tol)
+    assert abs(val2 - val) <= tol + 1e-13 * (1.0 + abs(val)) * n ** 2
+    assert np.linalg.norm(grad2 - grad[perm] @ rot) <= 2.0 * np.sqrt(2.0 * tol)
+
+
+def test_cluster_iteration_limit_reports_count_and_gap(monkeypatch):
+    monkeypatch.setattr(objectives, "_CLUSTER_CAP", 7)
+    with pytest.raises(IterationLimit,
+                       match=r"duality gap \S+ above tol 1e-10 after 7 iterations"):
+        eval_convex_cluster(SLOW_PROBE, 1e-10)
 
 
 def test_objective_validation():
