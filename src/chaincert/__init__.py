@@ -42,7 +42,7 @@ from .objectives import (BlockRidge, Objective, Regularizer, ZeroReg,
                          eval_logistic, eval_squared, logistic_objective,
                          squared_objective)
 from .smoothness import (BoundedDomain, SmoothTriple, catalog_constants,
-                         generic_recursion, input_smoothness, loss_constants,
+                         generic_recursion, input_smoothness,
                          objective_smoothness, propagate_chain,
                          propagate_layers, recenter_domain, refine_on_ball)
 from .oracles import (LQProblem, OracleStep, build_lq, solve_dense_reference,
@@ -79,7 +79,7 @@ __all__ = [
     "eval_convex_cluster", "eval_logistic", "eval_squared",
     "logistic_objective", "squared_objective",
     "BoundedDomain", "SmoothTriple", "catalog_constants", "generic_recursion",
-    "input_smoothness", "loss_constants", "objective_smoothness",
+    "input_smoothness", "objective_smoothness",
     "propagate_chain", "propagate_layers", "recenter_domain", "refine_on_ball",
     "LQProblem", "OracleStep", "build_lq", "solve_dense_reference",
     "solve_gauss_newton_dual", "solve_gradient_step", "solve_newton_dp",

@@ -17,9 +17,11 @@ Grammar (one record per line, ``#`` starts a comment):
 
 A conv record's stages apply in the order batchnorm, activation, pool.
 ``patches`` may declare a padded output grid; when it differs from the
-valid-window count the layer becomes symbolic (constants and cost figures
-only).  Supervised objectives get deterministic synthetic targets: one-hot
-class ``i mod q`` for logistic, zeros for squared.
+valid-window grid (rows and columns, not only their product) the layer
+becomes symbolic (constants and cost figures only).  Every layer is made
+by the constructors in ``layers``.  Supervised objectives get
+deterministic synthetic targets: one-hot class ``i mod q`` for logistic,
+zeros for squared.
 """
 
 from __future__ import annotations
@@ -29,17 +31,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .biaffine import ConvPart, FCPart, IdentityPart, SymbolicConvPart
 from .chain import ChainSpec
 from .errors import DimensionMismatch
-from .layers import (LayerDescriptor, _valid_grid, _valid_patches_2d,
-                     activation_layer, batchnorm_layer, fully_connected,
-                     softmax_layer)
+from .layers import (LayerDescriptor, _conv_layer, _valid_grid, _valid_patches_2d,
+                     activation_layer, avgpool2d, batchnorm_layer, fully_connected,
+                     maxpool2d, softmax_layer)
 from .objectives import Objective, cluster_objective
 from .smoothness import BoundedDomain
-from .stages import (AvgPoolStage, BatchNormStage, ElementwiseStage,
-                     MaxPoolStage, SoftmaxStage)
-from .activations import get_activation
 
 __all__ = ["ParseError", "ArchFile", "read_archfile", "parse_arch_text",
            "build_arch", "parse_arch"]
@@ -290,41 +288,12 @@ def _build_conv(rec: dict, m: int, shape, ln: int) -> Tuple[LayerDescriptor, tup
     _, C, H, W = shape
     kh, kw = rec["kernel"]
     sh, sw = rec["stride"]
-    nf = rec["filters"]
-    bias = rec["bias"]
-    vh, vw = _valid_grid(H, W, kh, kw, sh, sw)
-    declared = rec.get("patches")
-    hyper = {"channels": C, "height": H, "width": W, "filters": nf,
-             "kernel": (kh, kw), "stride": (sh, sw), "bias": bias,
-             "activation": rec.get("activation", "identity")}
-    if declared is None or declared == (vh, vw):
-        patches_tab, _ = _valid_patches_2d(H, W, kh, kw, sh, sw)
-        part = ConvPart(m, C, H * W, patches_tab, nf, bias=bias,
-                        kernel_shape=(kh, kw), stride=(sh, sw))
-        ph, pw = vh, vw
-        hyper["patches"] = vh * vw
-    else:
-        ph, pw = declared
-        part = SymbolicConvPart(m, C, H * W, ph * pw, (kh, kw), (sh, sw), nf, bias=bias)
-        hyper["patches"] = ph * pw
-    stages = []
-    feat_total = nf * ph * pw
-    if "batchnorm" in rec:
-        stages.append(BatchNormStage(m, feat_total, rec["batchnorm"]))
-        hyper["batchnorm"] = rec["batchnorm"]
-    act = rec.get("activation")
-    if act and act != "identity":
-        stages.append(ElementwiseStage(get_activation(act), m * feat_total))
-    out_shape = ("image", nf, ph, pw)
-    if "pool" in rec:
-        pkind, (pkh, pkw), (psh, psw) = rec["pool"]
-        ppat, (oh, ow) = _valid_patches_2d(ph, pw, pkh, pkw, psh, psw)
-        cls = MaxPoolStage if pkind == "max" else AvgPoolStage
-        stages.append(cls(m, nf, ph * pw, ppat))
-        hyper["pool"] = rec["pool"]
-        out_shape = ("image", nf, oh, ow)
-    layer = LayerDescriptor("conv", part, tuple(stages), m, hyper)
-    return layer, out_shape
+    layer, grid = _conv_layer(
+        m, C, H * W, _valid_grid(H, W, kh, kw, sh, sw), rec.get("patches"),
+        lambda: _valid_patches_2d(H, W, kh, kw, sh, sw)[0], (kh, kw), (sh, sw),
+        rec["filters"], rec.get("activation", "identity"), rec["bias"],
+        {"height": H, "width": W}, rec.get("batchnorm"), rec.get("pool"))
+    return layer, ("image", rec["filters"], *grid)
 
 
 def build_arch(af: ArchFile):
@@ -343,17 +312,9 @@ def build_arch(af: ArchFile):
             if kind == "conv":
                 layer, shape = _build_conv(rec, m, shape, ln)
             elif kind == "fully-connected":
-                act = rec.get("activation", "identity")
-                if act == "softmax":
-                    part = FCPart(m, total_ps, rec["out"], bias=rec["bias"])
-                    stage = SoftmaxStage(m, rec["out"])
-                    layer = LayerDescriptor(
-                        "fully-connected", part, (stage,), m,
-                        {"in_features": total_ps, "out_features": rec["out"],
-                         "bias": rec["bias"], "activation": "softmax"})
-                else:
-                    layer = fully_connected(m, total_ps, rec["out"],
-                                            activation=act, bias=rec["bias"])
+                layer = fully_connected(m, total_ps, rec["out"],
+                                        activation=rec.get("activation", "identity"),
+                                        bias=rec["bias"])
                 shape = ("flat", rec["out"])
             elif kind == "activation":
                 layer = activation_layer(m, total_ps, rec["name"])
@@ -365,13 +326,9 @@ def build_arch(af: ArchFile):
                 if shape[0] != "image":
                     raise ParseError(f"line {ln}: pooling needs an image-shaped state")
                 _, C, H, W = shape
-                ppat, (oh, ow) = _valid_patches_2d(H, W, *rec["size"], *rec["stride"])
-                cls = MaxPoolStage if kind == "maxpool" else AvgPoolStage
-                part = IdentityPart(m * C * H * W)
-                layer = LayerDescriptor(kind, part, (cls(m, C, H * W, ppat),), m,
-                                        {"channels": C, "height": H, "width": W,
-                                         "size": rec["size"], "stride": rec["stride"]})
-                shape = ("image", C, oh, ow)
+                pool = maxpool2d if kind == "maxpool" else avgpool2d
+                layer = pool(m, C, H, W, rec["size"], rec["stride"])
+                shape = ("image", C, *layer.hyper["out_shape"])
             elif kind == "batchnorm":
                 layer = batchnorm_layer(m, total_ps, rec["eps"])
             else:

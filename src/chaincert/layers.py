@@ -114,13 +114,22 @@ def _pair(v):
 def _act_stages(batch, total, activation):
     if activation in (None, "identity"):
         return ()
+    if activation == "softmax":
+        return (SoftmaxStage(batch, total // batch),)
     return (ElementwiseStage(get_activation(activation), total),)
+
+
+def _pool_stage(cls, batch, channels, height, width, size, stride):
+    """Pooling stage over a ``(height, width)`` grid, and its output grid."""
+    patches, grid = _valid_patches_2d(height, width, *size, *stride)
+    return cls(batch, channels, height * width, patches), grid
 
 
 # constructors -----------------------------------------------------------
 
 def fully_connected(batch: int, in_features: int, out_features: int,
                     activation: str = "identity", bias: bool = True) -> LayerDescriptor:
+    """Fully-connected layer; ``activation`` may also be ``"softmax"``."""
     part = FCPart(batch, in_features, out_features, bias=bias)
     stages = _act_stages(batch, part.d_out, activation)
     return LayerDescriptor("fully-connected", part, stages, batch,
@@ -128,20 +137,42 @@ def fully_connected(batch: int, in_features: int, out_features: int,
                             "bias": bias, "activation": activation})
 
 
-def _conv_layer(batch, channels, spatial, n_valid, table, kernel, stride, filters,
-                activation, bias, declared_patches, hyper) -> LayerDescriptor:
+_POOLS = {"max": MaxPoolStage, "avg": AvgPoolStage}
+
+
+def _conv_layer(batch, channels, spatial, valid, declared, table, kernel, stride,
+                filters, activation, bias, hyper, batchnorm=None, pool=None):
+    """Conv part followed by batch-norm, activation and pool stages, in that order.
+
+    ``valid`` and ``declared`` are output grids in the caller's form, a
+    window count or ``(rows, cols)``; a declared grid other than the valid
+    one gives a symbolic part.  ``pool`` is ``(kind, size, stride)`` with
+    kind ``"max"`` or ``"avg"`` and needs a ``(rows, cols)`` grid.  Returns
+    the layer and its output grid.
+    """
     # The window table is built only for a numeric part: a symbolic one would
     # throw it away, and at fixture scale it takes megabytes.
-    if declared_patches is None or declared_patches == n_valid:
+    if declared is None or declared == valid:
         part = ConvPart(batch, channels, spatial, table(), filters, bias=bias,
                         kernel_shape=kernel, stride=stride)
+        grid = valid
     else:
-        part = SymbolicConvPart(batch, channels, spatial, declared_patches,
+        part = SymbolicConvPart(batch, channels, spatial, int(np.prod(declared)),
                                 kernel, stride, filters, bias=bias)
+        grid = declared
     hyper.update(channels=channels, filters=filters, kernel=kernel, stride=stride,
                  bias=bias, activation=activation, patches=part.n_p)
-    stages = _act_stages(batch, part.d_out, activation)
-    return LayerDescriptor("conv", part, stages, batch, hyper)
+    stages = []
+    if batchnorm is not None:
+        stages.append(BatchNormStage(batch, part.d_out // batch, batchnorm))
+        hyper["batchnorm"] = batchnorm
+    stages.extend(_act_stages(batch, part.d_out, activation))
+    if pool is not None:
+        kind, size, pool_stride = pool
+        stage, grid = _pool_stage(_POOLS[kind], batch, filters, *grid, size, pool_stride)
+        stages.append(stage)
+        hyper["pool"] = pool
+    return LayerDescriptor("conv", part, tuple(stages), batch, hyper), grid
 
 
 def conv2d(batch: int, channels: int, height: int, width: int, filters: int,
@@ -157,10 +188,10 @@ def conv2d(batch: int, channels: int, height: int, width: int, filters: int,
     kh, kw = _pair(kernel)
     sh, sw = _pair(stride)
     rows, cols = _valid_grid(height, width, kh, kw, sh, sw)
-    return _conv_layer(batch, channels, height * width, rows * cols,
+    return _conv_layer(batch, channels, height * width, rows * cols, declared_patches,
                        lambda: _valid_patches_2d(height, width, kh, kw, sh, sw)[0],
-                       (kh, kw), (sh, sw), filters, activation, bias, declared_patches,
-                       {"height": height, "width": width})
+                       (kh, kw), (sh, sw), filters, activation, bias,
+                       {"height": height, "width": width})[0]
 
 
 def conv1d(batch: int, channels: int, length: int, filters: int, kernel: int,
@@ -169,9 +200,9 @@ def conv1d(batch: int, channels: int, length: int, filters: int, kernel: int,
     k, s = int(kernel), int(stride)
     # a 1-d sweep is the one-row case of the 2-d grid
     _, n_valid = _valid_grid(1, length, 1, k, 1, s)
-    return _conv_layer(batch, channels, length, n_valid,
+    return _conv_layer(batch, channels, length, n_valid, declared_patches,
                        lambda: _valid_patches_1d(length, k, s), (k,), (s,),
-                       filters, activation, bias, declared_patches, {"length": length})
+                       filters, activation, bias, {"length": length})[0]
 
 
 def activation_layer(batch: int, features: int, name: str) -> LayerDescriptor:
@@ -189,15 +220,13 @@ def softmax_layer(batch: int, classes: int) -> LayerDescriptor:
 
 
 def _pool_layer(kind, cls, batch, channels, height, width, size, stride):
-    kh, kw = _pair(size)
-    sh, sw = _pair(size if stride is None else stride)
-    patches, (ph, pw) = _valid_patches_2d(height, width, kh, kw, sh, sw)
+    size = _pair(size)
+    stride = _pair(size if stride is None else stride)
+    stage, grid = _pool_stage(cls, batch, channels, height, width, size, stride)
     part = IdentityPart(batch * channels * height * width)
-    stage = cls(batch, channels, height * width, patches)
     return LayerDescriptor(kind, part, (stage,), batch,
                            {"channels": channels, "height": height, "width": width,
-                            "size": (kh, kw), "stride": (sh, sw),
-                            "out_shape": (ph, pw)})
+                            "size": size, "stride": stride, "out_shape": grid})
 
 
 def maxpool2d(batch: int, channels: int, height: int, width: int, size,

@@ -409,8 +409,12 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     stops before ``d_tau`` full iterations (one call short of the cap).
     ``exit_reason`` says why CG stopped: ``"tolerance"``, ``"zero_gradient"``
     (nothing to solve), ``"nonpositive_curvature"`` or ``"iteration_cap"``;
-    ``converged`` is True for the first two only.  A non-finite step raises
-    ``NumericError``.
+    ``converged`` is True for the first two only.  ``"nonpositive_curvature"``
+    is reachable only through rounding: the system matrix is
+    ``A = H + H J W^-1 J^T H`` with ``H`` symmetric PSD, the right-hand side
+    and ``A``'s range lie in ``range(H)``, so CG keeps ``p`` there and
+    ``p^T A p >= p^T H p > 0`` for every nonzero ``p``.  A non-finite step
+    raises ``NumericError``.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")

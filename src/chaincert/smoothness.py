@@ -9,8 +9,9 @@ cannot overflow.  Two propagation directions are covered:
 * ``input_smoothness`` bounds the chain as a function of its input at
   frozen parameters, over an input ball.
 
-Constants come either from the per-layer catalogue (``catalog_constants``)
-or from any user-supplied list with the same shape.
+Each bi-affine part and each stage owns its constants; ``catalog_constants``
+collects them per layer, and every routine here also accepts any
+user-supplied list with the same shape.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "generic_recursion",
     "recenter_domain",
     "objective_smoothness",
-    "loss_constants",
 ]
 
 _ZERO = LogMag(-math.inf)
@@ -90,48 +90,13 @@ LayerConstants = Tuple[BiAffineConstants, Tuple[StageConstants, ...]]
 
 
 def catalog_constants(layer: LayerDescriptor) -> LayerConstants:
-    """Catalogue norm constants for one layer.
+    """Norm constants of one layer: its part's, then each stage's.
 
-    Fully-connected and convolutional entries use the closed-form values
-    (bilinear constant 1 for dense maps, patch-multiplicity bounds for
-    convolutions, bias replication sqrt(m)); every other kind reports its
-    part's honest constants.  Stage constants always come from the stages
-    themselves.
+    The part and the stages own their constants; this only collects them
+    in the shape the propagation routines take.  A fully-connected or conv
+    part without bias has ``beta_u = 0``, so its ``l_u`` is exactly 0.
     """
-    stage_cs = tuple(st.constants() for st in layer.stages)
-    m = layer.batch
-    if layer.kind == "fully-connected":
-        bc = BiAffineConstants(
-            L_b=1.0,
-            l_u=float(np.sqrt(m)),
-            l_x=0.0,
-            b00_norm=0.0,
-            beta0_norm=0.0,
-        )
-    elif layer.kind == "conv":
-        kernel = layer.hyper["kernel"]
-        stride = layer.hyper["stride"]
-        mult = 1
-        for k, s in zip(kernel, stride):
-            mult *= -(-k // s)
-        lb = float(np.sqrt(mult))
-        if layer.hyper.get("bias", False):
-            lu = float(np.sqrt(m * layer.hyper["patches"]))
-        else:
-            lu = float(np.sqrt(m)) * lb
-        bc = BiAffineConstants(L_b=lb, l_u=lu, l_x=0.0, b00_norm=0.0, beta0_norm=0.0)
-    elif layer.kind == "residual-wrap":
-        base_bc, _ = catalog_constants(layer.hyper["base"])
-        bc = BiAffineConstants(
-            L_b=base_bc.L_b,
-            l_u=base_bc.l_u,
-            l_x=base_bc.l_x + 1.0,
-            b00_norm=base_bc.b00_norm,
-            beta0_norm=base_bc.beta0_norm,
-        )
-    else:
-        bc = layer.part.constants()
-    return bc, stage_cs
+    return layer.part.constants(), tuple(st.constants() for st in layer.stages)
 
 
 def refine_on_ball(R: float, lip: float, smooth: float, slope0: float,
@@ -311,25 +276,3 @@ def objective_smoothness(psi: SmoothTriple, dom: BoundedDomain, ell_h: float,
     ell_ref = lm_min(_lm(ell_h), _lm(grad_ref_norm) + _lm(L_h) * psi.lip * diam)
     L_F = psi.smooth * ell_ref + psi.lip * psi.lip * _lm(L_h) + _lm(L_r)
     return L_F, ell_ref
-
-
-def loss_constants(kind: str, rho_out: Optional[float] = None,
-                   rho_targets: Optional[float] = None,
-                   n: Optional[int] = None) -> Tuple[float, float]:
-    """Per-sample (Lipschitz, smoothness) constants of the loss catalogue.
-
-    Squared loss constants hold on outputs of norm at most ``rho_out``
-    against targets of norm at most ``rho_targets``; the clustering envelope
-    needs the sample count ``n``.
-    """
-    if kind == "squared":
-        if rho_out is None or rho_targets is None:
-            raise ValueError("squared loss needs rho_out and rho_targets")
-        return float(rho_out) + float(rho_targets), 1.0
-    if kind == "logistic":
-        return 2.0, 2.0
-    if kind == "convex-cluster":
-        if n is None:
-            raise ValueError("clustering constants need the sample count n")
-        return n * (n - 1) / 2.0, 1.0
-    raise ValueError(f"unknown loss kind '{kind}'")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .activations import ScalarActivation
-from .biaffine import basis_rows
+from .biaffine import _charge, basis_rows
 from .errors import DimensionMismatch, SecondOrderUnavailable
 
 
@@ -86,11 +86,6 @@ class Stage:
                 f"stage {self.name}: expected ({self.in_total},), got {z.shape}"
             )
         return z
-
-
-def _charge(count, n):
-    if count is not None:
-        count.add(n)
 
 
 # ---------------------------------------------------------------------------

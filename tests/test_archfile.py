@@ -5,9 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chaincert import (ParseError, SymbolicConvPart, build_arch,
-                       parse_arch, parse_arch_text)
+from chaincert import (ArchFile, ParseError, SymbolicConvPart, build_arch,
+                       catalog_constants, parse_arch, parse_arch_text)
 from chaincert.biaffine import ConvPart, FCPart
 
 FIXDIR = os.path.join(os.path.dirname(__import__("chaincert").__file__), "fixtures")
@@ -194,3 +195,113 @@ def test_vgg16_parse_builds_no_conv_patch_table():
         tracemalloc.stop()
     assert all(isinstance(l.part, SymbolicConvPart) for l in chain.layers[:13])
     assert peak < table_bytes
+
+
+def test_declared_grid_with_valid_count_but_other_shape_stays_symbolic():
+    # 5x5 input, 2x2 kernel: the valid grid is 4x4.  A declared 2x8 grid has
+    # the same count but another shape, so the part is symbolic and the pool
+    # windows run over the declared 2x8 grid.
+    chain, _, _ = build_arch(parse_arch_text(
+        "input samples=1 channels=1 height=5 width=5 norm=1\nradius 1\n"
+        "objective squared\nlayer conv filters=1 kernel=2x2 patches=2x8 pool=avg:2:2\n"))
+    layer = chain.layers[0]
+    assert isinstance(layer.part, SymbolicConvPart)
+    assert layer.part.n_p == 16
+    pool = layer.stages[-1]
+    assert pool.spatial_in == 16
+    assert pool.patches.tolist() == [[0, 1, 8, 9], [2, 3, 10, 11],
+                                     [4, 5, 12, 13], [6, 7, 14, 15]]
+
+
+_ACTS = ("identity", "relu", "softplus", "softplus-centered", "sigmoid")
+_POSITIVE = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def _pair_within(draw, rows, cols):
+    return draw(st.integers(1, rows)), draw(st.integers(1, cols))
+
+
+@st.composite
+def _archfiles(draw):
+    """Normalized records of a random small architecture that builds."""
+    m = draw(st.integers(1, 3))
+    norm = draw(st.floats(0.0, 1e3, allow_nan=False))
+    if draw(st.booleans()):
+        shape = ("flat", draw(st.integers(1, 5)))
+        inp = {"samples": m, "features": shape[1], "norm": norm}
+    else:
+        shape = ("image", *(draw(st.integers(lo, 6)) for lo in (1, 2, 2)))
+        inp = {"samples": m, "channels": shape[1], "height": shape[2],
+               "width": shape[3], "norm": norm}
+    recs = []
+    for ln in range(4, 4 + draw(st.integers(1, 4))):
+        if shape[0] == "image":
+            kind = draw(st.sampled_from(["conv", "conv", "maxpool", "avgpool", "activation",
+                                         "batchnorm", "fully-connected"]))
+        else:
+            kind = draw(st.sampled_from(["fully-connected", "activation", "softmax",
+                                         "batchnorm"]))
+        rec = {"kind": kind, "line": ln}
+        if kind == "conv":
+            _, _, H, W = shape
+            rec["filters"] = draw(st.integers(1, 2))
+            rec["kernel"] = _pair_within(draw, H, W)
+            rec["stride"] = _pair_within(draw, 2, 2)
+            grid = ((H - rec["kernel"][0]) // rec["stride"][0] + 1,
+                    (W - rec["kernel"][1]) // rec["stride"][1] + 1)
+            declared = draw(st.sampled_from(["none", "valid", "other"]))
+            if declared != "none":
+                if declared == "other":
+                    grid = _pair_within(draw, 6, 6)
+                rec["patches"] = grid
+            rec["bias"] = draw(st.booleans())
+            if draw(st.booleans()):
+                rec["batchnorm"] = draw(_POSITIVE)
+            if draw(st.booleans()):
+                rec["activation"] = draw(st.sampled_from(_ACTS))
+            if draw(st.booleans()):
+                size = _pair_within(draw, *grid)
+                stride = _pair_within(draw, 2, 2)
+                rec["pool"] = (draw(st.sampled_from(["max", "avg"])), size, stride)
+                grid = ((grid[0] - size[0]) // stride[0] + 1,
+                        (grid[1] - size[1]) // stride[1] + 1)
+            shape = ("image", rec["filters"], *grid)
+        elif kind in ("maxpool", "avgpool"):
+            rec["size"] = _pair_within(draw, shape[2], shape[3])
+            rec["stride"] = _pair_within(draw, 2, 2)
+            shape = ("image", shape[1],
+                     (shape[2] - rec["size"][0]) // rec["stride"][0] + 1,
+                     (shape[3] - rec["size"][1]) // rec["stride"][1] + 1)
+        elif kind == "fully-connected":
+            rec["out"] = draw(st.integers(1, 4))
+            if draw(st.booleans()):
+                rec["activation"] = draw(st.sampled_from(_ACTS + ("softmax",)))
+            rec["bias"] = draw(st.booleans())
+            shape = ("flat", rec["out"])
+        elif kind == "activation":
+            rec["name"] = draw(st.sampled_from(_ACTS))
+        elif kind == "batchnorm":
+            rec["eps"] = draw(_POSITIVE)
+        recs.append(rec)
+    radii = draw(st.lists(_POSITIVE, min_size=len(recs), max_size=len(recs)))
+    objective = draw(st.sampled_from(["squared", "logistic", "convex-cluster"]))
+    return ArchFile(inp, objective, radii, recs)
+
+
+def _without_lines(af):
+    return [{k: v for k, v in rec.items() if k != "line"} for rec in af.layers]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_archfiles())
+def test_emit_parse_roundtrip_random(af):
+    af2 = parse_arch_text(af.emit())
+    assert (af2.input, af2.objective, af2.radii) == (af.input, af.objective, af.radii)
+    assert _without_lines(af2) == _without_lines(af)
+    (chain, dom, h), (chain2, dom2, h2) = build_arch(af), build_arch(af2)
+    assert dom2 == dom and (h2.kind, h2.n, h2.q) == (h.kind, h.n, h.q)
+    for a, b in zip(chain.layers, chain2.layers, strict=True):
+        assert (a.kind, a.d_in, a.d_out, a.p) == (b.kind, b.d_in, b.d_out, b.p)
+        assert type(a.part) is type(b.part)
+        assert [type(s) for s in a.stages] == [type(s) for s in b.stages]
+        assert catalog_constants(a) == catalog_constants(b)

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chaincert import (BoundedDomain, ChainSpec, ParamVector,
-                       batchnorm_layer, catalog_constants, conv2d, forward,
-                       fully_connected, generic_recursion, input_smoothness,
-                       loss_constants, objective_smoothness, propagate_chain,
+from chaincert import (BoundedDomain, ChainSpec, ParamVector, avgpool2d,
+                       backward, batchnorm_layer, catalog_constants, conv2d,
+                       forward, fully_connected, generic_recursion,
+                       input_smoothness, objective_smoothness, propagate_chain,
                        propagate_layers, recenter_domain, refine_on_ball,
-                       sample_params, sample_state)
+                       residual_wrap, sample_params, sample_state)
 from chaincert.biaffine import BiAffineConstants
 
 
@@ -124,16 +125,23 @@ def test_propagate_is_monotone_in_radius():
     assert small.smooth.lg <= big.smooth.lg
 
 
-def test_catalog_constants_conv_vs_honest():
-    # valid 3x3 stride-1 conv: interior multiplicity equals ceil(k/s)^2 = 9
-    layer = conv2d(1, 1, 5, 5, filters=1, kernel=3, stride=1)
-    bc, _ = catalog_constants(layer)
-    honest = layer.part.constants()
-    assert bc.L_b == pytest.approx(honest.L_b) == pytest.approx(3.0)
+@pytest.mark.parametrize("layer", [
+    fully_connected(3, 4, 2, bias=True),
+    fully_connected(3, 4, 2, bias=False),
+    conv2d(3, 2, 5, 5, filters=2, kernel=3, stride=2, bias=True),
+    conv2d(3, 2, 5, 5, filters=2, kernel=3, stride=2, bias=False),
+    conv2d(3, 2, 5, 5, filters=2, kernel=3, declared_patches=25),
+    residual_wrap(fully_connected(3, 3, 3, activation="softplus", bias=False)),
+], ids=["fc-bias", "fc-nobias", "conv-bias", "conv-nobias", "conv-symbolic",
+        "residual-fc"])
+def test_catalog_constants_conv_vs_honest(layer):
+    # the part and the stages are the only owners of their constants
+    bc, stage_cs = catalog_constants(layer)
+    assert bc == layer.part.constants()
+    assert stage_cs == tuple(stage.constants() for stage in layer.stages)
 
 
 def test_catalog_constants_residual_recursion():
-    from chaincert import residual_wrap
     base = fully_connected(1, 3, 3, activation="softplus")
     wrapped = residual_wrap(base)
     bc, stage_cs = catalog_constants(wrapped)
@@ -174,17 +182,6 @@ def test_objective_smoothness_grows_with_curvature():
     assert small.value <= large.value
 
 
-def test_loss_constants_catalog():
-    lip, smo = loss_constants("squared", rho_out=2.0, rho_targets=1.0)
-    assert lip == pytest.approx(3.0)
-    assert smo == pytest.approx(1.0)
-    lip, smo = loss_constants("logistic")
-    assert (lip, smo) == (2.0, 2.0)
-    lip, smo = loss_constants("convex-cluster", n=5)
-    assert lip == pytest.approx(10.0)
-    assert smo == pytest.approx(1.0)
-
-
 def test_bounded_domain_validation():
     with pytest.raises(ValueError):
         BoundedDomain((0.0,), 1.0)
@@ -202,3 +199,75 @@ def test_batchnorm_smoothness_stays_finite():
     ))
     tri = propagate_chain(chain, BoundedDomain((1.0, 1.0, 1.0), 1.0))
     assert np.isfinite(tri.smooth.lg)
+
+
+_SMOOTH_ACTS = st.sampled_from(["identity", "softplus", "sigmoid", "softplus-centered"])
+
+
+@st.composite
+def _small_chains(draw):
+    """Random small chain: an optional conv (plus average pool) head, then
+    fully-connected and batch-norm layers, each part with or without bias."""
+    m = draw(st.integers(1, 3))
+    layers = []
+    if draw(st.booleans()):
+        c, f, side = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(3, 4))
+        layers.append(conv2d(m, c, side, side, f, 2, activation=draw(_SMOOTH_ACTS),
+                             bias=draw(st.booleans())))
+        side -= 1
+        if draw(st.booleans()):
+            layers.append(avgpool2d(m, f, side, side, 2, stride=1))
+            side -= 1
+        feat = f * side * side
+    else:
+        feat = draw(st.integers(1, 4))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)) == 0:
+            layers.append(batchnorm_layer(m, feat, draw(st.floats(0.05, 1.0))))
+        else:
+            out = draw(st.integers(1, 4))
+            layers.append(fully_connected(m, feat, out, activation=draw(_SMOOTH_ACTS),
+                                          bias=draw(st.booleans())))
+            feat = out
+    return ChainSpec(tuple(layers))
+
+
+def _to_spheres(u, radius):
+    return ParamVector([radius * b / max(np.linalg.norm(b), 1e-300) for b in u.blocks])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_chains(), st.floats(0.2, 1.5), st.floats(0.2, 1.5),
+       st.integers(0, 2**32 - 1))
+def test_propagate_layers_bounds_random_chains(chain, radius, m0, seed):
+    # Magnitude at every prefix, slope and gradient ratio at the output.
+    # Points come from the balls and from their spheres; every other one is
+    # then pushed up the output norm by a few projected ascent steps, and
+    # its partner is a short step back along the ascent direction, projected
+    # onto the same spheres so that both stay in the domain.
+    rng = np.random.default_rng(seed)
+    dom = BoundedDomain.uniform(chain.tau, radius, m0)
+    trace = propagate_layers(chain, dom)
+    lip, smooth = trace[-1].lip.value, trace[-1].smooth.value
+    assert math.isfinite(smooth)
+    x0 = sample_state(chain.d0, m0, rng)
+    mu = rng.standard_normal(chain.d_out)
+    mu /= np.linalg.norm(mu)
+    for k in range(16):
+        ua = sample_params(chain.param_dims, dom.radii, rng, surface=k % 2 == 0)
+        ub = sample_params(chain.param_dims, dom.radii, rng)
+        if k % 2 == 0:
+            for _ in range(4):
+                tape = forward(chain, x0, ua)
+                g = backward(tape, tape.output)
+                ua = _to_spheres(ua + (radius / max(g.norm(), 1e-300)) * g, radius)
+            ub = _to_spheres(ua - (0.1 * radius / max(g.norm(), 1e-300)) * g, radius)
+        ta, tb = forward(chain, x0, ua), forward(chain, x0, ub)
+        for t, tri in enumerate(trace):
+            assert np.linalg.norm(ta.states[t + 1]) <= tri.m.value * (1 + 1e-9)
+        du = (ua - ub).norm()
+        if du <= 1e-6 * radius:
+            continue  # a pair at rounding distance measures no slope
+        assert np.linalg.norm(ta.output - tb.output) / du <= lip * (1 + 1e-9)
+        ratio = (backward(ta, mu) - backward(tb, mu)).norm() / du
+        assert ratio <= smooth * (1 + 1e-9)
