@@ -57,33 +57,10 @@ class ArchFile:
     layers: List[dict]
 
     def emit(self) -> str:
-        lines = []
-        ik = ["samples", "channels", "height", "width", "features", "norm"]
-        lines.append("input " + " ".join(
-            f"{k}={_fmt(self.input[k])}" for k in ik if k in self.input))
-        lines.append("radius " + " ".join(_fmt(r) for r in self.radii))
-        lines.append(f"objective {self.objective}")
-        order = {
-            "conv": ["filters", "kernel", "stride", "patches", "bias",
-                     "batchnorm", "activation", "pool"],
-            "fully-connected": ["out", "activation", "bias"],
-            "activation": ["name"],
-            "softmax": [],
-            "maxpool": ["size", "stride"],
-            "avgpool": ["size", "stride"],
-            "batchnorm": ["eps"],
-        }
-        for rec in self.layers:
-            kind = rec["kind"]
-            parts = [f"layer {kind}"]
-            for k in order[kind]:
-                if k in rec and rec[k] is not None:
-                    if k == "pool":
-                        pk, ps, pt = rec[k]
-                        parts.append(f"pool={pk}:{_fmt(ps)}:{_fmt(pt)}")
-                    else:
-                        parts.append(f"{k}={_fmt(rec[k])}")
-            lines.append(" ".join(parts))
+        lines = [_emit_fields("input", _input_kind(self.input), self.input),
+                 "radius " + " ".join(_fmt(r) for r in self.radii),
+                 f"objective {self.objective}"]
+        lines += [_emit_fields(f"layer {rec['kind']}", rec["kind"], rec) for rec in self.layers]
         return "\n".join(lines) + "\n"
 
 
@@ -91,10 +68,16 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, tuple):
-        return "x".join(str(x) for x in v)
+        # a pair is KxK; a pool spec (kind, size, stride) is kind:KxK:KxK
+        return (":" if isinstance(v[0], str) else "x").join(_fmt(x) for x in v)
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _emit_fields(head: str, kind: str, rec: dict) -> str:
+    return " ".join([head] + [f"{k}={_fmt(rec[k])}" for k, _, _ in _GRAMMAR[kind]
+                              if rec.get(k) is not None])
 
 
 def _parse_bool(s: str, ln: int) -> bool:
@@ -117,6 +100,13 @@ def _parse_float(s: str, ln: int) -> float:
         raise ParseError(f"line {ln}: expected a number, got '{s}'") from None
 
 
+def _parse_eps(s: str, ln: int) -> float:
+    eps = _parse_float(s, ln)
+    if eps <= 0:
+        raise ParseError(f"line {ln}: batchnorm eps must be positive")
+    return eps
+
+
 def _parse_pair(s: str, ln: int) -> Tuple[int, int]:
     try:
         if "x" in s:
@@ -128,28 +118,81 @@ def _parse_pair(s: str, ln: int) -> Tuple[int, int]:
         raise ParseError(f"line {ln}: expected K or KxK, got '{s}'") from None
 
 
-def _kv(tokens, ln: int) -> dict:
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ParseError(f"line {ln}: expected key=value, got '{tok}'")
-        k, v = tok.split("=", 1)
-        if k in out:
-            raise ParseError(f"line {ln}: duplicate key '{k}'")
-        out[k] = v
-    return out
+def _parse_pool(s: str, ln: int) -> tuple:
+    bits = s.split(":")
+    if len(bits) != 3 or bits[0] not in ("max", "avg"):
+        raise ParseError(
+            f"line {ln}: pool must be max:<size>:<stride> or avg:<size>:<stride>")
+    return bits[0], _parse_pair(bits[1], ln), _parse_pair(bits[2], ln)
 
 
-def _require(kv: dict, keys, allowed, ln: int):
-    for k in keys:
-        if k not in kv:
-            raise ParseError(f"line {ln}: missing required key '{k}'")
-    for k in kv:
-        if k not in allowed:
-            raise ParseError(f"line {ln}: unknown key '{k}'")
+def _activation(names):
+    def parse(s: str, ln: int) -> str:
+        if s not in names:
+            raise ParseError(f"line {ln}: unknown activation '{s}'")
+        return s
+    return parse
 
 
 _ACT_NAMES = ("identity", "relu", "softplus", "softplus-centered", "sigmoid")
+_REQUIRED = object()
+_POOL = (("size", _parse_pair, _REQUIRED),
+         ("stride", _parse_pair, lambda rec: rec["size"]))
+
+# Per record kind, its keys in emit order with their parsers and defaults.  A
+# default is _REQUIRED, None (the key stays out of the record when absent), a
+# fixed value, or a function of the fields before it.  The input shapes' names
+# hold a space, so no layer kind (one token) can name them.
+_GRAMMAR = {
+    "input image": (("samples", _parse_int, _REQUIRED), ("channels", _parse_int, _REQUIRED),
+                    ("height", _parse_int, _REQUIRED), ("width", _parse_int, _REQUIRED),
+                    ("norm", _parse_float, _REQUIRED)),
+    "input flat": (("samples", _parse_int, _REQUIRED), ("features", _parse_int, _REQUIRED),
+                   ("norm", _parse_float, _REQUIRED)),
+    "conv": (("filters", _parse_int, _REQUIRED), ("kernel", _parse_pair, _REQUIRED),
+             ("stride", _parse_pair, (1, 1)), ("patches", _parse_pair, None),
+             ("bias", _parse_bool, False), ("batchnorm", _parse_eps, None),
+             ("activation", _activation(_ACT_NAMES), None), ("pool", _parse_pool, None)),
+    "fully-connected": (("out", _parse_int, _REQUIRED),
+                        ("activation", _activation(_ACT_NAMES + ("softmax",)), None),
+                        ("bias", _parse_bool, True)),
+    "activation": (("name", _activation(_ACT_NAMES), _REQUIRED),),
+    "softmax": (),
+    "maxpool": _POOL,
+    "avgpool": _POOL,
+    "batchnorm": (("eps", _parse_eps, _REQUIRED),),
+}
+
+
+def _input_kind(rec) -> str:
+    return "input flat" if "features" in rec else "input image"
+
+
+def _parse_fields(kind: str, tokens, ln: int, rec: dict) -> dict:
+    """Fill ``rec`` from ``key=value`` tokens by the ``_GRAMMAR`` entry of ``kind``."""
+    if kind not in _GRAMMAR:
+        raise ParseError(f"line {ln}: unknown layer kind '{kind}'")
+    keys = [key for key, _, _ in _GRAMMAR[kind]]
+    given = {}
+    for tok in tokens:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise ParseError(f"line {ln}: expected key=value, got '{tok}'")
+        if key in given:
+            raise ParseError(f"line {ln}: duplicate key '{key}'")
+        if key not in keys:
+            raise ParseError(f"line {ln}: unknown key '{key}'")
+        given[key] = value
+    for key, parse, default in _GRAMMAR[kind]:
+        if key in given:
+            rec[key] = parse(given[key], ln)
+        elif default is _REQUIRED:
+            raise ParseError(f"line {ln}: missing required key '{key}'")
+        elif callable(default):
+            rec[key] = default(rec)
+        elif default is not None:
+            rec[key] = default
+    return rec
 
 
 def parse_arch_text(text: str) -> ArchFile:
@@ -166,21 +209,8 @@ def parse_arch_text(text: str) -> ArchFile:
         if head == "input":
             if input_rec is not None:
                 raise ParseError(f"line {ln}: duplicate input record")
-            kv = _kv(tokens[1:], ln)
-            if "features" in kv:
-                _require(kv, ("samples", "features", "norm"),
-                         ("samples", "features", "norm"), ln)
-                input_rec = {"samples": _parse_int(kv["samples"], ln),
-                             "features": _parse_int(kv["features"], ln),
-                             "norm": _parse_float(kv["norm"], ln)}
-            else:
-                _require(kv, ("samples", "channels", "height", "width", "norm"),
-                         ("samples", "channels", "height", "width", "norm"), ln)
-                input_rec = {"samples": _parse_int(kv["samples"], ln),
-                             "channels": _parse_int(kv["channels"], ln),
-                             "height": _parse_int(kv["height"], ln),
-                             "width": _parse_int(kv["width"], ln),
-                             "norm": _parse_float(kv["norm"], ln)}
+            kind = _input_kind([tok.partition("=")[0] for tok in tokens])
+            input_rec = _parse_fields(kind, tokens[1:], ln, {})
             if input_rec["samples"] < 1 or input_rec["norm"] < 0:
                 raise ParseError(f"line {ln}: invalid input record values")
         elif head == "radius":
@@ -202,7 +232,7 @@ def parse_arch_text(text: str) -> ArchFile:
         elif head == "layer":
             if len(tokens) < 2:
                 raise ParseError(f"line {ln}: layer record needs a kind")
-            layers.append(_parse_layer(tokens[1], tokens[2:], ln))
+            layers.append(_parse_fields(tokens[1], tokens[2:], ln, dict(kind=tokens[1], line=ln)))
         else:
             raise ParseError(f"line {ln}: unknown record '{head}'")
     if input_rec is None:
@@ -219,62 +249,6 @@ def parse_arch_text(text: str) -> ArchFile:
         raise ParseError(
             f"line 0: {len(radii)} radius values for {len(layers)} layers")
     return ArchFile(input_rec, objective, radii, layers)
-
-
-def _parse_layer(kind: str, tokens, ln: int) -> dict:
-    kv = _kv(tokens, ln)
-    rec = {"kind": kind, "line": ln}
-    if kind == "conv":
-        _require(kv, ("filters", "kernel"),
-                 ("filters", "kernel", "stride", "patches", "bias",
-                  "batchnorm", "activation", "pool"), ln)
-        rec["filters"] = _parse_int(kv["filters"], ln)
-        rec["kernel"] = _parse_pair(kv["kernel"], ln)
-        rec["stride"] = _parse_pair(kv.get("stride", "1"), ln)
-        if "patches" in kv:
-            rec["patches"] = _parse_pair(kv["patches"], ln)
-        rec["bias"] = _parse_bool(kv["bias"], ln) if "bias" in kv else False
-        if "batchnorm" in kv:
-            rec["batchnorm"] = _parse_float(kv["batchnorm"], ln)
-            if rec["batchnorm"] <= 0:
-                raise ParseError(f"line {ln}: batchnorm eps must be positive")
-        if "activation" in kv:
-            if kv["activation"] not in _ACT_NAMES:
-                raise ParseError(f"line {ln}: unknown activation '{kv['activation']}'")
-            rec["activation"] = kv["activation"]
-        if "pool" in kv:
-            bits = kv["pool"].split(":")
-            if len(bits) != 3 or bits[0] not in ("max", "avg"):
-                raise ParseError(
-                    f"line {ln}: pool must be max:<size>:<stride> or avg:<size>:<stride>")
-            rec["pool"] = (bits[0], _parse_pair(bits[1], ln), _parse_pair(bits[2], ln))
-    elif kind == "fully-connected":
-        _require(kv, ("out",), ("out", "activation", "bias"), ln)
-        rec["out"] = _parse_int(kv["out"], ln)
-        if "activation" in kv:
-            if kv["activation"] not in _ACT_NAMES + ("softmax",):
-                raise ParseError(f"line {ln}: unknown activation '{kv['activation']}'")
-            rec["activation"] = kv["activation"]
-        rec["bias"] = _parse_bool(kv["bias"], ln) if "bias" in kv else True
-    elif kind == "activation":
-        _require(kv, ("name",), ("name",), ln)
-        if kv["name"] not in _ACT_NAMES:
-            raise ParseError(f"line {ln}: unknown activation '{kv['name']}'")
-        rec["name"] = kv["name"]
-    elif kind == "softmax":
-        _require(kv, (), (), ln)
-    elif kind in ("maxpool", "avgpool"):
-        _require(kv, ("size",), ("size", "stride"), ln)
-        rec["size"] = _parse_pair(kv["size"], ln)
-        rec["stride"] = _parse_pair(kv["stride"], ln) if "stride" in kv else rec["size"]
-    elif kind == "batchnorm":
-        _require(kv, ("eps",), ("eps",), ln)
-        rec["eps"] = _parse_float(kv["eps"], ln)
-        if rec["eps"] <= 0:
-            raise ParseError(f"line {ln}: batchnorm eps must be positive")
-    else:
-        raise ParseError(f"line {ln}: unknown layer kind '{kind}'")
-    return rec
 
 
 def read_archfile(path: str) -> ArchFile:
@@ -342,19 +316,18 @@ def build_arch(af: ArchFile):
         raise ParseError(f"chain assembly failed: {exc}") from exc
 
     dom = BoundedDomain(tuple(af.radii), af.input["norm"])
-    n = m
-    q = chain.d_out // n
-    if chain.d_out % n:
+    q = chain.d_out // m
+    if chain.d_out % m:
         raise ParseError(
-            f"output dim {chain.d_out} does not split over {n} samples")
+            f"output dim {chain.d_out} does not split over {m} samples")
     if af.objective == "squared":
-        h = Objective("squared", n, q, np.zeros((n, q)))
+        h = Objective("squared", m, q, np.zeros((m, q)))
     elif af.objective == "logistic":
-        y = np.zeros((n, q))
-        y[np.arange(n), np.arange(n) % q] = 1.0
-        h = Objective("logistic", n, q, y)
+        y = np.zeros((m, q))
+        y[np.arange(m), np.arange(m) % q] = 1.0
+        h = Objective("logistic", m, q, y)
     else:
-        h = cluster_objective(n, q)
+        h = cluster_objective(m, q)
     return chain, dom, h
 
 

@@ -96,13 +96,6 @@ def _valid_patches_2d(height, width, kh, kw, sh, sw):
     return (starts[:, None] + offsets).astype(int, copy=False), (rows, cols)
 
 
-def _valid_patches_1d(length, k, s):
-    if k > length:
-        raise DimensionMismatch(f"kernel {k} exceeds input length {length}")
-    starts = np.arange(0, length - k + 1, s)
-    return (starts[:, None] + np.arange(k)).astype(int, copy=False)
-
-
 def _pair(v):
     if isinstance(v, (tuple, list)):
         if len(v) != 2:
@@ -198,10 +191,10 @@ def conv1d(batch: int, channels: int, length: int, filters: int, kernel: int,
            stride: int = 1, activation: str = "identity", bias: bool = False,
            declared_patches: Optional[int] = None) -> LayerDescriptor:
     k, s = int(kernel), int(stride)
-    # a 1-d sweep is the one-row case of the 2-d grid
+    # a 1-d sweep is the one-row case of the 2-d sweep
     _, n_valid = _valid_grid(1, length, 1, k, 1, s)
     return _conv_layer(batch, channels, length, n_valid, declared_patches,
-                       lambda: _valid_patches_1d(length, k, s), (k,), (s,),
+                       lambda: _valid_patches_2d(1, length, 1, k, 1, s)[0], (k,), (s,),
                        filters, activation, bias, {"length": length})[0]
 
 

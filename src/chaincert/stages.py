@@ -385,9 +385,12 @@ class BatchNormStage(Stage):
         return _BatchNormLin(self, xc, f)
 
     def constants(self) -> StageConstants:
+        # Each output row is xc/f with ||xc/f||^2 = m ||xc||^2 / (m eps + ||xc||^2)
+        # < m, so summed over the features ||a(z)|| < sqrt(features m); the
+        # bound is approached as ||xc|| grows.
         m, eps = self.batch, self.eps
         return StageConstants(
-            m_a=float(self.features * m),
+            m_a=float(np.sqrt(self.features * m)),
             lip=2.0 / np.sqrt(eps),
             smooth=2.0 / (np.sqrt(m) * eps),
             a0_norm=0.0,

@@ -111,20 +111,16 @@ def certified_step(chain: ChainSpec, h: Objective, r: Optional[Regularizer],
     return 1.0 / Lf, Lf
 
 
-def _full_grad(chain, h, r, x0, u):
-    tape = forward(chain, x0, u)
-    val_h, gh = h.value_grad(tape.output)
-    g = backward(tape, gh) + r.grad(u)
-    return float(val_h + r.value(u)), g, tape
-
-
-def _loop(chain, h, r, x0, cfg, u0, gamma, certified, estimator, rng):
+def _loop(chain, h, r, x0, cfg, u0, gamma, certified, cotangent):
+    """Projected steps; ``cotangent(tape, gh)`` picks what the one backward
+    sweep per step pulls back: the full loss gradient ``gh`` or an estimate."""
     trace = TrainTrace(gamma=gamma, certified_smooth=certified)
     u = project_domain(u0, cfg.dom)
     for _ in range(cfg.budget):
-        val, g, tape = _full_grad(chain, h, r, x0, u)
-        if estimator is not None:
-            g = estimator(tape, u, rng)
+        tape = forward(chain, x0, u)
+        val_h, gh = h.value_grad(tape.output)
+        val = float(val_h + r.value(u))
+        g = backward(tape, cotangent(tape, gh)) + r.grad(u)
         raw = u + g.scale(-gamma)
         u_next = project_domain(raw, cfg.dom)
         active = any(rn > rad for rn, rad in zip(raw.block_norms(), cfg.dom.radii))
@@ -154,7 +150,7 @@ def train_pgd(chain: ChainSpec, h: Objective, r: Optional[Regularizer],
     else:
         gamma, cert = certified_step(chain, h, r, x0, cfg.dom)
     u0 = u0 if u0 is not None else ParamVector.zeros(chain.param_dims)
-    return _loop(chain, h, r, x0, cfg, u0, gamma, cert, None, None)
+    return _loop(chain, h, r, x0, cfg, u0, gamma, cert, lambda tape, gh: gh)
 
 
 def train_sgd(chain: ChainSpec, h: Objective, r: Optional[Regularizer],
@@ -181,17 +177,18 @@ def train_sgd(chain: ChainSpec, h: Objective, r: Optional[Regularizer],
         gamma, cert = g_full / 2.0, L_f
     rng = np.random.default_rng(cfg.seed)
 
-    def estimator(tape, u, gen):
-        idx = gen.choice(n, size=batch, replace=False)
-        return backward(tape, h.grad_minibatch(tape.output, idx)) + r.grad(u)
+    def minibatch(tape):
+        return h.grad_minibatch(tape.output, rng.choice(n, size=batch, replace=False))
 
     u0 = u0 if u0 is not None else ParamVector.zeros(chain.param_dims)
-    trace = _loop(chain, h, r, x0, cfg, u0, gamma, cert, estimator, rng)
+    trace = _loop(chain, h, r, x0, cfg, u0, gamma, cert, lambda tape, gh: minibatch(tape))
 
-    _, g_exact, tape = _full_grad(chain, h, r, x0, trace.final_u)
+    u = trace.final_u
+    tape = forward(chain, x0, u)
+    g_exact = backward(tape, h.value_grad(tape.output)[1]) + r.grad(u)
     dev = 0.0
     for _ in range(20):
-        gb = estimator(tape, trace.final_u, rng)
+        gb = backward(tape, minibatch(tape)) + r.grad(u)
         dev += (gb - g_exact).dot(gb - g_exact)
     trace.variance_proxy = dev / 20.0
     return trace

@@ -218,6 +218,20 @@ def test_stage_constants_values():
 
     bn = BatchNormStage(9, 3, 0.25)
     cb = bn.constants()
-    assert cb.m_a == pytest.approx(float(3 * 9))
+    assert cb.m_a == pytest.approx(np.sqrt(3 * 9))
     assert cb.lip == pytest.approx(2.0 / np.sqrt(0.25))
     assert cb.smooth == pytest.approx(2.0 / (np.sqrt(9) * 0.25))
+
+
+@pytest.mark.parametrize("batch, features, eps", [(4, 6, 0.1), (9, 3, 0.25), (2, 5, 1e-2)])
+def test_batchnorm_magnitude_bound_is_tight(batch, features, eps):
+    # ||a(z)|| < sqrt(features * batch) for every z, approached as z grows.
+    rng = np.random.default_rng(84)
+    st = BatchNormStage(batch, features, eps)
+    m_a = st.constants().m_a
+    for scale in (0.1, 1.0, 10.0, 1e2, 1e3, 1e4):
+        norms = [np.linalg.norm(st.value(scale * rng.standard_normal(batch * features)))
+                 for _ in range(100)]
+        assert max(norms) <= m_a
+        if scale >= 1e3:
+            assert max(norms) >= 0.99 * m_a

@@ -2,12 +2,13 @@
 emit/parse roundtrips, builder output, and the shipped fixtures."""
 
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert import (ArchFile, ParseError, SymbolicConvPart, build_arch,
+from chaincert import (ArchFile, ParseError, SymbolicConvPart, archfile, build_arch,
                        catalog_constants, parse_arch, parse_arch_text)
 from chaincert.biaffine import ConvPart, FCPart
 
@@ -305,3 +306,30 @@ def test_emit_parse_roundtrip_random(af):
         assert type(a.part) is type(b.part)
         assert [type(s) for s in a.stages] == [type(s) for s in b.stages]
         assert catalog_constants(a) == catalog_constants(b)
+
+
+def _documented_keys(block):
+    """Keys per record kind, in order, from the grammar lines of ``block``."""
+    keys, kind = {}, None
+    for line in block.splitlines():
+        words = line.split() or [""]
+        if words[0] == "input":
+            kind = "input flat" if "features=" in line else "input image"
+        elif words[0] == "layer":
+            kind = words[1]
+        elif not words[0].startswith("["):  # not a continuation line
+            kind = None
+        if kind is not None:
+            keys.setdefault(kind, []).extend(re.findall(r"([a-z-]+)=", line))
+    return keys
+
+
+def test_docs_name_exactly_the_grammar_table_keys():
+    table = {kind: [key for key, _, _ in fields]
+             for kind, fields in archfile._GRAMMAR.items()}
+    doc = archfile.__doc__.split("Grammar", 1)[1].split("\n\n")[1]
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("The grammar:\n\n```\n", 1)[1].split("```", 1)[0]
+    assert _documented_keys(doc) == table
+    assert _documented_keys(block) == table

@@ -14,7 +14,7 @@ from chaincert import (BiAffineConstants, ChainSpec, ConvPart, DenseBiAffinePart
                        FCPart, IdentityPart, OpCounter, ResidualPart,
                        SymbolicConvPart, DimensionMismatch, SymbolicOnlyError,
                        conv2d, fully_connected, operator_norm)
-from chaincert.layers import _valid_patches_1d, _valid_patches_2d
+from chaincert.layers import _valid_patches_2d
 
 from helpers import direct_conv, jacobi_largest_sv, tensor_norm_222
 
@@ -140,8 +140,8 @@ _CONV_CASES = {
     # name: (batch, channels, spatial, patch table, filters, bias)
     "2d-stride1-bias": (2, 2, 25, _valid_patches_2d(5, 5, 3, 3, 1, 1)[0], 3, True),
     "2d-stride2": (3, 2, 30, _valid_patches_2d(5, 6, 2, 3, 2, 2)[0], 2, False),
-    "1d-stride2-bias": (3, 2, 9, _valid_patches_1d(9, 3, 2), 2, True),
-    "1d-stride1": (1, 3, 6, _valid_patches_1d(6, 2, 1), 2, False),
+    "1d-stride2-bias": (3, 2, 9, _valid_patches_2d(1, 9, 1, 3, 1, 2)[0], 2, True),
+    "1d-stride1": (1, 3, 6, _valid_patches_2d(1, 6, 1, 2, 1, 1)[0], 2, False),
     # overlapping windows, and window 0 reads position 0 twice
     "hand-repeated": (2, 2, 5, np.array([[0, 0, 2], [1, 2, 3], [3, 4, 1]]), 2, True),
 }
@@ -354,3 +354,36 @@ def test_tensor_norm_rank_one_exact():
     val, _ = tensor_norm_222(np.einsum("i,j,k->kij", a, b, c), restarts=20)
     want = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c)
     assert val == pytest.approx(want, rel=1e-8)
+
+
+# name: (batch, channels, (height, width), kernel, stride, filters); 1-d is one row
+_CONV_LB_CASES = {
+    "1d-stride1": (2, 1, (1, 16), (1, 3), (1, 1), 1),
+    "1d-stride2": (1, 2, (1, 15), (1, 4), (1, 2), 2),
+    "2d-stride1": (2, 3, (5, 6), (3, 2), (1, 1), 2),
+    "2d-stride2": (3, 2, (6, 7), (3, 3), (2, 2), 3),
+    "2d-stride1x2": (2, 2, (5, 5), (2, 3), (1, 2), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONV_LB_CASES))
+def test_conv_L_b_bounds_and_nearly_meets_attained_bilinear_norm(case):
+    # Alternating power iteration over (x, u) on a bias-free part climbs
+    # ||b(x, u)|| at unit x, u toward its supremum, which L_b must bound; a
+    # loose or halved L_b shows as a ratio far from 1 on one side.
+    m, C, (H, W), kernel, stride, n_f = _CONV_LB_CASES[case]
+    part = ConvPart(batch=m, channels=C, spatial=H * W,
+                    patches=_valid_patches_2d(H, W, *kernel, *stride)[0], n_filters=n_f)
+    rng = np.random.default_rng(85)
+    attained = 0.0
+    for _ in range(3):
+        x, u = rng.standard_normal(part.d_in), rng.standard_normal(part.p)
+        for _ in range(300):
+            x = part.vjp_x(u, part.value(x, u))
+            x /= np.linalg.norm(x)
+            u = part.vjp_u(x, part.value(x, u))
+            u /= np.linalg.norm(u)
+        attained = max(attained, float(np.linalg.norm(part.value(x, u))))
+    L_b = part.constants().L_b
+    assert attained <= L_b * (1 + 1e-9)
+    assert attained >= 0.7 * L_b

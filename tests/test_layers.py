@@ -12,7 +12,7 @@ import pytest
 
 from chaincert import (ChainSpec, DimensionMismatch, ParamVector,
                        SecondOrderUnavailable, avgpool2d, backward,
-                       batchnorm_layer, build_lq, conv2d, custom_layer, forward,
+                       batchnorm_layer, build_lq, conv1d, conv2d, custom_layer, forward,
                        fully_connected, layer_second_contract, maxpool2d,
                        residual_wrap, softmax_layer)
 from chaincert.biaffine import FCPart
@@ -208,23 +208,22 @@ def test_valid_patches_2d_match_explicit_loops(args):
 
 
 @pytest.mark.parametrize("length, k, s", [(7, 3, 2), (5, 5, 1), (9, 2, 3), (4, 1, 1)])
-def test_valid_patches_1d_match_explicit_loops(length, k, s):
-    from chaincert.layers import _valid_patches_1d
+def test_conv1d_patches_match_explicit_loops(length, k, s):
     want = np.asarray([[t + i for i in range(k)] for t in range(0, length - k + 1, s)],
                       dtype=int)
-    got = _valid_patches_1d(length, k, s)
+    got = conv1d(1, 1, length, 1, k, stride=s).part.patches
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
 
 def test_valid_patches_refuse_oversized_kernels():
-    from chaincert.layers import _valid_grid, _valid_patches_1d, _valid_patches_2d
+    from chaincert.layers import _valid_grid, _valid_patches_2d
     with pytest.raises(DimensionMismatch):
         _valid_grid(4, 4, 5, 1, 1, 1)
     with pytest.raises(DimensionMismatch):
         _valid_patches_2d(4, 4, 1, 5, 1, 1)
     with pytest.raises(DimensionMismatch):
-        _valid_patches_1d(3, 4, 1)
+        conv1d(1, 1, 3, 1, 4)
 
 
 def test_symbolic_conv_constructors_build_no_window_table():
@@ -234,7 +233,6 @@ def test_symbolic_conv_constructors_build_no_window_table():
     import tracemalloc
 
     from chaincert.biaffine import ConvPart, SymbolicConvPart
-    from chaincert.layers import conv1d
 
     table_bytes = 222 * 222 * 9 * 8
     tracemalloc.start()

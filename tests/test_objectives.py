@@ -184,6 +184,28 @@ def test_grad_minibatch_embedding():
     assert np.allclose(g_full, h.value_grad(z)[1])
 
 
+@pytest.mark.parametrize("kind", ["squared", "logistic"])
+def test_grad_minibatch_rows_are_the_per_sample_loss_gradients(kind):
+    rng = np.random.default_rng(5)
+    n, q, idx = 6, 3, np.array([4, 0, 2])
+    if kind == "squared":
+        y = rng.standard_normal((n, q))
+        h = squared_objective(y)
+    else:
+        y = np.eye(q)[rng.integers(0, q, n)]
+        h = logistic_objective(y)
+    z = 3.0 * rng.standard_normal(n * q)
+    sub = z.reshape(n, q)[idx]
+    if kind == "squared":
+        rows = sub - y[idx]
+    else:
+        e = np.exp(sub - sub.max(axis=1, keepdims=True))
+        rows = e / e.sum(axis=1, keepdims=True) - y[idx]
+    want = np.zeros((n, q))
+    want[idx] = rows / idx.size
+    assert np.array_equal(h.grad_minibatch(z, idx), want.ravel())
+
+
 def test_decomposable_flag():
     assert squared_objective(np.zeros((2, 2))).decomposable
     assert logistic_objective(np.array([[1.0, 0.0]])).decomposable

@@ -127,6 +127,22 @@ def test_sgd_minibatch_decreases_and_reports_variance():
     assert len(trace.values) == len(trace.mapping_norms) == len(trace.proj_active)
 
 
+def test_each_step_makes_one_backward_sweep(monkeypatch):
+    # budget k: PGD sweeps k times; SGD k times plus the exact gradient and
+    # the 20 resamples of its variance proxy at the final point.
+    import chaincert.training as training
+    calls = []
+    sweep = training.backward
+    monkeypatch.setattr(training, "backward", lambda *a: calls.append(1) or sweep(*a))
+    chain, h, x0, dom, rng = _toy(seed=8)
+    u0 = sample_params(chain.param_dims, [0.5, 0.5], rng)
+    trace = train_pgd(chain, h, None, x0, TrainConfig(dom, budget=5), u0=u0)
+    assert len(trace.values) == len(calls) == 5
+    calls.clear()
+    trace = train_sgd(chain, h, None, x0, TrainConfig(dom, budget=5, batch=2), u0=u0)
+    assert len(trace.values) == 5 and len(calls) == 5 + 21
+
+
 def test_sgd_validation():
     chain, h, x0, dom, _ = _toy()
     with pytest.raises(ValueError):
