@@ -18,76 +18,27 @@ provides, on top of that single representation:
   (:mod:`chaincert.archfile`, :mod:`chaincert.cli`).
 """
 
-from .errors import (DimensionMismatch, InfeasibleModel, InvalidBasis,
-                     IterationLimit, NumericError, SecondOrderUnavailable,
-                     SymbolicOnlyError)
-from .magnitude import LogMag, lm_max, lm_min, lm_sum
-from .activations import ScalarActivation, get_activation
-from .stages import (AvgPoolStage, BatchNormStage, BlockStage,
-                     ElementwiseStage, MaxPoolStage, SoftmaxStage, Stage,
-                     StageConstants, StageLin)
-from .biaffine import (BiAffineConstants, BiAffinePart, ConvPart,
-                       DenseBiAffinePart, FCPart, IdentityPart, ResidualPart,
-                       SymbolicConvPart, operator_norm)
-from .layers import (LayerDescriptor, activation_layer, avgpool2d,
-                     batchnorm_layer, conv1d, conv2d, custom_layer,
-                     fully_connected, layer_second_contract, maxpool2d,
-                     residual_wrap, softmax_layer)
-from .chain import ChainSpec, ParamVector, sample_params, sample_state
-from .autodiff import (LayerSparsity, OpCount, OpCounter, Tape, backward,
-                       backward_formula, count_backward_cost, forward,
-                       grad_objective, jvp, layer_sparsity)
-from .objectives import (BlockRidge, Objective, Regularizer, ZeroReg,
-                         cluster_objective, eval_convex_cluster,
-                         eval_logistic, eval_squared, logistic_objective,
-                         squared_objective)
-from .smoothness import (BoundedDomain, SmoothTriple, catalog_constants,
-                         generic_recursion, input_smoothness,
-                         objective_smoothness, propagate_chain,
-                         propagate_layers, recenter_domain, refine_on_ball)
-from .oracles import (LQProblem, OracleStep, build_lq, solve_dense_reference,
-                      solve_gauss_newton_dual, solve_gradient_step,
-                      solve_newton_dp)
-from .implicit import (InnerCertificate, InnerProblem, audit_constants,
-                       implicit_gradient, implicit_smoothness,
-                       lemma_error_bound, solve_inner)
-from .training import (TrainConfig, TrainTrace, certified_step,
-                       project_domain, train_pgd, train_sgd)
-from .archfile import (ArchFile, ParseError, build_arch, parse_arch,
-                       parse_arch_text, read_archfile)
+from .errors import *  # noqa: F401,F403
+from .magnitude import *  # noqa: F401,F403
+from .activations import *  # noqa: F401,F403
+from .stages import *  # noqa: F401,F403
+from .biaffine import *  # noqa: F401,F403
+from .layers import *  # noqa: F401,F403
+from .chain import *  # noqa: F401,F403
+from .autodiff import *  # noqa: F401,F403
+from .objectives import *  # noqa: F401,F403
+from .smoothness import *  # noqa: F401,F403
+from .oracles import *  # noqa: F401,F403
+from .implicit import *  # noqa: F401,F403
+from .training import *  # noqa: F401,F403
+from .archfile import *  # noqa: F401,F403
+from . import (activations, archfile, autodiff, biaffine, chain, errors, implicit,
+               layers, magnitude, objectives, oracles, smoothness, stages, training)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DimensionMismatch", "InfeasibleModel", "InvalidBasis", "IterationLimit",
-    "NumericError", "SecondOrderUnavailable", "SymbolicOnlyError",
-    "LogMag", "lm_max", "lm_min", "lm_sum",
-    "operator_norm",
-    "ScalarActivation", "get_activation",
-    "AvgPoolStage", "BatchNormStage", "BlockStage", "ElementwiseStage",
-    "MaxPoolStage", "SoftmaxStage", "Stage", "StageConstants", "StageLin",
-    "BiAffineConstants", "BiAffinePart", "ConvPart", "DenseBiAffinePart",
-    "FCPart", "IdentityPart", "ResidualPart", "SymbolicConvPart",
-    "LayerDescriptor", "activation_layer", "avgpool2d", "batchnorm_layer",
-    "conv1d", "conv2d", "custom_layer", "fully_connected",
-    "layer_second_contract", "maxpool2d", "residual_wrap", "softmax_layer",
-    "ChainSpec", "ParamVector", "sample_params", "sample_state",
-    "LayerSparsity", "OpCount", "OpCounter", "Tape", "backward",
-    "backward_formula", "count_backward_cost", "forward", "grad_objective",
-    "jvp", "layer_sparsity",
-    "BlockRidge", "Objective", "Regularizer", "ZeroReg", "cluster_objective",
-    "eval_convex_cluster", "eval_logistic", "eval_squared",
-    "logistic_objective", "squared_objective",
-    "BoundedDomain", "SmoothTriple", "catalog_constants", "generic_recursion",
-    "input_smoothness", "objective_smoothness",
-    "propagate_chain", "propagate_layers", "recenter_domain", "refine_on_ball",
-    "LQProblem", "OracleStep", "build_lq", "solve_dense_reference",
-    "solve_gauss_newton_dual", "solve_gradient_step", "solve_newton_dp",
-    "InnerCertificate", "InnerProblem", "audit_constants",
-    "implicit_gradient", "implicit_smoothness", "lemma_error_bound",
-    "solve_inner",
-    "TrainConfig", "TrainTrace", "certified_step", "project_domain",
-    "train_pgd", "train_sgd",
-    "ArchFile", "ParseError", "build_arch", "parse_arch", "parse_arch_text",
-    "read_archfile",
-]
+# Each module's ``__all__`` is the one list of its public names.
+__all__ = [*errors.__all__, *magnitude.__all__, *activations.__all__, *stages.__all__,
+           *biaffine.__all__, *layers.__all__, *chain.__all__, *autodiff.__all__,
+           *objectives.__all__, *smoothness.__all__, *oracles.__all__,
+           *implicit.__all__, *training.__all__, *archfile.__all__]

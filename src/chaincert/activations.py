@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+__all__ = ["ScalarActivation", "get_activation"]
+
 LOG2 = float(np.log(2.0))
 
 

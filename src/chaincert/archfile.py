@@ -15,6 +15,8 @@ Grammar (one record per line, ``#`` starts a comment):
     layer avgpool size=<KxK|K> [stride=<KxK|K>]
     layer batchnorm eps=<float>
 
+Every count, size and ``K``/``KxK`` pair is positive; ``norm`` is finite
+and nonnegative, each radius finite and positive, and ``eps`` positive.
 A conv record's stages apply in the order batchnorm, activation, pool.
 ``patches`` may declare a padded output grid; when it differs from the
 valid-window grid (rows and columns, not only their product) the layer
@@ -26,11 +28,13 @@ zeros for squared.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .activations import ACTIVATIONS
 from .chain import ChainSpec
 from .errors import DimensionMismatch
 from .layers import (LayerDescriptor, _conv_layer, _valid_grid, _valid_patches_2d,
@@ -86,11 +90,14 @@ def _parse_bool(s: str, ln: int) -> bool:
     raise ParseError(f"line {ln}: expected true/false, got '{s}'")
 
 
-def _parse_int(s: str, ln: int) -> int:
+def _parse_count(s: str, ln: int) -> int:
     try:
-        return int(s)
+        v = int(s)
     except ValueError:
         raise ParseError(f"line {ln}: expected an integer, got '{s}'") from None
+    if v < 1:
+        raise ParseError(f"line {ln}: expected a positive integer, got '{s}'")
+    return v
 
 
 def _parse_float(s: str, ln: int) -> float:
@@ -100,22 +107,32 @@ def _parse_float(s: str, ln: int) -> float:
         raise ParseError(f"line {ln}: expected a number, got '{s}'") from None
 
 
-def _parse_eps(s: str, ln: int) -> float:
-    eps = _parse_float(s, ln)
-    if eps <= 0:
-        raise ParseError(f"line {ln}: batchnorm eps must be positive")
-    return eps
+def _checked_float(ok, what: str):
+    """Parser of a number ``v`` with ``ok(v)`` true; ``what`` states the condition."""
+    def parse(s: str, ln: int) -> float:
+        v = _parse_float(s, ln)
+        if not ok(v):
+            raise ParseError(f"line {ln}: {what}, got '{s}'")
+        return v
+    return parse
+
+
+# NaN fails every comparison, so each condition below also refuses it.
+_parse_norm = _checked_float(lambda v: 0 <= v < math.inf,
+                             "input norm must be finite and nonnegative")
+_parse_radius = _checked_float(lambda v: 0 < v < math.inf, "radius needs finite positive values")
+_parse_eps = _checked_float(lambda v: v > 0, "batchnorm eps must be positive")
 
 
 def _parse_pair(s: str, ln: int) -> Tuple[int, int]:
     try:
-        if "x" in s:
-            a, b = s.split("x")
-            return int(a), int(b)
-        v = int(s)
-        return v, v
+        a, b = s.split("x") if "x" in s else (s, s)
+        pair = int(a), int(b)
     except ValueError:
         raise ParseError(f"line {ln}: expected K or KxK, got '{s}'") from None
+    if min(pair) < 1:
+        raise ParseError(f"line {ln}: expected positive K or KxK, got '{s}'")
+    return pair
 
 
 def _parse_pool(s: str, ln: int) -> tuple:
@@ -134,7 +151,7 @@ def _activation(names):
     return parse
 
 
-_ACT_NAMES = ("identity", "relu", "softplus", "softplus-centered", "sigmoid")
+_ACT_NAMES = tuple(ACTIVATIONS)
 _REQUIRED = object()
 _POOL = (("size", _parse_pair, _REQUIRED),
          ("stride", _parse_pair, lambda rec: rec["size"]))
@@ -144,16 +161,16 @@ _POOL = (("size", _parse_pair, _REQUIRED),
 # fixed value, or a function of the fields before it.  The input shapes' names
 # hold a space, so no layer kind (one token) can name them.
 _GRAMMAR = {
-    "input image": (("samples", _parse_int, _REQUIRED), ("channels", _parse_int, _REQUIRED),
-                    ("height", _parse_int, _REQUIRED), ("width", _parse_int, _REQUIRED),
-                    ("norm", _parse_float, _REQUIRED)),
-    "input flat": (("samples", _parse_int, _REQUIRED), ("features", _parse_int, _REQUIRED),
-                   ("norm", _parse_float, _REQUIRED)),
-    "conv": (("filters", _parse_int, _REQUIRED), ("kernel", _parse_pair, _REQUIRED),
+    "input image": (("samples", _parse_count, _REQUIRED), ("channels", _parse_count, _REQUIRED),
+                    ("height", _parse_count, _REQUIRED), ("width", _parse_count, _REQUIRED),
+                    ("norm", _parse_norm, _REQUIRED)),
+    "input flat": (("samples", _parse_count, _REQUIRED), ("features", _parse_count, _REQUIRED),
+                   ("norm", _parse_norm, _REQUIRED)),
+    "conv": (("filters", _parse_count, _REQUIRED), ("kernel", _parse_pair, _REQUIRED),
              ("stride", _parse_pair, (1, 1)), ("patches", _parse_pair, None),
              ("bias", _parse_bool, False), ("batchnorm", _parse_eps, None),
              ("activation", _activation(_ACT_NAMES), None), ("pool", _parse_pool, None)),
-    "fully-connected": (("out", _parse_int, _REQUIRED),
+    "fully-connected": (("out", _parse_count, _REQUIRED),
                         ("activation", _activation(_ACT_NAMES + ("softmax",)), None),
                         ("bias", _parse_bool, True)),
     "activation": (("name", _activation(_ACT_NAMES), _REQUIRED),),
@@ -211,17 +228,12 @@ def parse_arch_text(text: str) -> ArchFile:
                 raise ParseError(f"line {ln}: duplicate input record")
             kind = _input_kind([tok.partition("=")[0] for tok in tokens])
             input_rec = _parse_fields(kind, tokens[1:], ln, {})
-            if input_rec["samples"] < 1 or input_rec["norm"] < 0:
-                raise ParseError(f"line {ln}: invalid input record values")
         elif head == "radius":
             if radii is not None:
                 raise ParseError(f"line {ln}: duplicate radius record")
-            try:
-                radii = [float(t) for t in tokens[1:]]
-            except ValueError:
-                raise ParseError(f"line {ln}: radius values must be numbers") from None
-            if not radii or any(r <= 0 for r in radii):
-                raise ParseError(f"line {ln}: radius needs positive values")
+            radii = [_parse_radius(t, ln) for t in tokens[1:]]
+            if not radii:
+                raise ParseError(f"line {ln}: radius needs finite positive values")
         elif head == "objective":
             if objective is not None:
                 raise ParseError(f"line {ln}: duplicate objective record")

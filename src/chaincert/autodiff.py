@@ -49,21 +49,19 @@ class OpCounter:
 
 
 class Tape:
-    """One recorded forward pass.
+    """One recorded forward pass at parameters ``u``.
 
-    ``states[t]`` is the input to layer ``t`` (``states[tau]`` the final
-    output); ``stage_lins[t]`` the layer's stage linearisations.
-    ``ad_calls`` counts completed ``backward``/``jvp`` sweeps on this tape.
+    ``states[t]`` is the input to layer ``t`` (``states[0]`` the chain input,
+    ``states[tau]`` the final output); ``stage_lins[t]`` the layer's stage
+    linearisations.  ``ad_calls`` counts completed ``backward``/``jvp``
+    sweeps on this tape.
     """
 
-    def __init__(self, chain: ChainSpec, x0: np.ndarray, u: ParamVector,
-                 states, stage_lins, forward_ops: int):
+    def __init__(self, chain: ChainSpec, u: ParamVector, states, stage_lins):
         self.chain = chain
-        self.x0 = x0
         self.u = u
         self.states = states
         self.stage_lins = stage_lins
-        self.forward_ops = forward_ops
         self.ad_calls = 0
 
     @property
@@ -72,29 +70,32 @@ class Tape:
 
 
 def forward(chain: ChainSpec, x0, u: ParamVector, counter: Optional[OpCounter] = None) -> Tape:
+    """Evaluate the chain at ``(x0, u)`` and record a ``Tape`` for the sweeps.
+
+    Operation units are charged to ``counter`` when one is given.  A
+    non-finite state raises ``NumericError`` naming its layer.
+    """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (chain.d0,):
         raise DimensionMismatch(f"input shape {x0.shape}, chain expects ({chain.d0},)")
     if u.dims != chain.param_dims:
         raise DimensionMismatch(
             f"parameter dims {u.dims} do not match chain {chain.param_dims}")
-    own = counter if counter is not None else OpCounter()
-    start = own.total
     states = [x0]
     stage_lins = []
     x = x0
     for t, layer in enumerate(chain.layers):
-        z = layer.part.value(x, u.blocks[t], own)
+        z = layer.part.value(x, u.blocks[t], counter)
         lins = []
         for st in layer.stages:
             lins.append(st.linearize(z))
-            z = st.value(z, own)
+            z = st.value(z, counter)
         if not np.all(np.isfinite(z)):
             raise NumericError(f"non-finite state after layer {t} ({layer.kind})")
         states.append(z)
         stage_lins.append(lins)
         x = z
-    return Tape(chain, x0, u, states, stage_lins, own.total - start)
+    return Tape(chain, u, states, stage_lins)
 
 
 def _first_non_finite(per_layer) -> int:

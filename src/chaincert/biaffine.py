@@ -8,7 +8,7 @@ and its own norm constants:
 * ``L_b``   smoothness of the bilinear term,
 * ``l_u``   norm of the parameter Jacobian at the origin,
 * ``l_x``   norm of the state Jacobian at the origin,
-* ``b00_norm`` / ``beta0_norm``  offset norms.
+* ``beta0_norm``  norm of the offset ``b(0, 0) = beta_0``.
 
 State layout is sample-major throughout: a batch of ``m`` samples with
 per-sample dimension ``d`` is the C-order ravel of an ``(m, d)`` array, and
@@ -77,7 +77,6 @@ class BiAffineConstants:
     L_b: float
     l_u: float
     l_x: float
-    b00_norm: float
     beta0_norm: float
 
 
@@ -103,7 +102,6 @@ class BiAffinePart:
     s_beta_u: int
     s_beta_x: int
     s_beta0: int
-    second_order: bool = True
     numeric: bool = True
 
     def value(self, x: np.ndarray, u: np.ndarray, count=None) -> np.ndarray:
@@ -224,7 +222,6 @@ class DenseBiAffinePart(BiAffinePart):
             L_b=min(cands),
             l_u=operator_norm(self.mu),
             l_x=operator_norm(self.mx),
-            b00_norm=float(np.linalg.norm(self.b0)),
             beta0_norm=float(np.linalg.norm(self.b0)),
         )
 
@@ -298,21 +295,20 @@ class FCPart(BiAffinePart):
     def dense_ju(self, x):
         x = self._check_x(x)
         xv = x.reshape(self.m, self.nin)
-        J = np.zeros((self.d_out, self.p))
-        for s in range(self.m):
-            for f in range(self.nout):
-                row = s * self.nout + f
-                J[row, f * self.nin:(f + 1) * self.nin] = xv[s]
-                if self.bias:
-                    J[row, self.nout * self.nin + f] = 1.0
-        return J
+        J = np.zeros((self.m, self.nout, self.p))
+        # row (s, f) holds sample s's input in output f's weight block and,
+        # with a bias, a 1 in output f's bias column
+        f = np.arange(self.nout)
+        J[:, f[:, None], f[:, None] * self.nin + np.arange(self.nin)] = xv[:, None, :]
+        if self.bias:
+            J[:, f, self.nout * self.nin + f] = 1.0
+        return J.reshape(self.d_out, self.p)
 
     def constants(self):
         return BiAffineConstants(
             L_b=1.0,
             l_u=float(np.sqrt(self.m)) if self.bias else 0.0,
             l_x=0.0,
-            b00_norm=0.0,
             beta0_norm=0.0,
         )
 
@@ -351,7 +347,6 @@ class _ConvGeometry(BiAffinePart):
             L_b=float(np.sqrt(self._multiplicity())),
             l_u=float(np.sqrt(self.m * self.n_p)) if self.bias else 0.0,
             l_x=0.0,
-            b00_norm=0.0,
             beta0_norm=0.0,
         )
 
@@ -525,7 +520,7 @@ class IdentityPart(BiAffinePart):
         return self._check_x(dx).copy()
 
     def constants(self):
-        return BiAffineConstants(L_b=0.0, l_u=0.0, l_x=1.0, b00_norm=0.0, beta0_norm=0.0)
+        return BiAffineConstants(L_b=0.0, l_u=0.0, l_x=1.0, beta0_norm=0.0)
 
 
 class ResidualPart(BiAffinePart):
@@ -552,7 +547,6 @@ class ResidualPart(BiAffinePart):
         self.s_beta_u = inner.s_beta_u
         self.s_beta_x = inner.s_beta_x
         self.s_beta0 = inner.s_beta0
-        self.second_order = inner.second_order
         self.numeric = inner.numeric
 
     def _split_in(self, x):

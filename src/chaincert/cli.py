@@ -20,8 +20,8 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, replace
-from typing import List, Optional
+from dataclasses import replace
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -37,36 +37,11 @@ from .oracles import (build_lq, solve_dense_reference, solve_gauss_newton_dual,
 from .smoothness import catalog_constants, propagate_layers
 from .training import TrainConfig, train_pgd, train_sgd
 
-__all__ = ["SmoothReport", "main"]
+__all__ = ["main"]
 
 
 def _g(x: float) -> str:
     return format(float(x), ".12g")
-
-
-@dataclass(eq=False)
-class SmoothReport:
-    """Layer-by-layer certified bounds for one architecture."""
-
-    name: str
-    rows: List[dict]
-    log_m: float
-    log_lip: float
-    log_smooth: float
-
-    def format(self) -> str:
-        head = (f"{'t':>3} {'kind':<16} {'L_b':>10} {'l_u':>10} {'l_x':>10} "
-                f"{'stages':<22} {'log m':>18} {'log lip':>18} {'log smooth':>18}")
-        lines = [f"architecture: {self.name}", head, "-" * len(head)]
-        for r in self.rows:
-            lines.append(
-                f"{r['t']:>3} {r['kind']:<16} {r['L_b']:>10.4g} {r['l_u']:>10.4g} "
-                f"{r['l_x']:>10.4g} {r['stages']:<22} {r['log_m']:>18.10g} "
-                f"{r['log_lip']:>18.10g} {r['log_smooth']:>18.10g}")
-        lines.append(f"final log magnitude  = {_g(self.log_m)}")
-        lines.append(f"final log lipschitz  = {_g(self.log_lip)}")
-        lines.append(f"final log smoothness = {_g(self.log_smooth)}")
-        return "\n".join(lines)
 
 
 def _stage_summary(stage_cs) -> str:
@@ -75,40 +50,51 @@ def _stage_summary(stage_cs) -> str:
     return ",".join(f"({sc.lip:.3g},{sc.smooth:.3g})" for sc in stage_cs)
 
 
-def _smooth_report(path: str, args) -> SmoothReport:
+def _smooth_report(path: str, args) -> Tuple[str, float, float]:
+    """Layer-by-layer certified bounds table, then the final log Lipschitz and smoothness."""
     chain, dom, _ = parse_arch(path, batch=args.batch, radius=args.radius,
                                norm=args.input_norm, bn_eps=args.bn_eps)
     consts = [catalog_constants(layer) for layer in chain.layers]
     trace = propagate_layers(chain, dom, consts)
-    rows = []
+    head = (f"{'t':>3} {'kind':<16} {'L_b':>10} {'l_u':>10} {'l_x':>10} "
+            f"{'stages':<22} {'log m':>18} {'log lip':>18} {'log smooth':>18}")
+    lines = [f"architecture: {path}", head, "-" * len(head)]
     for t, (layer, (bc, stage_cs), tri) in enumerate(
             zip(chain.layers, consts, trace), start=1):
         lm, ll, ls = tri.logs()
-        rows.append({
-            "t": t, "kind": layer.kind, "L_b": bc.L_b, "l_u": bc.l_u,
-            "l_x": bc.l_x, "stages": _stage_summary(stage_cs),
-            "log_m": lm, "log_lip": ll, "log_smooth": ls,
-        })
+        lines.append(
+            f"{t:>3} {layer.kind:<16} {bc.L_b:>10.4g} {bc.l_u:>10.4g} "
+            f"{bc.l_x:>10.4g} {_stage_summary(stage_cs):<22} {lm:>18.10g} "
+            f"{ll:>18.10g} {ls:>18.10g}")
     lm, ll, ls = trace[-1].logs()
-    return SmoothReport(path, rows, lm, ll, ls)
+    lines.append(f"final log magnitude  = {_g(lm)}")
+    lines.append(f"final log lipschitz  = {_g(ll)}")
+    lines.append(f"final log smoothness = {_g(ls)}")
+    return "\n".join(lines), ll, ls
 
 
 def cmd_smoothness(args) -> int:
-    rep_a = _smooth_report(args.arch, args)
-    print(rep_a.format())
+    text_a, lip_a, smooth_a = _smooth_report(args.arch, args)
+    print(text_a)
     if args.compare is not None:
-        rep_b = _smooth_report(args.compare, args)
+        text_b, lip_b, smooth_b = _smooth_report(args.compare, args)
         print()
-        print(rep_b.format())
+        print(text_b)
         print()
-        print(f"log lipschitz difference  (b - a) = {_g(rep_b.log_lip - rep_a.log_lip)}")
-        print(f"log smoothness difference (b - a) = {_g(rep_b.log_smooth - rep_a.log_smooth)}")
+        print(f"log lipschitz difference  (b - a) = {_g(lip_b - lip_a)}")
+        print(f"log smoothness difference (b - a) = {_g(smooth_b - smooth_a)}")
     return 0
 
 
 def _refuse_symbolic(code: int) -> int:
     print(f"error: {SymbolicConvPart.refusal}", file=sys.stderr)
     return code
+
+
+def _central_difference(f, u: ParamVector, d: ParamVector, step: float):
+    """``(f(u + eps d) - f(u - eps d)) / (2 eps)`` with ``eps = step (1 + |u|)``."""
+    eps = step * (1.0 + u.norm())
+    return (f(u + d.scale(eps)) - f(u + d.scale(-eps))) / (2.0 * eps)
 
 
 def cmd_gradcheck(args) -> int:
@@ -130,10 +116,7 @@ def cmd_gradcheck(args) -> int:
         blocks[t] = v / np.linalg.norm(v)
         d = ParamVector(blocks)
         an = jvp(tape, d)
-        eps = args.step * (1.0 + u.norm())
-        f_hi = forward(chain, x0, u + d.scale(eps)).output
-        f_lo = forward(chain, x0, u + d.scale(-eps)).output
-        fd = (f_hi - f_lo) / (2.0 * eps)
+        fd = _central_difference(lambda w: forward(chain, x0, w).output, u, d, args.step)
         err = float(np.linalg.norm(fd - an) / (1.0 + np.linalg.norm(an)))
         worst = max(worst, err)
         print(f"layer {t + 1:<12} {err:>14.3e}   {'ok' if err <= args.tol else 'FAIL'}")
@@ -143,16 +126,13 @@ def cmd_gradcheck(args) -> int:
     nd = d.norm()
     if nd > 0:
         d = d.scale(1.0 / nd)
-    eps = args.step * (1.0 + u.norm())
-    f_hi = h.value(forward(chain, x0, u + d.scale(eps)).output)
-    f_lo = h.value(forward(chain, x0, u + d.scale(-eps)).output)
-    fd = (f_hi - f_lo) / (2.0 * eps)
+    fd = _central_difference(lambda w: h.value(forward(chain, x0, w).output),
+                             u, d, args.step)
     an = g.dot(d)
     err = abs(fd - an) / (1.0 + abs(an))
     worst = max(worst, err)
     print(f"{'objective':<18} {err:>14.3e}   {'ok' if err <= args.tol else 'FAIL'}")
-    print(f"max relative error = {err if err == worst else worst:.3e} "
-          f"(tolerance {args.tol:g})")
+    print(f"max relative error = {worst:.3e} (tolerance {args.tol:g})")
     return 0 if worst <= args.tol else 1
 
 

@@ -1,5 +1,8 @@
 """Shared exception types."""
 
+__all__ = ["DimensionMismatch", "NumericError", "SecondOrderUnavailable",
+           "SymbolicOnlyError", "InfeasibleModel", "IterationLimit", "InvalidBasis"]
+
 
 class DimensionMismatch(ValueError):
     """Input shapes do not match a descriptor or chain."""

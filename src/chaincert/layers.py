@@ -2,8 +2,8 @@
 
 A layer computes ``a(b(x, u))`` where ``b`` is the parameter-bearing
 bi-affine part and ``a`` is a (possibly empty) pipeline of parameter-free
-stages.  Constructors cover the usual catalogue; ``custom_layer`` admits
-anything that satisfies the part/stage interfaces.
+stages.  Constructors cover the usual catalogue; ``LayerDescriptor`` itself
+admits any part and stages that satisfy their interfaces.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "maxpool2d",
     "avgpool2d",
     "batchnorm_layer",
-    "custom_layer",
     "residual_wrap",
     "layer_second_contract",
 ]
@@ -69,7 +68,8 @@ class LayerDescriptor:
 
     @property
     def second_order(self) -> bool:
-        return self.part.second_order and all(st.second_order for st in self.stages)
+        """Whether every stage is twice differentiable; a bi-affine part always is."""
+        return all(st.second_order for st in self.stages)
 
     def describe(self) -> str:
         return f"{self.kind} (d_in={self.d_in}, d_out={self.d_out}, p={self.p})"
@@ -237,11 +237,6 @@ def batchnorm_layer(batch: int, features: int, eps: float) -> LayerDescriptor:
     stage = BatchNormStage(batch, features, eps)
     return LayerDescriptor("batchnorm", part, (stage,), batch,
                            {"features": features, "eps": eps})
-
-
-def custom_layer(kind: str, part: BiAffinePart, stages, batch: int,
-                 hyper: Optional[dict] = None) -> LayerDescriptor:
-    return LayerDescriptor(kind, part, tuple(stages), batch, dict(hyper or {}))
 
 
 def residual_wrap(layer: LayerDescriptor) -> LayerDescriptor:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["LogMag", "lm_min", "lm_max", "lm_sum"]
+__all__ = ["LogMag", "lm_min"]
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,6 @@ class LogMag:
             return LogMag(math.inf)
         return LogMag(_logaddexp(self.lg, other.lg))
 
-    def sq(self) -> "LogMag":
-        if self.is_zero:
-            return self
-        return LogMag(2.0 * self.lg)
-
     def __lt__(self, other: "LogMag") -> bool:
         return self.lg < other.lg
 
@@ -88,14 +83,3 @@ def _logaddexp(a: float, b: float) -> float:
 
 def lm_min(a: LogMag, b: LogMag) -> LogMag:
     return a if a.lg <= b.lg else b
-
-
-def lm_max(a: LogMag, b: LogMag) -> LogMag:
-    return a if a.lg >= b.lg else b
-
-
-def lm_sum(terms) -> LogMag:
-    out = LogMag(-math.inf)
-    for t in terms:
-        out = out + t
-    return out

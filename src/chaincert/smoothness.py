@@ -144,7 +144,7 @@ def propagate_layers(chain: ChainSpec, dom: BoundedDomain,
         Lb = _lm(bc.L_b)
         lx = Lb * R + _lm(bc.l_x)
         lu = Lb * m + _lm(bc.l_u)
-        m_cur = lx * m + lu * R + _lm(bc.b00_norm)
+        m_cur = lx * m + lu * R + _lm(bc.beta0_norm)
         l0 = _ONE
         L_cur = _ZERO
         for sc in stage_cs:
@@ -179,10 +179,7 @@ def propagate_chain(chain: ChainSpec, dom: BoundedDomain,
     recursion then combines the layer's state and parameter sensitivities
     with those accumulated so far.
     """
-    trace = propagate_layers(chain, dom, constants)
-    if not trace:
-        return SmoothTriple(_lm(dom.m0), _ZERO, _ZERO)
-    return trace[-1]
+    return propagate_layers(chain, dom, constants)[-1]
 
 
 def input_smoothness(chain: ChainSpec, u: ParamVector, R: float,
@@ -255,7 +252,6 @@ def recenter_domain(constants: Sequence[LayerConstants],
             L_b=bc.L_b,
             l_u=bc.l_u,
             l_x=bc.l_x + bc.L_b * un,
-            b00_norm=bc.beta0_norm + bc.l_u * un,
             beta0_norm=bc.beta0_norm + bc.l_u * un,
         )
         out.append((shifted, stage_cs))

@@ -19,6 +19,9 @@ from .activations import ScalarActivation
 from .biaffine import _charge, basis_rows
 from .errors import DimensionMismatch, SecondOrderUnavailable
 
+__all__ = ["StageConstants", "StageLin", "Stage", "ElementwiseStage", "SoftmaxStage",
+           "AvgPoolStage", "MaxPoolStage", "BatchNormStage", "BlockStage"]
+
 
 @dataclass(frozen=True)
 class StageConstants:

@@ -25,6 +25,8 @@ layer fully-connected out=5 activation=sigmoid bias=true
 layer fully-connected out=3 bias=false
 """
 
+IMAGE6 = "input samples=2 channels=1 height=6 width=6 norm=1\nradius 1\nobjective squared\n"
+
 
 def test_small_text_parses_and_builds():
     af = parse_arch_text(SMALL)
@@ -93,6 +95,17 @@ layer fully-connected out=2
      "objective squared\nlayer conv filters=2 kernel=2x2 pool=med:2:2\n", "pool"),
     ("input samples=2 features=3 norm=1\nradius 1\nobjective squared\n"
      "layer fully-connected out=2 bias=perhaps\n", "line 4"),
+    # out-of-range values on a 6x6 image input
+    (IMAGE6 + "layer conv filters=2 kernel=3 stride=0\n", "line 4"),
+    (IMAGE6 + "layer maxpool size=0\n", "line 4"),
+    (IMAGE6 + "layer maxpool size=2 stride=0\n", "line 4"),
+    (IMAGE6 + "layer conv filters=2 kernel=0\n", "line 4"),
+    (IMAGE6 + "layer conv filters=0 kernel=2\n", "line 4"),
+    (IMAGE6 + "layer conv filters=2 kernel=2 patches=0\n", "line 4"),
+    (IMAGE6 + "layer batchnorm eps=nan\n", "line 4"),
+    (IMAGE6.replace("norm=1", "norm=nan") + "layer maxpool size=2\n", "line 1"),
+    (IMAGE6.replace("norm=1", "norm=inf") + "layer maxpool size=2\n", "line 1"),
+    (IMAGE6.replace("radius 1", "radius nan") + "layer maxpool size=2\n", "line 2"),
 ])
 def test_parse_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ParseError, match=fragment):

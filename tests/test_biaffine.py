@@ -300,7 +300,7 @@ def test_dimension_validation():
 
 
 def test_constants_dataclass_is_frozen():
-    c = BiAffineConstants(1.0, 2.0, 3.0, 0.0, 0.0)
+    c = BiAffineConstants(1.0, 2.0, 3.0, 0.0)
     with pytest.raises(Exception):
         c.L_b = 5.0
 

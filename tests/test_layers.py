@@ -10,9 +10,9 @@ Newton model that ``build_lq`` keeps factored).
 import numpy as np
 import pytest
 
-from chaincert import (ChainSpec, DimensionMismatch, ParamVector,
+from chaincert import (ChainSpec, DimensionMismatch, LayerDescriptor, ParamVector,
                        SecondOrderUnavailable, avgpool2d, backward,
-                       batchnorm_layer, build_lq, conv1d, conv2d, custom_layer, forward,
+                       batchnorm_layer, build_lq, conv1d, conv2d, forward,
                        fully_connected, layer_second_contract, maxpool2d,
                        residual_wrap, softmax_layer)
 from chaincert.biaffine import FCPart
@@ -168,14 +168,14 @@ def test_residual_wrap_layer():
 
 def test_custom_layer_and_validation():
     part = FCPart(batch=1, in_features=2, out_features=3, bias=False)
-    layer = custom_layer("mine", part, (), 1)
+    layer = LayerDescriptor("mine", part, (), 1)
     assert layer.kind == "mine"
     assert layer.d_out == 3
     # stage dims must chain with the part output
     from chaincert import ElementwiseStage, get_activation
     bad_stage = ElementwiseStage(get_activation("identity"), 7)
     with pytest.raises(DimensionMismatch):
-        custom_layer("broken", part, (bad_stage,), 1)
+        LayerDescriptor("broken", part, (bad_stage,), 1)
 
 
 def test_describe_strings():

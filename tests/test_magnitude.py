@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from chaincert import LogMag, lm_max, lm_min, lm_sum
+from chaincert import LogMag, lm_min
 
 finite_pos = st.floats(min_value=1e-8, max_value=1e8)
 
@@ -58,14 +58,3 @@ def test_add_matches_float(a, b):
 def test_order_matches_float(a, b):
     assert (LogMag.of(a) < LogMag.of(b)) == (a < b)
     assert lm_min(LogMag.of(a), LogMag.of(b)).value == pytest.approx(min(a, b))
-    assert lm_max(LogMag.of(a), LogMag.of(b)).value == pytest.approx(max(a, b))
-
-
-@given(st.lists(finite_pos, min_size=1, max_size=6))
-def test_sum_matches_float(vals):
-    got = lm_sum([LogMag.of(v) for v in vals]).value
-    assert got == pytest.approx(sum(vals), rel=1e-10)
-
-
-def test_sq():
-    assert LogMag.of(3.0).sq().value == pytest.approx(9.0)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert import (BoundedDomain, ChainSpec, ParamVector, avgpool2d,
+from chaincert import (BoundedDomain, ChainSpec, DenseBiAffinePart,
+                       LayerDescriptor, LogMag, ParamVector, avgpool2d,
                        backward, batchnorm_layer, catalog_constants, conv2d,
                        forward, fully_connected, generic_recursion,
                        input_smoothness, objective_smoothness, propagate_chain,
@@ -15,9 +16,8 @@ from chaincert import (BoundedDomain, ChainSpec, ParamVector, avgpool2d,
 from chaincert.biaffine import BiAffineConstants
 
 
-def _plain_constants(lb, lu, lx, b00=0.0, beta0=0.0):
-    return BiAffineConstants(L_b=lb, l_u=lu, l_x=lx, b00_norm=b00,
-                             beta0_norm=beta0)
+def _plain_constants(lb, lu, lx, beta0=0.0):
+    return BiAffineConstants(L_b=lb, l_u=lu, l_x=lx, beta0_norm=beta0)
 
 
 def test_hand_worked_two_layer_recursion():
@@ -151,15 +151,30 @@ def test_catalog_constants_residual_recursion():
     assert len(stage_cs) == len(wrapped.stages)
 
 
+def test_offset_alone_bounds_the_magnitude_at_zero_input_and_parameters():
+    # b(x, u) = beta(x, u) + beta_x(x) + b0 with beta_u = 0: at x0 = 0 and
+    # u = 0 the output is b0 itself, and both directions must report |b0|.
+    rng = np.random.default_rng(5)
+    b0 = np.array([3.0, -4.0, 12.0])
+    part = DenseBiAffinePart(rng.standard_normal((3, 2, 4)),
+                             mx=rng.standard_normal((3, 2)), b0=b0)
+    chain = ChainSpec((LayerDescriptor("dense", part, (), 1),))
+    exact = LogMag.of(13.0)
+    assert propagate_layers(chain, BoundedDomain((0.5,), 0.0))[0].m == exact
+    zero = ParamVector((np.zeros(4),))
+    assert input_smoothness(chain, zero, 0.0).m == exact
+    out = forward(chain, np.zeros(2), zero).output
+    assert np.linalg.norm(out) == 13.0
+
+
 def test_recenter_domain_shifts_affine_constants():
-    consts = [(_plain_constants(2.0, 3.0, 1.0, 0.5, 0.5), ())]
+    consts = [(_plain_constants(2.0, 3.0, 1.0, 0.5), ())]
     u_star = ParamVector((np.array([1.0, 2.0, 2.0]),))  # norm 3
     shifted = recenter_domain(consts, u_star)
     bc = shifted[0][0]
     assert bc.L_b == 2.0
     assert bc.l_u == 3.0
     assert bc.l_x == pytest.approx(1.0 + 2.0 * 3.0)
-    assert bc.b00_norm == pytest.approx(0.5 + 3.0 * 3.0)
     assert bc.beta0_norm == pytest.approx(0.5 + 3.0 * 3.0)
 
 
