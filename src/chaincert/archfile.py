@@ -84,35 +84,35 @@ def _emit_fields(head: str, kind: str, rec: dict) -> str:
                               if rec.get(k) is not None])
 
 
-def _parse_bool(s: str, ln: int) -> bool:
+def _parse_bool(s: str, where: str) -> bool:
     if s in ("true", "false"):
         return s == "true"
-    raise ParseError(f"line {ln}: expected true/false, got '{s}'")
+    raise ParseError(f"{where}: expected true/false, got '{s}'")
 
 
-def _parse_count(s: str, ln: int) -> int:
+def _parse_count(s: str, where: str) -> int:
     try:
         v = int(s)
     except ValueError:
-        raise ParseError(f"line {ln}: expected an integer, got '{s}'") from None
+        raise ParseError(f"{where}: expected an integer, got '{s}'") from None
     if v < 1:
-        raise ParseError(f"line {ln}: expected a positive integer, got '{s}'")
+        raise ParseError(f"{where}: expected a positive integer, got '{s}'")
     return v
 
 
-def _parse_float(s: str, ln: int) -> float:
+def _parse_float(s: str, where: str) -> float:
     try:
         return float(s)
     except ValueError:
-        raise ParseError(f"line {ln}: expected a number, got '{s}'") from None
+        raise ParseError(f"{where}: expected a number, got '{s}'") from None
 
 
 def _checked_float(ok, what: str):
     """Parser of a number ``v`` with ``ok(v)`` true; ``what`` states the condition."""
-    def parse(s: str, ln: int) -> float:
-        v = _parse_float(s, ln)
+    def parse(s: str, where: str) -> float:
+        v = _parse_float(s, where)
         if not ok(v):
-            raise ParseError(f"line {ln}: {what}, got '{s}'")
+            raise ParseError(f"{where}: {what}, got '{s}'")
         return v
     return parse
 
@@ -124,29 +124,29 @@ _parse_radius = _checked_float(lambda v: 0 < v < math.inf, "radius needs finite 
 _parse_eps = _checked_float(lambda v: v > 0, "batchnorm eps must be positive")
 
 
-def _parse_pair(s: str, ln: int) -> Tuple[int, int]:
+def _parse_pair(s: str, where: str) -> Tuple[int, int]:
     try:
         a, b = s.split("x") if "x" in s else (s, s)
         pair = int(a), int(b)
     except ValueError:
-        raise ParseError(f"line {ln}: expected K or KxK, got '{s}'") from None
+        raise ParseError(f"{where}: expected K or KxK, got '{s}'") from None
     if min(pair) < 1:
-        raise ParseError(f"line {ln}: expected positive K or KxK, got '{s}'")
+        raise ParseError(f"{where}: expected positive K or KxK, got '{s}'")
     return pair
 
 
-def _parse_pool(s: str, ln: int) -> tuple:
+def _parse_pool(s: str, where: str) -> tuple:
     bits = s.split(":")
     if len(bits) != 3 or bits[0] not in ("max", "avg"):
         raise ParseError(
-            f"line {ln}: pool must be max:<size>:<stride> or avg:<size>:<stride>")
-    return bits[0], _parse_pair(bits[1], ln), _parse_pair(bits[2], ln)
+            f"{where}: pool must be max:<size>:<stride> or avg:<size>:<stride>")
+    return bits[0], _parse_pair(bits[1], where), _parse_pair(bits[2], where)
 
 
 def _activation(names):
-    def parse(s: str, ln: int) -> str:
+    def parse(s: str, where: str) -> str:
         if s not in names:
-            raise ParseError(f"line {ln}: unknown activation '{s}'")
+            raise ParseError(f"{where}: unknown activation '{s}'")
         return s
     return parse
 
@@ -202,7 +202,7 @@ def _parse_fields(kind: str, tokens, ln: int, rec: dict) -> dict:
         given[key] = value
     for key, parse, default in _GRAMMAR[kind]:
         if key in given:
-            rec[key] = parse(given[key], ln)
+            rec[key] = parse(given[key], f"line {ln}")
         elif default is _REQUIRED:
             raise ParseError(f"line {ln}: missing required key '{key}'")
         elif callable(default):
@@ -231,7 +231,7 @@ def parse_arch_text(text: str) -> ArchFile:
         elif head == "radius":
             if radii is not None:
                 raise ParseError(f"line {ln}: duplicate radius record")
-            radii = [_parse_radius(t, ln) for t in tokens[1:]]
+            radii = [_parse_radius(t, f"line {ln}") for t in tokens[1:]]
             if not radii:
                 raise ParseError(f"line {ln}: radius needs finite positive values")
         elif head == "objective":
@@ -349,19 +349,27 @@ def parse_arch(path: str, batch: Optional[int] = None, radius: Optional[float] =
 
     Overrides replace the batch size, use one uniform radius, change the
     input norm bound, or reset every batch-norm epsilon; they exist so one
-    fixture file can drive parameter studies.
+    fixture file can drive parameter studies.  Each goes through the parser
+    of the value it replaces, so a bad one raises ``ParseError`` naming it.
     """
+    def override(parse, value, name):
+        return None if value is None else parse(str(value), f"override {name}")
+
+    batch = override(_parse_count, batch, "batch")
+    radius = override(_parse_radius, radius, "radius")
+    norm = override(_parse_norm, norm, "norm")
+    bn_eps = override(_parse_eps, bn_eps, "bn_eps")
     af = read_archfile(path)
     if batch is not None:
-        af.input["samples"] = int(batch)
+        af.input["samples"] = batch
     if radius is not None:
-        af.radii = [float(radius)] * len(af.layers)
+        af.radii = [radius] * len(af.layers)
     if norm is not None:
-        af.input["norm"] = float(norm)
+        af.input["norm"] = norm
     if bn_eps is not None:
         for rec in af.layers:
             if rec["kind"] == "batchnorm":
-                rec["eps"] = float(bn_eps)
+                rec["eps"] = bn_eps
             if rec["kind"] == "conv" and "batchnorm" in rec:
-                rec["batchnorm"] = float(bn_eps)
+                rec["batchnorm"] = bn_eps
     return build_arch(af)

@@ -137,6 +137,17 @@ class BiAffinePart:
         offset = self.vjp_u(np.zeros(self.d_in), w)
         return basis_rows(self.d_in, self.p, lambda e: self.vjp_u(e, w) - offset)
 
+    def kron_factor(self, x: np.ndarray):
+        """Input factor of a Kronecker parameter Jacobian at ``x``, or None.
+
+        A part whose transposed parameter Jacobian at ``x`` has the range of
+        ``Pi (I_g kron X)`` returns ``(X, bias)``.  ``X`` has shape (n, m)
+        with ``g n = p``.  ``Pi`` orders the parameters as the C-order ravel
+        of a (g, n) array or, with ``bias``, of a (g, n - 1) array followed
+        by the g entries of the last column.  Other parts return None.
+        """
+        return None
+
     def constants(self) -> BiAffineConstants:
         raise NotImplementedError
 
@@ -286,6 +297,15 @@ class FCPart(BiAffinePart):
         xv = x.reshape(self.m, self.nin)
         dxv = dx.reshape(self.m, self.nin)
         return (dxv @ W.T + xv @ dW.T + db).ravel()
+
+    def kron_factor(self, x):
+        """Augmented inputs ``[x_s; 1]`` as columns (``x_s`` alone without bias).
+
+        Row (s, f) of ``Ju`` holds sample s's augmented input in output f's
+        weights and bias, so g = out_features.
+        """
+        xt = self._check_x(x).reshape(self.m, self.nin).T
+        return (np.vstack([xt, np.ones((1, self.m))]) if self.bias else xt), self.bias
 
     def dense_jx(self, u):
         u = self._check_u(u)
@@ -574,6 +594,9 @@ class ResidualPart(BiAffinePart):
         x1, _ = self._split_in(x)
         w1 = w.reshape(self.m, self.db + self.da)[:, : self.db].ravel()
         return self.inner.vjp_u(x1, w1, count)
+
+    def kron_factor(self, x):
+        return self.inner.kron_factor(self._split_in(self._check_x(x))[0])
 
     def jvp(self, x, u, dx, du, count=None):
         x, dx = self._check_x(x), self._check_x(dx)

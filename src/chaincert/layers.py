@@ -287,8 +287,8 @@ def layer_second_contract(tape, t: int, lam):
             H = J.T @ H @ J + lin.hess_contract(w)
             w = lin.vjp(w)
 
-    Jx = part.dense_jx(tape.u.blocks[t])
-    Ju = part.dense_ju(tape.states[t])
-    Hxx = Jx.T @ H @ Jx
-    Hxu = Jx.T @ H @ Ju + part.second_cross(w)
-    return Hxx, Hxu, H
+    Jx, Ju = tape.part_jacobians(t)
+    JxH = Jx.T @ H
+    Hxu = JxH @ Ju
+    Hxu += part.second_cross(w)
+    return JxH @ Jx, Hxu, H

@@ -17,6 +17,7 @@ on small instances.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -45,6 +46,62 @@ _BASIS_TOL = 1e-8
 _QR_TOL = 1e-13
 
 
+class _Basis:
+    """Orthonormal parameter basis ``Pi (I_g kron Q)``, kept as an operator.
+
+    ``Q`` (n, k) has orthonormal columns and the basis has shape
+    (g n, g k).  ``Pi`` orders the parameters as the C-order ravel of a
+    (g, n) array or, with ``bias``, of a (g, n - 1) array followed by the g
+    entries of the last column: the (weights, bias) layout of a
+    fully-connected part (see ``BiAffinePart.kron_factor``).  A dense
+    orthonormal (p, r) array is the case g = 1 without bias.  ``apply`` and
+    ``apply_T`` take a vector or a matrix of columns and cost O(g n k) per
+    column; ``dense()`` forms the (p, r) array.  Both work on the rows of
+    the transposed input, so a transposed C-order array is their fast case.
+    """
+
+    def __init__(self, Q, groups: int = 1, bias: bool = False):
+        self.Q = np.asarray(Q, dtype=float)
+        self.g, self.bias = groups, bias
+        n, k = self.Q.shape
+        self.shape = (groups * n, groups * k)
+        # C-order copies: numpy's matmul takes a slow path on strided operands
+        self._Qw = np.ascontiguousarray(self.Q[:-1] if bias else self.Q)
+        self._QwT = np.ascontiguousarray(self._Qw.T)
+        self._nw = groups * self._Qw.shape[0]
+
+    def apply(self, Z):
+        """``U Z`` for Z of shape (r,) or (r, c)."""
+        rows = np.atleast_2d(np.asarray(Z, dtype=float).T)
+        c, (n_w, k) = rows.shape[0], self._Qw.shape
+        if not self.bias:
+            out = (rows.reshape(c * self.g, k) @ self._QwT).reshape(c, self.shape[0])
+        else:
+            blocks = rows.reshape(c, self.g, k)
+            out = np.empty((c, self.shape[0]))
+            np.matmul(blocks, self._QwT, out=out[:, :self._nw].reshape(c, self.g, n_w))
+            np.matmul(blocks, self.Q[-1], out=out[:, self._nw:])
+        return out.T.reshape((self.shape[0],) + np.shape(Z)[1:])
+
+    def apply_T(self, Y):
+        """``U^T Y`` for Y of shape (p,) or (p, c)."""
+        rows = np.atleast_2d(np.asarray(Y, dtype=float).T)
+        c, n_w = rows.shape[0], self._Qw.shape[0]
+        if not self.bias:
+            out = rows.reshape(c * self.g, n_w) @ self._Qw
+        else:
+            out = np.matmul(rows[:, :self._nw].reshape(c, self.g, n_w), self._Qw)
+            out += rows[:, self._nw:, None] * self.Q[-1]
+        return out.reshape(c, self.shape[1]).T.reshape((self.shape[1],) + np.shape(Y)[1:])
+
+    def dense(self) -> np.ndarray:
+        return self.apply(np.eye(self.shape[1]))
+
+    def gram_error(self) -> float:
+        """Largest entry of ``U^T U - I``; that of ``Q^T Q - I``, as the blocks repeat."""
+        return float(np.abs(self.Q.T @ self.Q - np.eye(self.Q.shape[1])).max(initial=0.0))
+
+
 @dataclass(eq=False)
 class LQProblem:
     """Layered quadratic model around one trajectory.
@@ -56,12 +113,14 @@ class LQProblem:
     ``R[t]`` the state-parameter cross block, shape (d_{t-1}, p_t).
 
     The parameter curvature is kept factored,
-    ``Q_t = alpha_t I + U_t S_t U_t^T``: ``U[t]`` has shape (p_t, r_t) with
-    orthonormal columns whose range contains that of ``B[t]``, or is None
-    for the identity basis (r_t = p_t); ``S[t]`` is (r_t, r_t) and
-    ``alpha[t]`` a scalar.  ``U`` and ``alpha`` default to the identity and
-    zero, so a dense ``Q_t`` passed as ``S[t]`` is the model itself.
-    ``dense_Q(t)`` materialises ``Q_t``.
+    ``Q_t = alpha_t I + U_t S_t U_t^T``.  ``U[t]`` is a basis operator of
+    shape (p_t, r_t) with orthonormal columns whose range contains that of
+    ``B[t]``: ``apply``, ``apply_T`` and ``dense()`` (see :class:`_Basis`),
+    or None for the identity basis (r_t = p_t).  A dense orthonormal
+    (p_t, r_t) array is accepted and wrapped once, so the solver has one
+    code path.  ``S[t]`` is (r_t, r_t) and ``alpha[t]`` a scalar.  ``U`` and
+    ``alpha`` default to the identity and zero, so a dense ``Q_t`` passed as
+    ``S[t]`` is the model itself.  ``dense_Q(t)`` materialises ``Q_t``.
     """
 
     A: List[np.ndarray]
@@ -72,13 +131,12 @@ class LQProblem:
     q: List[np.ndarray]
     R: List[np.ndarray]
     kappa: float
-    U: Optional[List[Optional[np.ndarray]]] = None
+    U: Optional[list] = None
     alpha: Optional[np.ndarray] = None
 
     def __post_init__(self):
         tau = len(self.A)
-        if self.U is None:
-            self.U = [None] * tau
+        self.U = [None] * tau if self.U is None else list(self.U)
         self.alpha = np.zeros(tau) if self.alpha is None else np.asarray(self.alpha, float)
         if not (len(self.B) == len(self.S) == len(self.q) == len(self.R) == len(self.U)
                 == tau):
@@ -107,16 +165,25 @@ class LQProblem:
             raise DimensionMismatch("terminal P/p shapes inconsistent")
 
     def _check_basis(self, t: int, pt: int) -> int:
-        """Validate ``U[t]`` against ``B[t]``; return the rank r_t."""
+        """Validate ``U[t]`` against ``B[t]`` through the operator; return r_t.
+
+        A dense array is wrapped in a :class:`_Basis` here, once.
+        """
         U, B = self.U[t], self.B[t]
         if U is None:
             return pt
-        if U.ndim != 2 or U.shape[0] != pt or U.shape[1] > pt:
+        if not isinstance(U, _Basis):
+            U = np.asarray(U, dtype=float)
+            if U.ndim == 2:
+                U = self.U[t] = _Basis(U)
+        if len(U.shape) != 2 or U.shape[0] != pt or U.shape[1] > pt:
             raise DimensionMismatch(f"U[{t}] shape {U.shape} is not ({pt}, r) with r <= {pt}")
-        gram_err = np.abs(U.T @ U - np.eye(U.shape[1])).max(initial=0.0)
+        gram_err = U.gram_error()
         if not gram_err <= _BASIS_TOL:
             raise InvalidBasis(f"U[{t}] columns are not orthonormal (error {gram_err:.2e})")
-        miss = float(np.linalg.norm(B - U @ (U.T @ B)))
+        out = U.apply(U.apply_T(B))
+        out -= B
+        miss = float(np.linalg.norm(out))
         if not miss <= _BASIS_TOL * float(np.linalg.norm(B)):
             raise InvalidBasis(f"B[{t}] has a component of norm {miss:.2e} outside U[{t}]")
         return U.shape[1]
@@ -132,8 +199,10 @@ class LQProblem:
     def dense_Q(self, t: int) -> np.ndarray:
         """Parameter curvature ``alpha_t I + U_t S_t U_t^T``, shape (p_t, p_t)."""
         U, S = self.U[t], self.S[t]
-        low = S if U is None else U @ S @ U.T
-        return self.alpha[t] * np.eye(self.B[t].shape[0]) + low
+        if U is not None:
+            D = U.dense()
+            S = D @ S @ D.T
+        return self.alpha[t] * np.eye(self.B[t].shape[0]) + S
 
 
 @dataclass(eq=False)
@@ -142,25 +211,62 @@ class OracleStep:
     diagnostics: dict = field(default_factory=dict)
 
 
+class _SharedJacobians(Tape):
+    """A tape that keeps the last layer's dense part Jacobians.
+
+    ``build_lq`` asks for a layer's Jacobians twice in a row, for its blocks
+    and through ``layer_second_contract``; the second request reuses them.
+    """
+
+    def __init__(self, tape: Tape):
+        super().__init__(tape.chain, tape.u, tape.states, tape.stage_lins)
+        self._last = (None, None)
+
+    def part_jacobians(self, t: int):
+        if self._last[0] != t:
+            self._last = (t, super().part_jacobians(t))
+        return self._last[1]
+
+
 def _layer_blocks(tape: Tape, t: int):
     """``(A_t, B_t, U_t, F_t)`` of layer ``t``.
 
-    ``A_t``/``B_t`` are the transposed layer Jacobians.  ``F_t`` factors the
-    part's transposed parameter Jacobian as ``Ju^T = U_t F_t``: a thin QR
-    (:func:`_range_basis`) when the part has fewer outputs than parameters,
-    else ``U_t = None`` (the identity) and ``F_t = Ju^T``.  The stages act
-    on the output side, so the range of ``B_t`` lies in that of ``U_t``.
+    ``A_t``/``B_t`` are the transposed layer Jacobians and ``Ju^T = U_t F_t``
+    (:func:`_part_basis`).  The stages act on the output side, so the range
+    of ``B_t`` lies in that of ``U_t``.
     """
-    part = tape.chain.layers[t].part
-    Jx = part.dense_jx(tape.u.blocks[t])
-    Ju = part.dense_ju(tape.states[t])
-    U, F = _range_basis(Ju.T) if part.d_out < part.p else (None, Ju.T)
+    Jx, Ju = tape.part_jacobians(t)
+    U, F = _part_basis(tape.chain.layers[t].part, tape.states[t], Ju.T)
     for lin in tape.stage_lins[t]:
         Js = lin.dense_jacobian()
         Jx = Js @ Jx
         Ju = Js @ Ju
     _require_finite(tape, t, Jx, Ju, F)
     return Jx.T, Ju.T, U, F
+
+
+def _part_basis(part, x: np.ndarray, JuT: np.ndarray):
+    """``(U, F)`` with ``JuT = U F``: an orthonormal basis of the range of the
+    part's transposed parameter Jacobian ``JuT`` at input ``x``.
+
+    A part with a Kronecker parameter Jacobian (``kron_factor``) gets
+    ``Pi (I_g kron Q_x)``, ``Q_x`` the thin QR of its (n, m) input factor,
+    in O(n m^2).  Other parts get the Cholesky-QR basis of ``JuT``
+    (:func:`_range_basis`) when they have fewer outputs than parameters.
+    Otherwise, or when the Kronecker basis would span every parameter,
+    ``U`` is None (the identity) and ``F = JuT``.
+    """
+    factor = part.kron_factor(x)
+    if factor is not None:
+        X, bias = factor
+        if X.shape[1] >= X.shape[0]:
+            return None, JuT
+        U = _Basis(np.linalg.qr(X)[0], part.p // X.shape[0], bias)
+        return U, U.apply_T(JuT)
+    if part.d_out < part.p:
+        U, F = _range_basis(JuT)
+        return _Basis(U), F
+    return None, JuT
 
 
 def _range_basis(J: np.ndarray):
@@ -201,9 +307,14 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
     contracts each layer's second derivatives against the adjoint.  The
     parameter curvature stays factored (see :class:`LQProblem`): the
     regularizer gives ``alpha_t``, and the layer term ``Ju^T H Ju`` becomes
-    ``S_t = F_t H F_t^T`` in the basis ``U_t``, so no (p_t, p_t) array is
-    formed when the part has fewer outputs than parameters.  A non-finite
-    block raises ``NumericError`` naming its layer.
+    ``S_t = F_t H F_t^T`` in the basis ``U_t`` of :func:`_part_basis`.  For
+    a part with a Kronecker parameter Jacobian (``BiAffinePart.kron_factor``,
+    fully-connected parts) ``U_t`` is an operator built from the QR of the
+    part's input factor, so neither a (p_t, p_t) array nor a dense
+    fully-connected basis is formed.  Layers are visited once, last to
+    first, and each part's dense Jacobians are formed once and shared with
+    ``layer_second_contract``.  A non-finite block raises ``NumericError``
+    naming its layer.
     """
     if kind not in ("gradient", "gauss-newton", "newton"):
         raise ValueError(f"unknown model kind '{kind}'")
@@ -215,31 +326,32 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
     dims = [chain.d0] + [l.d_out for l in chain.layers]
     pdims = chain.param_dims
 
-    layer_blocks = [_layer_blocks(tape, t) for t in range(tau)]
-    A, B, U, F = (list(column) for column in zip(*layer_blocks))
-    S = [np.zeros((f.shape[0], f.shape[0])) for f in F]
+    A, B, U, S = ([None] * tau for _ in range(4))
     q = [b.copy() for b in r.grad(tape.u).blocks]
     R = [np.zeros((dims[t], pdims[t])) for t in range(tau)]
     P = [np.zeros((d, d)) for d in dims]
     p = [np.zeros(d) for d in dims]
-
     if kind == "gradient":
         p[tau] = np.asarray(h.value_grad(tape.output)[1], dtype=float)
         _require_finite(tape, tau, p[tau])
-        return LQProblem(A, B, P, p, S, q, R, kappa, U)
+    else:
+        gh, Hh = h.grad_hess(tape.output)
+        P[tau] = np.asarray(Hh, dtype=float)
+        p[tau] = np.asarray(gh, dtype=float)
+        _require_finite(tape, tau, P[tau], p[tau])
 
-    gh, Hh = h.grad_hess(tape.output)
-    P[tau] = np.asarray(Hh, dtype=float)
-    p[tau] = np.asarray(gh, dtype=float)
-    _require_finite(tape, tau, P[tau], p[tau])
-    if kind == "newton":
-        lam = p[tau]
-        for t in range(tau - 1, -1, -1):
-            P[t], R[t], H = layer_second_contract(tape, t, lam)
-            S[t] = F[t] @ H @ F[t].T
+    view = _SharedJacobians(tape)
+    lam = p[tau]
+    for t in range(tau - 1, -1, -1):
+        A[t], B[t], U[t], F = _layer_blocks(view, t)
+        S[t] = np.zeros((F.shape[0], F.shape[0]))
+        if kind == "newton":
+            P[t], R[t], H = layer_second_contract(view, t, lam)
+            S[t] = F @ H @ F.T
             _require_finite(tape, t, P[t], R[t], S[t])
             lam = A[t] @ lam
-    return LQProblem(A, B, P, p, S, q, R, kappa, U, r.curvatures(pdims))
+    alpha = r.curvatures(pdims) if kind != "gradient" else None
+    return LQProblem(A, B, P, p, S, q, R, kappa, U, alpha)
 
 
 def solve_gradient_step(lq: LQProblem, gamma: float) -> OracleStep:
@@ -281,6 +393,23 @@ def _chol_pd(N: np.ndarray, tail: Optional[float] = None):
     return L
 
 
+def _stage_terms(lq: LQProblem, t: int):
+    """The kappa-independent terms of stage ``t``: ``(Bt, UtY0, RZ0)``.
+
+    With ``Y0 = [R_t^T | q_t]``: ``Bt = U^T B``, ``UtY0 = U^T Y0`` and
+    ``RZ0 = R Z0`` for the out-of-basis part ``Z0 = (I - U U^T) Y0``.  As
+    ``R U`` is ``UtY0[:, :-1]^T``, ``R Z0 = R Y0 - UtY0[:, :-1]^T UtY0`` needs
+    no (p_t, d) array besides ``R``.  The identity basis has no out-of-basis
+    part: ``UtY0`` is ``Y0`` and ``RZ0`` is None.
+    """
+    U, B, R, q = lq.U[t], lq.B[t], lq.R[t], lq.q[t]
+    if U is None:
+        return B, np.column_stack((R.T, q)), None
+    UtY0 = np.column_stack((U.apply_T(R.T), U.apply_T(q)))
+    RY0 = np.column_stack((R @ R.T, R @ q))
+    return U.apply_T(B), UtY0, RY0 - UtY0[:, :-1].T @ UtY0
+
+
 def solve_newton_dp(lq: LQProblem) -> OracleStep:
     """Exact minimizer of the layered quadratic model by two sweeps.
 
@@ -293,63 +422,83 @@ def solve_newton_dp(lq: LQProblem) -> OracleStep:
     basis ``U_t`` of :class:`LQProblem`.  With ``s_t = kappa + alpha_t`` and
     ``Bt_t = U_t^T B_t`` it is ``s_t (I - U_t U_t^T) + U_t T_t U_t^T`` for
     the (r_t, r_t) matrix ``T_t = s_t I + S_t + Bt_t C Bt_t^T``, so it is
-    positive definite when ``T_t`` is and, if r_t < p_t, ``s_t`` is too,
-    and ``N_t^{-1} Y = Y / s_t + U_t (T_t^{-1} U_t^T Y - U_t^T Y / s_t)``.
-    A stage then costs O(p_t r_t d) for d = d_{t-1} + d_t instead of the
-    O(p_t^3) of a dense factorisation; the identity basis (``U_t = None``)
-    is the dense stage itself.
+    positive definite when ``T_t`` is and, if r_t < p_t, ``s_t`` is too.
+    The right-hand side ``Y = [M^T | q + B c]`` with ``M = R + A C B^T`` is
+    ``Y0 + B [C A^T | c]`` for ``Y0 = [R^T | q]``, and ``B`` lies in the
+    range of ``U``, so only ``U^T Y`` depends on the stage:
+
+    * ``U^T Y = U^T Y0 + [Bt C A^T | Bt c]``,
+    * ``N^{-1} Y = Z0 / s + U T^{-1} U^T Y``, ``Z0 = (I - U U^T) Y0``,
+    * ``M N^{-1} Y = R Z0 / s + (U^T Y)[:, :-1]^T T^{-1} U^T Y``.
+
+    ``U^T Y0``, ``R Z0`` and ``Bt`` depend neither on kappa nor on ``C``, so
+    they are computed once per model (:func:`_stage_terms`), and each stage
+    visit costs O(r_t d^2) for d = d_{t-1} + d_t in (r_t, d) products
+    instead of O(p_t r_t d).  The gains stay factored as
+    ``(T^{-1} U^T Y, s)``; the rollout forms ``Z0 [y; 1]`` from ``R^T y + q``,
+    one p_t-sized product per layer.  The identity basis (``U_t = None``) is
+    the dense stage itself.
+
+    Diagnostics: ``kappa_used``, ``doublings``, ``iterations`` (backward
+    sweeps started, ``doublings + 1``), ``stage_visits`` (stage costs
+    formed and tested, over all sweeps), ``seconds``, ``converged`` and
+    ``exit_reason``.
     """
+    start = time.perf_counter()
     tau = lq.tau
     kappa = lq.kappa
-    Bt = [B if U is None else U.T @ B for U, B in zip(lq.U, lq.B)]
+    terms = [_stage_terms(lq, t) for t in range(tau)]
+    visits = 0
     for doubling in range(_DOUBLING_CAP + 1):
-        C = lq.P[tau].copy()
-        c = lq.p[tau].copy()
-        K = [None] * tau
-        k = [None] * tau
+        C = lq.P[tau]
+        c = lq.p[tau]
+        gains = [None] * tau
         feasible = True
         for t in range(tau - 1, -1, -1):
-            A, B, Rt, U = lq.A[t], lq.B[t], lq.R[t], lq.U[t]
+            visits += 1
+            A = lq.A[t]
+            Bt, UtY0, RZ0 = terms[t]
             s = kappa + lq.alpha[t]
-            r = Bt[t].shape[0]
-            CB = C @ B.T
-            CBt = CB if U is None else C @ Bt[t].T
-            T = s * np.eye(r) + lq.S[t] + Bt[t] @ CBt
+            r = Bt.shape[0]
+            T = s * np.eye(r) + lq.S[t] + Bt @ (C @ Bt.T)
             T = 0.5 * (T + T.T)
-            L = _chol_pd(T, s if r < B.shape[0] else None)
+            L = _chol_pd(T, s if r < lq.B[t].shape[0] else None)
             if L is None:
                 if not (np.all(np.isfinite(T)) and np.isfinite(s)):
                     raise NumericError(f"Newton-DP stage cost {t} is non-finite")
                 feasible = False
                 break
-            M = Rt + A @ CB
-            Bc = lq.q[t] + B @ c
+            CA = C @ A.T
+            UtY = UtY0 + Bt @ np.column_stack((CA, c))
             # one factorisation of T serves the gain and the offset
-            Y = np.column_stack((M.T, Bc))
-            if U is None:
-                sol = np.linalg.solve(T, Y)
-            else:
-                UtY = U.T @ Y
-                sol = Y / s + U @ (np.linalg.solve(T, UtY) - UtY / s)
-            Ninv_Mt, Ninv_bc = sol[:, :-1], sol[:, -1]
-            K[t] = -Ninv_Mt
-            k[t] = -Ninv_bc
-            Cn = lq.P[t] + A @ C @ A.T - M @ Ninv_Mt
+            W = np.linalg.solve(T, UtY)
+            MNY = UtY[:, :-1].T @ W
+            if RZ0 is not None:
+                MNY += RZ0 / s
+            gains[t] = (W, s)
+            Cn = lq.P[t] + A @ CA - MNY[:, :-1]
             C = 0.5 * (Cn + Cn.T)
-            c = lq.p[t] + A @ c - M @ Ninv_bc
+            c = lq.p[t] + A @ c - MNY[:, -1]
         if feasible:
             y = np.zeros(lq.A[0].shape[0])
             blocks = []
             for t in range(tau):
-                v = K[t] @ y + k[t]
-                blocks.append(v)
-                y = lq.A[t].T @ y + lq.B[t].T @ v
+                (W, s), (Bt, UtY0, _), U = gains[t], terms[t], lq.U[t]
+                y1 = np.append(y, 1.0)
+                w = W @ y1
+                # v = -(Z0 y1 / s + U w), with Z0 y1 = R^T y + q - U UtY0 y1
+                blocks.append(-w if U is None else
+                              -((y @ lq.R[t] + lq.q[t]) / s + U.apply(w - UtY0 @ y1 / s)))
+                # B^T Z0 = 0, so B^T v = -Bt^T w
+                y = lq.A[t].T @ y - Bt.T @ w
             step = ParamVector(blocks)
             _check_finite(step, "Newton-DP")
             return OracleStep(step,
                               {"kind": "newton-dp", "kappa_used": kappa,
-                               "doublings": doubling, "converged": True,
-                               "exit_reason": "exact"})
+                               "doublings": doubling, "iterations": doubling + 1,
+                               "stage_visits": visits,
+                               "seconds": time.perf_counter() - start,
+                               "converged": True, "exit_reason": "exact"})
         kappa = 2.0 * kappa
     raise InfeasibleModel(
         f"stage costs stayed indefinite after {_DOUBLING_CAP} proximal doublings")

@@ -76,9 +76,10 @@ class BoundedDomain:
     m0: float
 
     def __post_init__(self):
-        if any(r <= 0 for r in self.radii):
+        # written so that NaN, which fails every comparison, is refused too
+        if not all(r > 0 for r in self.radii):
             raise ValueError("all radii must be positive")
-        if self.m0 < 0:
+        if not self.m0 >= 0:
             raise ValueError("input magnitude bound must be nonnegative")
 
     @classmethod

@@ -160,6 +160,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixture, flag, value, name", [
+    ("vgg16-smooth.arch", "--radius", "nan", "radius"),
+    ("vgg16-smooth.arch", "--input-norm", "nan", "norm"),
+    ("vgg16-batchnorm.arch", "--bn-eps", "nan", "bn_eps"),
+    ("vgg16-smooth.arch", "--batch", "0", "batch"),
+], ids=["radius-nan", "input-norm-nan", "bn-eps-nan", "batch-0"])
+def test_bad_override_is_a_parse_error_naming_it(fixture, flag, value, name, capsys):
+    assert main(["smoothness", _fixture(fixture), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert f"parse error: override {name}:" in captured.err
+    assert f"got '{value}'" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["smoothness", "/nonexistent/x.arch"]) == 2
     capsys.readouterr()

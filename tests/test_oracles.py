@@ -10,13 +10,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chaincert import (BlockRidge, ChainSpec, InfeasibleModel, InvalidBasis,
-                       LQProblem, NumericError, ZeroReg, build_lq, forward,
-                       fully_connected, grad_objective, layer_second_contract,
+from chaincert import (BlockRidge, ChainSpec, FCPart, InfeasibleModel, InvalidBasis,
+                       LQProblem, NumericError, ResidualPart, ZeroReg, build_lq,
+                       forward, fully_connected, grad_objective, layer_second_contract,
                        sample_params, sample_state, solve_dense_reference,
                        solve_gauss_newton_dual, solve_gradient_step,
                        solve_newton_dp, squared_objective)
+from chaincert import oracles
 from chaincert.cli import _bench_chain
 from chaincert.errors import DimensionMismatch
 
@@ -207,6 +209,24 @@ def test_indefinite_model_doubles_proximal_weight():
     assert np.allclose(flat(step.v), flat(dense.v), atol=1e-12)
 
 
+def test_dp_diagnostics_count_sweeps_and_stage_visits():
+    # Stage 1 is positive definite at every kappa; stage 0 is indefinite until
+    # kappa exceeds 3, so kappa 1 and 2 fail there: three sweeps of two visits.
+    A = [np.ones((1, 1))] * 2
+    B = [np.ones((2, 1))] * 2
+    P = [np.zeros((1, 1))] * 3
+    p = [np.zeros(1), np.zeros(1), np.ones(1)]
+    Q = [-3.0 * np.eye(2), np.zeros((2, 2))]
+    q = [np.zeros(2)] * 2
+    R = [np.zeros((1, 2))] * 2
+    lq = LQProblem(A, B, P, p, Q, q, R, 1.0)
+    d = solve_newton_dp(lq).diagnostics
+    assert (d["doublings"], d["kappa_used"]) == (2, 4.0)
+    assert (d["iterations"], d["stage_visits"]) == (3, 6)
+    assert d["seconds"] >= 0.0
+    assert (d["kind"], d["converged"], d["exit_reason"]) == ("newton-dp", True, "exact")
+
+
 def test_hopeless_model_raises():
     # Rank-deficient B cannot rescue a strongly concave parameter block of
     # unbounded magnitude within the doubling cap.
@@ -300,6 +320,88 @@ def test_factored_dp_matches_identity_basis_and_dense(batch, width, factored,
     assert doubled >= 2
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4), st.booleans(),
+       st.booleans(), st.booleans(), st.data())
+def test_kronecker_basis_spans_the_parameter_jacobian(seed, nin, nout, bias, same, residual,
+                                                      data):
+    batch = data.draw(st.integers(1, nin), label="batch")
+    rng = np.random.default_rng(seed)
+    part = FCPart(batch, nin, nout, bias=bias)
+    x = rng.standard_normal(part.d_in)
+    if same:  # identical samples: the input factor has rank 1
+        x = np.tile(x[:nin], batch)
+    if residual:
+        part = ResidualPart(part, batch)
+        x = np.concatenate([x.reshape(batch, nin), rng.standard_normal((batch, nout))],
+                           axis=1).ravel()
+    JuT = part.dense_ju(x).T
+    U, F = oracles._part_basis(part, x, JuT)
+    if U is None:  # the input factor is square: the basis would be every parameter
+        assert not bias and batch == nin
+        return
+    D = U.dense()
+    assert D.shape == (part.p, nout * batch) == U.shape
+    assert np.abs(D.T @ D - np.eye(D.shape[1])).max() < 1e-13
+    assert U.gram_error() < 1e-13
+    Y, Z = rng.standard_normal((part.p, 3)), rng.standard_normal((D.shape[1], 3))
+    assert np.allclose(U.apply_T(Y), D.T @ Y, rtol=0.0, atol=1e-12)
+    assert np.allclose(U.apply(Z), D @ Z, rtol=0.0, atol=1e-12)
+    assert np.allclose(U.apply_T(Y[:, 0]), D.T @ Y[:, 0], rtol=0.0, atol=1e-12)
+    assert np.allclose(U.apply(Z[:, 0]), D @ Z[:, 0], rtol=0.0, atol=1e-12)
+    scale = max(1.0, np.abs(JuT).max())
+    assert np.allclose(D @ (D.T @ JuT), JuT, rtol=0.0, atol=1e-12 * scale)
+    assert np.allclose(D @ F, JuT, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("batch, width, same_samples", [
+    (1, 6, False), (2, 5, False), (2, 5, True),
+], ids=["p-7x-d", "p-3x-d", "identical-samples"])
+def test_kronecker_dense_and_identity_bases_give_one_step(monkeypatch, batch, width,
+                                                          same_samples):
+    for seed in range(6):
+        chain, u, x0, h = _fc_instance(seed, batch, width)
+        if same_samples:
+            x0 = np.tile(x0[:width], batch)
+        tape = forward(chain, x0, u)
+        lq = build_lq(tape, h, BlockRidge(0.1), "newton", 0.5)
+        with monkeypatch.context() as mp:  # the Cholesky-QR path of parts without the hook
+            mp.setattr(FCPart, "kron_factor", lambda self, x: None)
+            dense = build_lq(tape, h, BlockRidge(0.1), "newton", 0.5)
+        assert all(U.g > 1 for U in lq.U) and all(U.g == 1 for U in dense.U)
+        steps = [solve_newton_dp(m) for m in (lq, dense, _identity_basis_twin(lq))]
+        for got in steps[1:]:
+            for key in ("doublings", "kappa_used"):
+                assert got.diagnostics[key] == steps[0].diagnostics[key]
+            assert (got.v - steps[0].v).norm() <= 1e-12 * steps[0].v.norm()
+
+
+def _model_bytes(lq):
+    """Bytes of every array the model holds (a basis operator's factor is tiny)."""
+    arrays = [lq.alpha, *lq.A, *lq.B, *lq.P, *lq.p, *lq.S, *lq.q, *lq.R, *lq.U]
+    return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
+
+def test_newton_step_working_memory_is_below_the_dense_bases(monkeypatch):
+    # the fc-oracles shape: p_t = 1056, r_t = d_t = 128, tau = 6
+    chain, u, x0, h = _fc_instance(1, 4, 32, tau=6)
+    tape = forward(chain, x0, u)
+    refuse = lambda *a: pytest.fail("a dense fully-connected basis was formed")  # noqa: E731
+    monkeypatch.setattr(oracles, "_range_basis", refuse)
+    monkeypatch.setattr(oracles._Basis, "dense", refuse)
+    tracemalloc.start()
+    try:
+        lq = build_lq(tape, h, BlockRidge(0.1), "newton", 0.5)
+        step = solve_newton_dp(lq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(step.v.flat()))
+    dense_bases = 8 * sum(p_t * layer.d_out for p_t, layer in zip(chain.param_dims,
+                                                                  chain.layers))
+    assert peak - _model_bytes(lq) < dense_bases
+
+
 @pytest.mark.parametrize("rank", [6, 3, 0], ids=["full-rank", "rank-deficient", "zero"])
 def test_range_basis_is_orthonormal_and_factors_its_input(rank):
     from chaincert.oracles import _range_basis
@@ -324,7 +426,7 @@ def test_range_basis_falls_back_when_cholesky_qr_is_inaccurate(monkeypatch):
 def test_lq_rejects_bad_bases():
     chain, u, x0, h = _fc_instance(0, 1, 4, tau=2)
     lq = build_lq(forward(chain, x0, u), h, BlockRidge(0.1), "newton", 1.0)
-    U, S = lq.U[0], lq.S[0]
+    U, S = lq.U[0].dense(), lq.S[0]
     assert U.shape == (20, 4)
 
     def with_basis(U0, S0=S, alpha=lq.alpha):

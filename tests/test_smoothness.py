@@ -202,6 +202,10 @@ def test_bounded_domain_validation():
         BoundedDomain((0.0,), 1.0)
     with pytest.raises(ValueError):
         BoundedDomain((1.0,), -1.0)
+    with pytest.raises(ValueError):
+        BoundedDomain((1.0, float("nan")), 1.0)
+    with pytest.raises(ValueError):
+        BoundedDomain((1.0,), float("nan"))
     d = BoundedDomain.uniform(3, 2.0, 1.0)
     assert d.radii == (2.0, 2.0, 2.0)
 
