@@ -14,9 +14,12 @@ from typing import Optional
 
 import numpy as np
 
+from .biaffine import ResidualPart
 from .chain import ChainSpec, ParamVector
 from .errors import DimensionMismatch, NumericError
 from .layers import LayerDescriptor
+from .stages import (AvgPoolStage, BlockStage, ElementwiseStage, MaxPoolStage,
+                     SoftmaxStage)
 
 __all__ = [
     "OpCounter",
@@ -137,6 +140,66 @@ def backward(tape: Tape, mu, counter: Optional[OpCounter] = None) -> ParamVector
         raise NumericError(f"non-finite adjoint at layer {t} ({chain.layers[t].kind})")
     tape.ad_calls += 1
     return ParamVector(grads)
+
+
+def _separates_samples(chain: ChainSpec) -> bool:
+    """Whether no layer mixes the chain's samples.
+
+    Then the reverse sweep is block-diagonal over the batch, and one sweep
+    that keeps the batch axis holds every sample's parameter adjoint.  Batch
+    norm couples the batch; a part without ``vjp_u_samples`` or a stage not
+    listed here counts as coupling it.
+    """
+    m = chain.batch
+
+    def part_ok(part):
+        while isinstance(part, ResidualPart):
+            if part.m != m:
+                return False
+            part = part.inner
+        return hasattr(part, "vjp_u_samples") and part.m == m
+
+    def stage_ok(st):
+        while isinstance(st, BlockStage):
+            if st.batch != m:
+                return False
+            st = st.inner
+        return isinstance(st, ElementwiseStage) or (
+            isinstance(st, (SoftmaxStage, AvgPoolStage, MaxPoolStage)) and st.batch == m)
+
+    return all(part_ok(l.part) and all(stage_ok(st) for st in l.stages)
+               for l in chain.layers)
+
+
+def _backward_samples(tape: Tape, mu, counter: Optional[OpCounter] = None) -> np.ndarray:
+    """``backward(tape, mu)`` split by sample, as a (batch, total_params) array.
+
+    The sweep of ``backward``, charged the same units, with each part's
+    ``vjp_u_samples`` in place of its ``vjp_u``.  Row s is the flat parameter
+    adjoint of sample s's slice of ``mu``; the rows sum to
+    ``backward(tape, mu).flat()``.  Valid only where
+    ``_separates_samples(tape.chain)``.  It is kept apart from ``backward``
+    so that every other caller runs ``backward``'s code unchanged.
+    """
+    chain = tape.chain
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (chain.d_out,):
+        raise DimensionMismatch(f"cotangent shape {mu.shape}, expected ({chain.d_out},)")
+    lam = mu
+    rows = [None] * chain.tau
+    for t in range(chain.tau - 1, -1, -1):
+        layer = chain.layers[t]
+        w = lam
+        for lin in reversed(tape.stage_lins[t]):
+            w = lin.vjp(w, counter)
+        rows[t] = layer.part.vjp_u_samples(tape.states[t], w, counter)
+        lam = layer.part.vjp_x(tape.u.blocks[t], w, counter)
+    out = np.concatenate(rows, axis=1)
+    if not np.isfinite(out).all():
+        t = _first_non_finite(reversed(list(enumerate(rows))))
+        raise NumericError(f"non-finite adjoint at layer {t} ({chain.layers[t].kind})")
+    tape.ad_calls += 1
+    return out
 
 
 def jvp(tape: Tape, du: ParamVector, dx0=None, counter: Optional[OpCounter] = None) -> np.ndarray:

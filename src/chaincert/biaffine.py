@@ -115,6 +115,10 @@ class BiAffinePart:
         """Transposed parameter Jacobian applied to ``w``."""
         raise NotImplementedError
 
+    # Parts whose samples stay apart also define ``vjp_u_samples(x, w,
+    # count)``: the (m, p) per-sample terms of ``vjp_u``, one row per sample,
+    # summing to it and charged as it is.  Parts that mix samples leave it out.
+
     def jvp(self, x, u, dx, du, count=None) -> np.ndarray:
         """Directional derivative at ``(x, u)`` along ``(dx, du)``."""
         raise NotImplementedError
@@ -288,6 +292,15 @@ class FCPart(BiAffinePart):
             return np.concatenate([gw.ravel(), wv.sum(axis=0)])
         return gw.ravel()
 
+    def vjp_u_samples(self, x, w, count=None):
+        """Row s is sample s's outer product ``w_s x_s^T``, then ``w_s`` for the bias."""
+        x, w = self._check_x(x), self._check_w(w)
+        xv = x.reshape(self.m, self.nin)
+        wv = w.reshape(self.m, self.nout)
+        _charge(count, self.s_beta + self.s_beta_u)
+        gw = (wv[:, :, None] * xv[:, None, :]).reshape(self.m, -1)
+        return np.concatenate([gw, wv], axis=1) if self.bias else gw
+
     def jvp(self, x, u, dx, du, count=None):
         x, u = self._check_x(x), self._check_u(u)
         dx, du = self._check_x(dx), self._check_u(du)
@@ -451,13 +464,17 @@ class ConvPart(_ConvGeometry):
         return gx.ravel()
 
     def vjp_u(self, x, w, count=None):
+        return self.vjp_u_samples(x, w, count).sum(axis=0)
+
+    def vjp_u_samples(self, x, w, count=None):
+        """Row s is sample s's filter gradient ``w_s cols(x_s)``, then its bias sums."""
         x, w = self._check_x(x), self._check_w(w)
         wv = w.reshape(self.m, self.n_f, self.n_p)
         _charge(count, self.s_beta + self.s_beta_u)
-        gF = np.matmul(wv, self._cols(x)).sum(axis=0)
+        gF = np.matmul(wv, self._cols(x)).reshape(self.m, -1)
         if self.bias:
-            return np.concatenate([gF.ravel(), wv.sum(axis=(0, 2))])
-        return gF.ravel()
+            return np.concatenate([gF, wv.sum(axis=2)], axis=1)
+        return gF
 
     def jvp(self, x, u, dx, du, count=None):
         x, u = self._check_x(x), self._check_u(u)
@@ -511,9 +528,15 @@ class SymbolicConvPart(_ConvGeometry):
 
 
 class IdentityPart(BiAffinePart):
-    """Parameter-free identity; carries pure-nonlinearity layers."""
+    """Parameter-free identity; carries pure-nonlinearity layers.
 
-    def __init__(self, dim: int):
+    ``batch`` only sizes the per-sample adjoint: (batch, 0) rows.
+    """
+
+    def __init__(self, dim: int, batch: int = 1):
+        if batch < 1 or dim % batch:
+            raise DimensionMismatch(f"identity dimension {dim} does not split over batch {batch}")
+        self.m = batch
         self.d_in = dim
         self.d_out = dim
         self.p = 0
@@ -535,6 +558,11 @@ class IdentityPart(BiAffinePart):
         self._check_x(x)
         self._check_w(w)
         return np.zeros(0)
+
+    def vjp_u_samples(self, x, w, count=None):
+        self._check_x(x)
+        self._check_w(w)
+        return np.zeros((self.m, 0))
 
     def jvp(self, x, u, dx, du, count=None):
         return self._check_x(dx).copy()
@@ -589,11 +617,16 @@ class ResidualPart(BiAffinePart):
         _charge(count, self.m * self.da)
         return np.concatenate([g1, wv[:, : self.db]], axis=1).ravel()
 
-    def vjp_u(self, x, w, count=None):
+    def _inner_adjoint_args(self, x, w):
+        """The inner part's input and cotangent at ``(x, w)``."""
         x, w = self._check_x(x), self._check_w(w)
-        x1, _ = self._split_in(x)
-        w1 = w.reshape(self.m, self.db + self.da)[:, : self.db].ravel()
-        return self.inner.vjp_u(x1, w1, count)
+        return self._split_in(x)[0], w.reshape(self.m, self.db + self.da)[:, : self.db].ravel()
+
+    def vjp_u(self, x, w, count=None):
+        return self.inner.vjp_u(*self._inner_adjoint_args(x, w), count)
+
+    def vjp_u_samples(self, x, w, count=None):
+        return self.inner.vjp_u_samples(*self._inner_adjoint_args(x, w), count)
 
     def kron_factor(self, x):
         return self.inner.kron_factor(self._split_in(self._check_x(x))[0])

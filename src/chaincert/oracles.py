@@ -646,7 +646,7 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     if compute_gap:
         # Extra derivative calls below are diagnostic only and excluded
         # from the metered count reported above.
-        h_val = h.value_grad(y)[0] if not hasattr(h, "value") else h.value(y)
+        h_val = h.value(y)
         r_val = r.value(tape.u)
         s = base + zeta
         ws = w_solve(s)

@@ -14,7 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .autodiff import backward, forward
+from .autodiff import _backward_samples, _separates_samples, backward, forward
 from .chain import ChainSpec, ParamVector
 from .errors import InfeasibleModel
 from .objectives import Objective, Regularizer, ZeroReg
@@ -52,6 +52,16 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class TrainTrace:
+    """Per-step record of one training run.
+
+    ``values`` and ``mapping_norms`` are the objective and the
+    gradient-mapping norm at each iterate before its step; ``proj_active``
+    whether the step left the domain.  ``certified_smooth`` is the certified
+    ``L_F`` when the step size came from it.  For SGD, ``variance_proxy`` is
+    the exact expected squared deviation ``E||g_B - g||^2`` of the minibatch
+    gradient from the full gradient at ``final_u``; None for PGD.
+    """
+
     values: List[float] = field(default_factory=list)
     mapping_norms: List[float] = field(default_factory=list)
     proj_active: List[bool] = field(default_factory=list)
@@ -153,6 +163,40 @@ def train_pgd(chain: ChainSpec, h: Objective, r: Optional[Regularizer],
     return _loop(chain, h, r, x0, cfg, u0, gamma, cert, lambda tape, gh: gh)
 
 
+def _sample_gradients(chain: ChainSpec, h: Objective, tape) -> np.ndarray:
+    """Each sample's unnormalised loss gradient pulled back to the parameters.
+
+    Returns G as an (n, total_params) array: row s is
+    ``backward(tape, h.grad_minibatch(y, [s]))``.  One sweep that keeps the
+    batch axis gives every row when no layer mixes the samples; a chain that
+    couples the batch (batch norm) takes that definition, n sweeps.
+    """
+    n = h.n
+    if chain.batch == n and _separates_samples(chain):
+        G = _backward_samples(tape, h.value_grad(tape.output)[1])
+        G *= n  # the full loss gradient is the mean of the per-sample ones
+        return G
+    return np.stack([backward(tape, h.grad_minibatch(tape.output, [s])).flat()
+                     for s in range(n)])
+
+
+def _minibatch_variance(chain: ChainSpec, h: Objective, x0, u: ParamVector,
+                        batch: int) -> float:
+    """Exact ``E||g_B - g||^2`` of the b-of-n without-replacement estimator at ``u``.
+
+    ``(n - b) / (b (n - 1)) * (1/n) sum_s ||G_s - mean G||^2``; a regularizer
+    adds the same term to both gradients and cancels.  0 when b = n.
+    """
+    n = h.n
+    if batch == n:
+        return 0.0
+    G = _sample_gradients(chain, h, forward(chain, x0, u))
+    # in place: one more (n, P) temporary raised the peak RSS of the 8-sample
+    # benchmark CNN by 0.5 MB
+    G -= G.mean(axis=0)
+    return (n - batch) / (batch * (n - 1)) * float(np.vdot(G, G)) / n
+
+
 def train_sgd(chain: ChainSpec, h: Objective, r: Optional[Regularizer],
               x0, cfg: TrainConfig, u0: Optional[ParamVector] = None) -> TrainTrace:
     """Projected SGD with uniform mini-batches of a decomposable objective.
@@ -160,8 +204,10 @@ def train_sgd(chain: ChainSpec, h: Objective, r: Optional[Regularizer],
     The estimator averages per-sample loss gradients over a uniformly
     sampled batch (without replacement), which is unbiased for the
     full-batch gradient; the certified policy halves the certified step.
-    A variance proxy (mean squared estimator deviation at the final point,
-    20 resamples) is attached to the trace.
+    The trace's ``variance_proxy`` is that estimator's exact expected
+    squared deviation from the full gradient at the final point.  It costs
+    one forward and one reverse sweep when no layer mixes the samples, and
+    n sweeps on a chain that couples the batch (batch norm).
     """
     r = r if r is not None else ZeroReg()
     if not h.decomposable:
@@ -177,18 +223,10 @@ def train_sgd(chain: ChainSpec, h: Objective, r: Optional[Regularizer],
         gamma, cert = g_full / 2.0, L_f
     rng = np.random.default_rng(cfg.seed)
 
-    def minibatch(tape):
+    def minibatch(tape, gh):
         return h.grad_minibatch(tape.output, rng.choice(n, size=batch, replace=False))
 
     u0 = u0 if u0 is not None else ParamVector.zeros(chain.param_dims)
-    trace = _loop(chain, h, r, x0, cfg, u0, gamma, cert, lambda tape, gh: minibatch(tape))
-
-    u = trace.final_u
-    tape = forward(chain, x0, u)
-    g_exact = backward(tape, h.value_grad(tape.output)[1]) + r.grad(u)
-    dev = 0.0
-    for _ in range(20):
-        gb = backward(tape, minibatch(tape)) + r.grad(u)
-        dev += (gb - g_exact).dot(gb - g_exact)
-    trace.variance_proxy = dev / 20.0
+    trace = _loop(chain, h, r, x0, cfg, u0, gamma, cert, minibatch)
+    trace.variance_proxy = _minibatch_variance(chain, h, x0, trace.final_u, batch)
     return trace

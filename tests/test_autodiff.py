@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chaincert import (ChainSpec, NumericError, OpCounter, ParamVector,
-                       backward, backward_formula, count_backward_cost,
-                       forward, fully_connected, grad_objective, jvp,
-                       layer_sparsity, residual_wrap, sample_params,
-                       sample_state, squared_objective)
+from chaincert import (ChainSpec, DenseBiAffinePart, LayerDescriptor,
+                       NumericError, OpCounter, ParamVector, activation_layer,
+                       avgpool2d, backward, backward_formula, batchnorm_layer,
+                       conv2d, count_backward_cost, forward, fully_connected,
+                       grad_objective, jvp, layer_sparsity, maxpool2d,
+                       residual_wrap, sample_params, sample_state,
+                       squared_objective)
+from chaincert.autodiff import _backward_samples, _separates_samples
+from chaincert.training import _sample_gradients
 
 from helpers import fd_grad, flat, random_catalog_chain, unflat
 
@@ -197,3 +202,73 @@ def test_jvp_raises_on_non_finite_tangent():
     with pytest.raises(NumericError, match="layer 0"):
         jvp(tape, du)
     assert tape.ad_calls == 0
+
+
+def _sample_chain(rng, coupling):
+    """Batch-2-or-3 chain with every sample-separable part and stage kind.
+
+    Parts: conv, identity (pools, activation), FC without and with bias,
+    residual; stages: elementwise, avgpool, maxpool, block, softmax.
+    ``coupling`` swaps in a layer that mixes the samples.
+    """
+    m = int(rng.integers(2, 4))
+    c, f, side = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(4, 6))
+    a, q = (int(n) for n in rng.integers(1, 4, size=2))
+    s = side - 3
+    layers = [
+        conv2d(m, c, side, side, f, 2, activation="softplus", bias=bool(rng.random() < 0.5)),
+        avgpool2d(m, f, side - 1, side - 1, 2, stride=1),
+        maxpool2d(m, f, side - 2, side - 2, 2, stride=1),
+        fully_connected(m, f * s * s, 2 * a, activation="sigmoid", bias=False),
+        residual_wrap(fully_connected(m, a, a, activation="softplus", bias=True)),
+        activation_layer(m, 2 * a, "softplus-centered"),
+        fully_connected(m, 2 * a, q, activation="softmax", bias=True),
+    ]
+    if coupling == "batchnorm":
+        layers[5] = batchnorm_layer(m, 2 * a, 0.5)
+    elif coupling == "block-batchnorm":
+        layers[4] = residual_wrap(batchnorm_layer(m, a, 0.5))
+    elif coupling == "dense":
+        d = m * q
+        layers.append(LayerDescriptor("dense", DenseBiAffinePart(
+            rng.standard_normal((d, d, 2)), mx=np.eye(d)), (), m))
+    return ChainSpec(tuple(layers))
+
+
+def _masked(mu, m, s):
+    """``mu`` with every sample's slice but sample ``s``'s set to zero."""
+    out = np.zeros((m, mu.size // m))
+    out[s] = mu.reshape(m, -1)[s]
+    return out.ravel()
+
+
+@pytest.mark.parametrize("coupling", [None, "batchnorm", "block-batchnorm", "dense"])
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_per_sample_sweep_matches_masked_sweeps(coupling, seed):
+    rng = np.random.default_rng(seed)
+    chain = _sample_chain(rng, coupling)
+    m = chain.batch
+    u = sample_params(chain.param_dims, 1.0, rng)
+    tape = forward(chain, sample_state(chain.d0, 1.0, rng), u)
+    assert _separates_samples(chain) == (coupling is None)
+
+    def close(a, b):
+        return np.allclose(a, b, rtol=1e-9, atol=1e-12 * (1.0 + np.abs(b).max()))
+
+    if coupling is None:
+        mu = rng.standard_normal(chain.d_out)
+        c_rows, c_sum = OpCounter(), OpCounter()
+        rows = _backward_samples(tape, mu, c_rows)
+        assert rows.shape == (m, chain.total_params)
+        assert close(rows.sum(axis=0), backward(tape, mu, c_sum).flat())
+        assert c_rows.total == c_sum.total
+        for s in range(m):
+            assert close(rows[s], backward(tape, _masked(mu, m, s)).flat())
+
+    # per-sample loss gradients: one sweep, or the n-sweep fallback
+    h = squared_objective(rng.standard_normal((m, chain.d_out // m)))
+    G = _sample_gradients(chain, h, tape)
+    for s in range(m):
+        assert close(G[s], backward(tape, h.grad_minibatch(tape.output, [s])).flat())
+    assert close(G.sum(axis=0), m * backward(tape, h.value_grad(tape.output)[1]).flat())

@@ -2,14 +2,18 @@
 stochastic batching, trace bookkeeping."""
 
 import csv
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from chaincert import (BlockRidge, BoundedDomain, ChainSpec, InfeasibleModel,
-                       ParamVector, TrainConfig, certified_step,
-                       fully_connected, project_domain, sample_params,
-                       squared_objective, train_pgd, train_sgd)
+                       OpCounter, ParamVector, TrainConfig, avgpool2d,
+                       backward, backward_formula, batchnorm_layer,
+                       certified_step, conv2d, forward, fully_connected,
+                       logistic_objective, project_domain, residual_wrap,
+                       sample_params, sample_state, squared_objective,
+                       train_pgd, train_sgd)
 
 
 def _toy(seed=0, tau=2, width=3, batch=4, act="softplus-centered"):
@@ -128,19 +132,87 @@ def test_sgd_minibatch_decreases_and_reports_variance():
 
 
 def test_each_step_makes_one_backward_sweep(monkeypatch):
-    # budget k: PGD sweeps k times; SGD k times plus the exact gradient and
-    # the 20 resamples of its variance proxy at the final point.
+    # budget k: PGD sweeps k times; SGD k times, plus one per-sample sweep for
+    # the exact minibatch variance at the final point, charged as one backward.
     import chaincert.training as training
-    calls = []
-    sweep = training.backward
+    calls, sample_units = [], []
+    sweep, sample_sweep = training.backward, training._backward_samples
+
+    def metered_sample_sweep(tape, mu):
+        counter = OpCounter()
+        sample_units.append(counter)
+        return sample_sweep(tape, mu, counter)
+
     monkeypatch.setattr(training, "backward", lambda *a: calls.append(1) or sweep(*a))
+    monkeypatch.setattr(training, "_backward_samples", metered_sample_sweep)
     chain, h, x0, dom, rng = _toy(seed=8)
     u0 = sample_params(chain.param_dims, [0.5, 0.5], rng)
     trace = train_pgd(chain, h, None, x0, TrainConfig(dom, budget=5), u0=u0)
-    assert len(trace.values) == len(calls) == 5
+    assert len(trace.values) == len(calls) == 5 and not sample_units
     calls.clear()
     trace = train_sgd(chain, h, None, x0, TrainConfig(dom, budget=5, batch=2), u0=u0)
-    assert len(trace.values) == 5 and len(calls) == 5 + 21
+    assert len(trace.values) == len(calls) == 5
+    assert [c.total for c in sample_units] == [backward_formula(chain)]
+
+
+def _variance_model(kind, n, rng):
+    """Small chain of batch ``n`` and a decomposable objective on its output."""
+    if kind == "fc":
+        layers = (fully_connected(n, 3, 4, activation="softplus"),
+                  fully_connected(n, 4, 2, bias=False))
+    elif kind == "conv-avgpool":
+        layers = (conv2d(n, 2, 4, 4, 2, 2, activation="softplus-centered", bias=True),
+                  avgpool2d(n, 2, 3, 3, 2, stride=1),
+                  fully_connected(n, 8, 3))
+    elif kind == "residual":
+        layers = (fully_connected(n, 3, 4, activation="sigmoid"),
+                  residual_wrap(fully_connected(n, 2, 2, activation="softplus")),
+                  fully_connected(n, 4, 2))
+    else:  # batch norm couples the samples: the n-sweep fallback
+        layers = (fully_connected(n, 3, 4, activation="softplus"),
+                  batchnorm_layer(n, 4, 0.3),
+                  fully_connected(n, 4, 2))
+    chain = ChainSpec(layers)
+    q = chain.d_out // n
+    if kind == "conv-avgpool":
+        y = np.zeros((n, q))
+        y[np.arange(n), rng.integers(0, q, n)] = 1.0
+        return chain, logistic_objective(y)
+    return chain, squared_objective(rng.standard_normal((n, q)))
+
+
+@pytest.mark.parametrize("kind", ["fc", "conv-avgpool", "residual", "batchnorm"])
+def test_sgd_variance_is_the_mean_over_every_minibatch(kind):
+    rng = np.random.default_rng(12)
+    n = 5
+    chain, h = _variance_model(kind, n, rng)
+    x0 = sample_state(chain.d0, 1.0, rng)
+    u0 = sample_params(chain.param_dims, 1.0, rng)
+    dom = BoundedDomain.uniform(chain.tau, 1.0, 1.0)
+    r = BlockRidge(0.1)
+    for b in range(1, n + 1):
+        cfg = TrainConfig(dom, budget=2, gamma=0.05, batch=b, seed=b)
+        trace = train_sgd(chain, h, r, x0, cfg, u0=u0)
+        u = trace.final_u
+        if b == n:
+            assert trace.variance_proxy == 0.0
+            continue
+        tape = forward(chain, x0, u)
+        g = backward(tape, h.value_grad(tape.output)[1]) + r.grad(u)
+        devs = []
+        for idx in combinations(range(n), b):
+            d = backward(tape, h.grad_minibatch(tape.output, idx)) + r.grad(u) - g
+            devs.append(d.dot(d))
+        assert trace.variance_proxy == pytest.approx(np.mean(devs), rel=1e-10, abs=1e-300)
+
+
+def test_sgd_variance_of_one_sample_is_zero():
+    rng = np.random.default_rng(13)
+    chain, h = _variance_model("fc", 1, rng)
+    dom = BoundedDomain.uniform(chain.tau, 1.0, 1.0)
+    trace = train_sgd(chain, h, None, sample_state(chain.d0, 1.0, rng),
+                      TrainConfig(dom, budget=2, gamma=0.05, batch=1))
+    assert trace.variance_proxy == 0.0
 
 
 def test_sgd_validation():
