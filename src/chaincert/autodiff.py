@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .biaffine import ResidualPart
+from .biaffine import IdentityPart, ResidualPart
 from .chain import ChainSpec, ParamVector
 from .errors import DimensionMismatch, NumericError
 from .layers import LayerDescriptor
@@ -147,8 +147,9 @@ def _separates_samples(chain: ChainSpec) -> bool:
 
     Then the reverse sweep is block-diagonal over the batch, and one sweep
     that keeps the batch axis holds every sample's parameter adjoint.  Batch
-    norm couples the batch; a part without ``vjp_u_samples`` or a stage not
-    listed here counts as coupling it.
+    norm couples the batch; a part other than the parameter-free identity
+    without ``vjp_u_samples``, or a stage not listed here, counts as coupling
+    it (a dense part mixes samples even without parameters).
     """
     m = chain.batch
 
@@ -157,7 +158,8 @@ def _separates_samples(chain: ChainSpec) -> bool:
             if part.m != m:
                 return False
             part = part.inner
-        return hasattr(part, "vjp_u_samples") and part.m == m
+        return isinstance(part, IdentityPart) or (
+            hasattr(part, "vjp_u_samples") and part.m == m)
 
     def stage_ok(st):
         while isinstance(st, BlockStage):
@@ -171,35 +173,38 @@ def _separates_samples(chain: ChainSpec) -> bool:
                for l in chain.layers)
 
 
-def _backward_samples(tape: Tape, mu, counter: Optional[OpCounter] = None) -> np.ndarray:
-    """``backward(tape, mu)`` split by sample, as a (batch, total_params) array.
+def _backward_samples(tape: Tape, mu, counter: Optional[OpCounter] = None):
+    """``backward(tape, mu)`` split by sample, one layer at a time.
 
     The sweep of ``backward``, charged the same units, with each part's
-    ``vjp_u_samples`` in place of its ``vjp_u``.  Row s is the flat parameter
-    adjoint of sample s's slice of ``mu``; the rows sum to
-    ``backward(tape, mu).flat()``.  Valid only where
-    ``_separates_samples(tape.chain)``.  It is kept apart from ``backward``
-    so that every other caller runs ``backward``'s code unchanged.
+    ``vjp_u_samples`` in place of its ``vjp_u``.  Yields each layer's
+    (batch, p_t) rows, last layer first: row s is the parameter adjoint of
+    sample s's slice of ``mu``, and the rows sum to layer t's block of
+    ``backward(tape, mu)``.  Each block is a fresh array, so a consumer may
+    reduce it in place before the next and hold one layer's rows, never the
+    whole (batch, total_params) array.
+    Valid only where ``_separates_samples(tape.chain)``.  It is kept apart
+    from ``backward`` so that the gradient sweep stays as it is.
     """
     chain = tape.chain
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (chain.d_out,):
         raise DimensionMismatch(f"cotangent shape {mu.shape}, expected ({chain.d_out},)")
     lam = mu
-    rows = [None] * chain.tau
     for t in range(chain.tau - 1, -1, -1):
         layer = chain.layers[t]
         w = lam
         for lin in reversed(tape.stage_lins[t]):
             w = lin.vjp(w, counter)
-        rows[t] = layer.part.vjp_u_samples(tape.states[t], w, counter)
+        if layer.part.p == 0:  # the identity, bare or residual-wrapped
+            rows = np.zeros((chain.batch, 0))
+        else:
+            rows = layer.part.vjp_u_samples(tape.states[t], w, counter)
+        if not np.isfinite(rows).all():
+            raise NumericError(f"non-finite adjoint at layer {t} ({layer.kind})")
         lam = layer.part.vjp_x(tape.u.blocks[t], w, counter)
-    out = np.concatenate(rows, axis=1)
-    if not np.isfinite(out).all():
-        t = _first_non_finite(reversed(list(enumerate(rows))))
-        raise NumericError(f"non-finite adjoint at layer {t} ({chain.layers[t].kind})")
+        yield rows
     tape.ad_calls += 1
-    return out
 
 
 def jvp(tape: Tape, du: ParamVector, dx0=None, counter: Optional[OpCounter] = None) -> np.ndarray:

@@ -117,7 +117,8 @@ class BiAffinePart:
 
     # Parts whose samples stay apart also define ``vjp_u_samples(x, w,
     # count)``: the (m, p) per-sample terms of ``vjp_u``, one row per sample,
-    # summing to it and charged as it is.  Parts that mix samples leave it out.
+    # summing to it and charged as it is.  Parts that mix samples leave it
+    # out, and so does the parameter-free identity.
 
     def jvp(self, x, u, dx, du, count=None) -> np.ndarray:
         """Directional derivative at ``(x, u)`` along ``(dx, du)``."""
@@ -463,15 +464,24 @@ class ConvPart(_ConvGeometry):
                                 minlength=self.C * self.n_sp)
         return gx.ravel()
 
-    def vjp_u(self, x, w, count=None):
-        return self.vjp_u_samples(x, w, count).sum(axis=0)
-
-    def vjp_u_samples(self, x, w, count=None):
-        """Row s is sample s's filter gradient ``w_s cols(x_s)``, then its bias sums."""
+    def _filter_terms(self, x, w, count):
+        """Per-sample filter gradients ``w_s cols(x_s)`` (m, n_f, K) and ``w`` as (m, n_f, n_p)."""
         x, w = self._check_x(x), self._check_w(w)
         wv = w.reshape(self.m, self.n_f, self.n_p)
         _charge(count, self.s_beta + self.s_beta_u)
-        gF = np.matmul(wv, self._cols(x)).reshape(self.m, -1)
+        return np.matmul(wv, self._cols(x)), wv
+
+    def vjp_u(self, x, w, count=None):
+        gF, wv = self._filter_terms(x, w, count)
+        gF = gF.sum(axis=0)
+        if self.bias:
+            return np.concatenate([gF.ravel(), wv.sum(axis=(0, 2))])
+        return gF.ravel()
+
+    def vjp_u_samples(self, x, w, count=None):
+        """Row s is sample s's filter gradient, then its bias sums."""
+        gF, wv = self._filter_terms(x, w, count)
+        gF = gF.reshape(self.m, -1)
         if self.bias:
             return np.concatenate([gF, wv.sum(axis=2)], axis=1)
         return gF
@@ -528,15 +538,9 @@ class SymbolicConvPart(_ConvGeometry):
 
 
 class IdentityPart(BiAffinePart):
-    """Parameter-free identity; carries pure-nonlinearity layers.
+    """Parameter-free identity; carries pure-nonlinearity layers."""
 
-    ``batch`` only sizes the per-sample adjoint: (batch, 0) rows.
-    """
-
-    def __init__(self, dim: int, batch: int = 1):
-        if batch < 1 or dim % batch:
-            raise DimensionMismatch(f"identity dimension {dim} does not split over batch {batch}")
-        self.m = batch
+    def __init__(self, dim: int):
         self.d_in = dim
         self.d_out = dim
         self.p = 0
@@ -558,11 +562,6 @@ class IdentityPart(BiAffinePart):
         self._check_x(x)
         self._check_w(w)
         return np.zeros(0)
-
-    def vjp_u_samples(self, x, w, count=None):
-        self._check_x(x)
-        self._check_w(w)
-        return np.zeros((self.m, 0))
 
     def jvp(self, x, u, dx, du, count=None):
         return self._check_x(dx).copy()

@@ -200,14 +200,14 @@ def conv1d(batch: int, channels: int, length: int, filters: int, kernel: int,
 
 def activation_layer(batch: int, features: int, name: str) -> LayerDescriptor:
     total = batch * features
-    part = IdentityPart(total, batch)
+    part = IdentityPart(total)
     stage = ElementwiseStage(get_activation(name), total)
     return LayerDescriptor("activation", part, (stage,), batch,
                            {"name": name, "features": features})
 
 
 def softmax_layer(batch: int, classes: int) -> LayerDescriptor:
-    part = IdentityPart(batch * classes, batch)
+    part = IdentityPart(batch * classes)
     return LayerDescriptor("softmax", part, (SoftmaxStage(batch, classes),), batch,
                            {"classes": classes})
 
@@ -216,7 +216,7 @@ def _pool_layer(kind, cls, batch, channels, height, width, size, stride):
     size = _pair(size)
     stride = _pair(size if stride is None else stride)
     stage, grid = _pool_stage(cls, batch, channels, height, width, size, stride)
-    part = IdentityPart(batch * channels * height * width, batch)
+    part = IdentityPart(batch * channels * height * width)
     return LayerDescriptor(kind, part, (stage,), batch,
                            {"channels": channels, "height": height, "width": width,
                             "size": size, "stride": stride, "out_shape": grid})
@@ -233,7 +233,7 @@ def avgpool2d(batch: int, channels: int, height: int, width: int, size,
 
 
 def batchnorm_layer(batch: int, features: int, eps: float) -> LayerDescriptor:
-    part = IdentityPart(batch * features, batch)
+    part = IdentityPart(batch * features)
     stage = BatchNormStage(batch, features, eps)
     return LayerDescriptor("batchnorm", part, (stage,), batch,
                            {"features": features, "eps": eps})

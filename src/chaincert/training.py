@@ -163,21 +163,31 @@ def train_pgd(chain: ChainSpec, h: Objective, r: Optional[Regularizer],
     return _loop(chain, h, r, x0, cfg, u0, gamma, cert, lambda tape, gh: gh)
 
 
-def _sample_gradients(chain: ChainSpec, h: Objective, tape) -> np.ndarray:
-    """Each sample's unnormalised loss gradient pulled back to the parameters.
+def _sample_spread(chain: ChainSpec, h: Objective, tape) -> float:
+    """``sum_s ||G_s - mean G||^2`` over the samples' loss gradients.
 
-    Returns G as an (n, total_params) array: row s is
-    ``backward(tape, h.grad_minibatch(y, [s]))``.  One sweep that keeps the
-    batch axis gives every row when no layer mixes the samples; a chain that
-    couples the batch (batch norm) takes that definition, n sweeps.
+    G_s is sample s's unnormalised loss gradient pulled back to the
+    parameters, ``backward(tape, h.grad_minibatch(y, [s]))``.  The squared
+    norm splits over parameter blocks, so when no layer mixes the samples one
+    sweep that keeps the batch axis reduces each layer's (n, p_t) rows as it
+    goes.  A chain that couples the batch (batch norm) takes the definition,
+    n sweeps, accumulated one sample at a time (Welford).  Neither path holds
+    all n gradients at once.
     """
     n = h.n
     if chain.batch == n and _separates_samples(chain):
-        G = _backward_samples(tape, h.value_grad(tape.output)[1])
-        G *= n  # the full loss gradient is the mean of the per-sample ones
-        return G
-    return np.stack([backward(tape, h.grad_minibatch(tape.output, [s])).flat()
-                     for s in range(n)])
+        spread = 0.0
+        for rows in _backward_samples(tape, h.value_grad(tape.output)[1]):
+            rows -= rows.mean(axis=0)
+            spread += float(np.vdot(rows, rows))
+        return n * n * spread  # the full loss gradient is the mean of the G_s
+    mean, spread = np.zeros(chain.total_params), 0.0
+    for s in range(n):
+        g = backward(tape, h.grad_minibatch(tape.output, [s])).flat()
+        delta = g - mean
+        mean += delta / (s + 1)
+        spread += float(np.dot(delta, g - mean))
+    return spread
 
 
 def _minibatch_variance(chain: ChainSpec, h: Objective, x0, u: ParamVector,
@@ -190,11 +200,8 @@ def _minibatch_variance(chain: ChainSpec, h: Objective, x0, u: ParamVector,
     n = h.n
     if batch == n:
         return 0.0
-    G = _sample_gradients(chain, h, forward(chain, x0, u))
-    # in place: one more (n, P) temporary raised the peak RSS of the 8-sample
-    # benchmark CNN by 0.5 MB
-    G -= G.mean(axis=0)
-    return (n - batch) / (batch * (n - 1)) * float(np.vdot(G, G)) / n
+    spread = _sample_spread(chain, h, forward(chain, x0, u))
+    return (n - batch) / (batch * (n - 1)) * spread / n
 
 
 def train_sgd(chain: ChainSpec, h: Objective, r: Optional[Regularizer],

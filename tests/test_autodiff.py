@@ -1,5 +1,7 @@
 """Reverse-mode engine: gradients, tangents, duality, and the op meter."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,9 @@ from chaincert import (ChainSpec, DenseBiAffinePart, LayerDescriptor,
                        grad_objective, jvp, layer_sparsity, maxpool2d,
                        residual_wrap, sample_params, sample_state,
                        squared_objective)
+import chaincert.training as training
 from chaincert.autodiff import _backward_samples, _separates_samples
-from chaincert.training import _sample_gradients
+from chaincert.training import _sample_spread
 
 from helpers import fd_grad, flat, random_catalog_chain, unflat
 
@@ -232,6 +235,10 @@ def _sample_chain(rng, coupling):
         d = m * q
         layers.append(LayerDescriptor("dense", DenseBiAffinePart(
             rng.standard_normal((d, d, 2)), mx=np.eye(d)), (), m))
+    elif coupling == "dense-free":  # no parameters, yet mixes the samples
+        d = m * q
+        layers.append(LayerDescriptor("dense", DenseBiAffinePart(
+            np.zeros((d, d, 0)), mx=rng.standard_normal((d, d))), (), m))
     return ChainSpec(tuple(layers))
 
 
@@ -242,7 +249,8 @@ def _masked(mu, m, s):
     return out.ravel()
 
 
-@pytest.mark.parametrize("coupling", [None, "batchnorm", "block-batchnorm", "dense"])
+@pytest.mark.parametrize("coupling",
+                         [None, "batchnorm", "block-batchnorm", "dense", "dense-free"])
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_per_sample_sweep_matches_masked_sweeps(coupling, seed):
@@ -259,16 +267,23 @@ def test_per_sample_sweep_matches_masked_sweeps(coupling, seed):
     if coupling is None:
         mu = rng.standard_normal(chain.d_out)
         c_rows, c_sum = OpCounter(), OpCounter()
-        rows = _backward_samples(tape, mu, c_rows)
-        assert rows.shape == (m, chain.total_params)
+        calls = tape.ad_calls
+        blocks = list(_backward_samples(tape, mu, c_rows))[::-1]
+        assert tape.ad_calls == calls + 1
+        assert [b.shape for b in blocks] == [(m, p) for p in chain.param_dims]
+        rows = np.concatenate(blocks, axis=1)
         assert close(rows.sum(axis=0), backward(tape, mu, c_sum).flat())
         assert c_rows.total == c_sum.total
         for s in range(m):
             assert close(rows[s], backward(tape, _masked(mu, m, s)).flat())
 
-    # per-sample loss gradients: one sweep, or the n-sweep fallback
+    # spread of the per-sample loss gradients: one sweep, or the n-sweep
+    # fallback; on a separable chain the fallback must agree with the sweep
     h = squared_objective(rng.standard_normal((m, chain.d_out // m)))
-    G = _sample_gradients(chain, h, tape)
-    for s in range(m):
-        assert close(G[s], backward(tape, h.grad_minibatch(tape.output, [s])).flat())
-    assert close(G.sum(axis=0), m * backward(tape, h.value_grad(tape.output)[1]).flat())
+    G = np.stack([backward(tape, h.grad_minibatch(tape.output, [s])).flat()
+                  for s in range(m)])
+    spread = float(np.sum((G - G.mean(axis=0)) ** 2))
+    tol = 1e-9 * (spread + np.vdot(G, G))
+    assert abs(_sample_spread(chain, h, tape) - spread) <= tol
+    with mock.patch.object(training, "_separates_samples", lambda chain: False):
+        assert abs(_sample_spread(chain, h, tape) - spread) <= tol
