@@ -37,9 +37,10 @@ __all__ = [
 ]
 
 
-def _charge(count, n: int) -> None:
+def _charge(count, n: int, stack=None) -> None:
+    """Add ``n`` units to ``count``, ``k n`` if ``stack`` is a (k, d) stack."""
     if count is not None and n:
-        count.add(n)
+        count.add(n if stack is None or np.ndim(stack) == 1 else len(stack) * n)
 
 
 def operator_norm(m: np.ndarray) -> float:
@@ -50,24 +51,35 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def basis_rows(n: int, width: int, fn) -> np.ndarray:
-    """Stack ``fn(e_k)`` over the standard basis ``e_0..e_{n-1}`` of R^n.
+def _scatter_rows(index, weights, width: int) -> np.ndarray:
+    """Scatter each row of a (k, len(index)) stack of ``weights`` into ``index``.
 
-    Returns an (n, width) array whose row k is ``fn(e_k)``.  One basis
-    vector is built at a time, and the output is allocated only once the
-    first row exists, so a map that cannot be evaluated raises before any
-    dense storage is requested.
+    Row r of the (k, width) result adds row r of ``weights`` at ``index``;
+    one ``bincount`` covers every row, each shifted to its own block.
     """
-    out = np.zeros((0, width))
-    e = np.zeros(n)
-    for k in range(n):
-        e[k] = 1.0
-        row = fn(e)
-        if k == 0:
-            out = np.empty((n, width))
-        out[k] = row
-        e[k] = 0.0
-    return out
+    k = len(weights)
+    shifted = (np.arange(k, dtype=np.intp)[:, None] * width + index).ravel()
+    return np.bincount(shifted, weights=weights.ravel(), minlength=k * width).reshape(k, width)
+
+
+def _stacked_vjp_u(wv, xv, axes, stacked_points: bool, bias_axes=None) -> np.ndarray:
+    """Rows of a stacked ``vjp_u`` as one ``tensordot`` GEMM, then the bias columns.
+
+    ``wv`` and ``xv`` are the cotangent and point views, exactly one of them
+    with a leading stack axis; ``axes`` pairs the axes summed over.  One GEMM
+    replaces a batch of k small products, each of which would pay a BLAS
+    call.  The cotangent's free axes come first, so a stack of points is
+    moved to the front.  With ``bias_axes`` the sum of ``wv`` over them is
+    appended to every row.
+    """
+    out = np.tensordot(wv, xv, axes=axes)
+    if stacked_points:
+        out = np.moveaxis(out, 1, 0)
+    out = out.reshape(len(out), -1)
+    if bias_axes is None:
+        return out
+    bias = wv.sum(axis=bias_axes)
+    return np.concatenate([out, np.broadcast_to(bias, (len(out), bias.shape[-1]))], axis=1)
 
 
 @dataclass(frozen=True)
@@ -84,15 +96,24 @@ class BiAffinePart:
     """Interface shared by all bi-affine maps.
 
     A part defines five things: ``value``, ``vjp_x``, ``vjp_u``, ``jvp`` and
-    ``constants``.  Everything else is derived here from those products: the
-    dense Jacobians ``dense_jx``/``dense_ju`` are adjoint sweeps on basis
-    cotangents, and ``second_cross`` follows from ``vjp_u`` by bilinearity
-    (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3-4).
+    ``constants``.  The adjoints also take a stack: ``vjp_x(u, W)`` and
+    ``vjp_u(x, W)`` with a (k, d_out) stack of cotangents, and
+    ``vjp_u(X, w)`` with a (k, d_in) stack of points, return one row per
+    stacked vector and charge k times the units of a single call.  A single
+    vector runs the single-call arithmetic unchanged.
+
+    Everything else is derived here, each from one stacked call (vector
+    reverse mode, Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+    ch. 3-4): the dense Jacobians ``dense_jx``/``dense_ju`` are the adjoints
+    of the identity stack of cotangents, and ``second_cross`` follows from
+    ``vjp_u`` on the identity stack of points by bilinearity.  Each checks
+    ``numeric`` before it builds an identity stack.
 
     Subclasses set ``d_in``, ``d_out``, ``p`` and the four sparsity figures
     ``s_beta``, ``s_beta_u``, ``s_beta_x``, ``s_beta0`` (stored nonzeros of
     the bilinear, parameter-affine, state-affine and constant pieces).
-    ``numeric`` is False for parts that carry constants and dimensions only.
+    ``numeric`` is False for parts that carry constants and dimensions only;
+    they refuse numeric work with ``SymbolicOnlyError(refusal)``.
     """
 
     d_in: int
@@ -103,16 +124,20 @@ class BiAffinePart:
     s_beta_x: int
     s_beta0: int
     numeric: bool = True
+    refusal = "this part carries constants and dimensions only"
 
     def value(self, x: np.ndarray, u: np.ndarray, count=None) -> np.ndarray:
         raise NotImplementedError
 
     def vjp_x(self, u: np.ndarray, w: np.ndarray, count=None) -> np.ndarray:
-        """Transposed state Jacobian applied to ``w``."""
+        """Transposed state Jacobian applied to ``w``, or to each row of a stack."""
         raise NotImplementedError
 
     def vjp_u(self, x: np.ndarray, w: np.ndarray, count=None) -> np.ndarray:
-        """Transposed parameter Jacobian applied to ``w``."""
+        """Transposed parameter Jacobian at ``x`` applied to ``w``.
+
+        Either ``x`` or ``w`` may be a stack, not both.
+        """
         raise NotImplementedError
 
     # Parts whose samples stay apart also define ``vjp_u_samples(x, w,
@@ -126,11 +151,13 @@ class BiAffinePart:
 
     def dense_jx(self, u: np.ndarray) -> np.ndarray:
         """State Jacobian at ``u``, shape (d_out, d_in); row k is ``vjp_x(u, e_k)``."""
-        return basis_rows(self.d_out, self.d_in, lambda e: self.vjp_x(u, e))
+        self._require_numeric()
+        return self.vjp_x(self._check_u(u), np.eye(self.d_out))
 
     def dense_ju(self, x: np.ndarray) -> np.ndarray:
         """Parameter Jacobian at ``x``, shape (d_out, p); row k is ``vjp_u(x, e_k)``."""
-        return basis_rows(self.d_out, self.p, lambda e: self.vjp_u(x, e))
+        self._require_numeric()
+        return self.vjp_u(self._check_x(x), np.eye(self.d_out))
 
     def second_cross(self, w: np.ndarray) -> np.ndarray:
         """Cross second derivative contracted with ``w``, shape (d_in, p).
@@ -139,8 +166,11 @@ class BiAffinePart:
         pure state-state and parameter-parameter blocks vanish.  ``vjp_u`` is
         affine in ``x``, so row i is ``vjp_u(e_i, w) - vjp_u(0, w)``.
         """
-        offset = self.vjp_u(np.zeros(self.d_in), w)
-        return basis_rows(self.d_in, self.p, lambda e: self.vjp_u(e, w) - offset)
+        self._require_numeric()
+        w = self._check_w(w)
+        cross = self.vjp_u(np.eye(self.d_in), w)
+        cross -= self.vjp_u(np.zeros(self.d_in), w)
+        return cross
 
     def kron_factor(self, x: np.ndarray):
         """Input factor of a Kronecker parameter Jacobian at ``x``, or None.
@@ -158,11 +188,17 @@ class BiAffinePart:
 
     # shape guards -----------------------------------------------------
 
-    def _check(self, v, n: int, what: str) -> np.ndarray:
+    def _require_numeric(self) -> None:
+        if not self.numeric:
+            raise SymbolicOnlyError(self.refusal)
+
+    def _check(self, v, n: int, what: str, stack: bool = False) -> np.ndarray:
+        """``v`` as a float (n,) vector or, with ``stack``, also a (k, n) stack."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (n,):
+        if v.shape != (n,) and not (stack and v.ndim == 2 and v.shape[1] == n):
+            expected = f"({n},) or (k, {n})" if stack else f"({n},)"
             raise DimensionMismatch(
-                f"{type(self).__name__}: {what} has shape {v.shape}, expected ({n},)")
+                f"{type(self).__name__}: {what} has shape {v.shape}, expected {expected}")
         return v
 
     def _check_x(self, x) -> np.ndarray:
@@ -171,8 +207,20 @@ class BiAffinePart:
     def _check_u(self, u) -> np.ndarray:
         return self._check(u, self.p, "parameter vector")
 
-    def _check_w(self, w) -> np.ndarray:
-        return self._check(w, self.d_out, "cotangent")
+    def _check_w(self, w, stack: bool = False) -> np.ndarray:
+        return self._check(w, self.d_out, "cotangent", stack)
+
+    def _check_vjp_u(self, x, w):
+        """``(x, w, stack)`` for ``vjp_u``; ``stack`` is whichever is a stack, or None."""
+        x = self._check(x, self.d_in, "state", stack=True)
+        w = self._check_w(w, stack=True)
+        if x.ndim == 1:
+            return x, w, (w if w.ndim == 2 else None)
+        if w.ndim == 2:
+            raise DimensionMismatch(
+                f"{type(self).__name__}: vjp_u takes a stack of states or of cotangents, "
+                "not both")
+        return x, w, x
 
 
 class DenseBiAffinePart(BiAffinePart):
@@ -208,14 +256,14 @@ class DenseBiAffinePart(BiAffinePart):
                 + self.mu @ u + self.mx @ x + self.b0)
 
     def vjp_x(self, u, w, count=None):
-        u, w = self._check_u(u), self._check_w(w)
-        _charge(count, self.s_beta + self.s_beta_x)
-        return np.einsum("kij,k,j->i", self.bil, w, u) + self.mx.T @ w
+        u, w = self._check_u(u), self._check_w(w, stack=True)
+        _charge(count, self.s_beta + self.s_beta_x, w)
+        return np.einsum("kij,...k,j->...i", self.bil, w, u) + w @ self.mx
 
     def vjp_u(self, x, w, count=None):
-        x, w = self._check_x(x), self._check_w(w)
-        _charge(count, self.s_beta + self.s_beta_u)
-        return np.einsum("kij,k,i->j", self.bil, w, x) + self.mu.T @ w
+        x, w, stack = self._check_vjp_u(x, w)
+        _charge(count, self.s_beta + self.s_beta_u, stack)
+        return np.einsum("kij,...k,...i->...j", self.bil, w, x) + w @ self.mu
 
     def jvp(self, x, u, dx, du, count=None):
         x, u = self._check_x(x), self._check_u(u)
@@ -278,16 +326,21 @@ class FCPart(BiAffinePart):
         return (x.reshape(self.m, self.nin) @ W.T + b).ravel()
 
     def vjp_x(self, u, w, count=None):
-        u, w = self._check_u(u), self._check_w(w)
+        u, w = self._check_u(u), self._check_w(w, stack=True)
         W, _ = self._split(u)
-        _charge(count, self.s_beta)
-        return (w.reshape(self.m, self.nout) @ W).ravel()
+        _charge(count, self.s_beta, w)
+        return (w.reshape(-1, self.nout) @ W).reshape(w.shape[:-1] + (self.d_in,))
 
     def vjp_u(self, x, w, count=None):
-        x, w = self._check_x(x), self._check_w(w)
+        x, w, stack = self._check_vjp_u(x, w)
+        _charge(count, self.s_beta + self.s_beta_u, stack)
+        if stack is not None:
+            xv = x.reshape(x.shape[:-1] + (self.m, self.nin))
+            wv = w.reshape(w.shape[:-1] + (self.m, self.nout))
+            return _stacked_vjp_u(wv, xv, (w.ndim - 1, x.ndim - 1), stack is x,
+                                  w.ndim - 1 if self.bias else None)
         xv = x.reshape(self.m, self.nin)
         wv = w.reshape(self.m, self.nout)
-        _charge(count, self.s_beta + self.s_beta_u)
         gw = wv.T @ xv
         if self.bias:
             return np.concatenate([gw.ravel(), wv.sum(axis=0)])
@@ -337,6 +390,20 @@ class FCPart(BiAffinePart):
         if self.bias:
             J[:, f, self.nout * self.nin + f] = 1.0
         return J.reshape(self.d_out, self.p)
+
+    def second_cross(self, w):
+        """Row (s, i) holds ``w_s`` in the weight columns of input feature i.
+
+        A scatter of d_in * out_features entries into the zero (d_in, p)
+        result.  The derived form runs ``vjp_u`` on the (d_in, d_in) identity
+        stack of points and made the benchmark's Newton step about 5 ms
+        (9%) slower.
+        """
+        wv = self._check_w(w).reshape(self.m, self.nout)
+        cross = np.zeros((self.m, self.nin, self.p))
+        i = np.arange(self.nin)[:, None]
+        cross[:, i, np.arange(self.nout) * self.nin + i] = wv[:, None, :]
+        return cross.reshape(self.d_in, self.p)
 
     def constants(self):
         return BiAffineConstants(
@@ -428,8 +495,9 @@ class ConvPart(_ConvGeometry):
         return self._cols_index
 
     def _cols(self, x):
-        """im2col matrix (m, n_patches, channels * patch_len) of ``x``."""
-        return np.take(x.reshape(self.m, self.C * self.n_sp), self._index(), axis=1)
+        """im2col matrix (m, n_patches, channels * patch_len) of ``x``, per row of a stack."""
+        return np.take(x.reshape(x.shape[:-1] + (self.m, self.C * self.n_sp)), self._index(),
+                       axis=-1)
 
     def _apply(self, F, cols):
         """Filters applied to gathered windows, as (m, n_filters, n_patches).
@@ -451,28 +519,36 @@ class ConvPart(_ConvGeometry):
         return out.ravel()
 
     def vjp_x(self, u, w, count=None):
-        u, w = self._check_u(u), self._check_w(w)
+        u, w = self._check_u(u), self._check_w(w, stack=True)
         F, _ = self._split(u)
-        wv = w.reshape(self.m, self.n_f, self.n_p)
-        _charge(count, self.s_beta)
+        wv = w.reshape(-1, self.n_f, self.n_p)
+        _charge(count, self.s_beta, w)
         F2 = F.reshape(self.n_f, self.C * self.k_sp)
         index = self._index().ravel()
-        gx = np.empty((self.m, self.C * self.n_sp))
+        width = self.C * self.n_sp
+        # col2im: each window column adds back into the input it read
+        if w.ndim == 2:  # one scatter over every (row, sample) block
+            cols = np.matmul(wv.swapaxes(1, 2), F2).reshape(len(wv), -1)
+            return _scatter_rows(index, cols, width).reshape(len(w), self.d_in)
+        gx = np.empty((self.m, width))
         for s in range(self.m):
-            # col2im: each window column adds back into the input it read
-            gx[s] = np.bincount(index, weights=(wv[s].T @ F2).ravel(),
-                                minlength=self.C * self.n_sp)
+            gx[s] = np.bincount(index, weights=(wv[s].T @ F2).ravel(), minlength=width)
         return gx.ravel()
 
-    def _filter_terms(self, x, w, count):
+    def _filter_terms(self, x, w):
         """Per-sample filter gradients ``w_s cols(x_s)`` (m, n_f, K) and ``w`` as (m, n_f, n_p)."""
-        x, w = self._check_x(x), self._check_w(w)
         wv = w.reshape(self.m, self.n_f, self.n_p)
-        _charge(count, self.s_beta + self.s_beta_u)
         return np.matmul(wv, self._cols(x)), wv
 
     def vjp_u(self, x, w, count=None):
-        gF, wv = self._filter_terms(x, w, count)
+        x, w, stack = self._check_vjp_u(x, w)
+        _charge(count, self.s_beta + self.s_beta_u, stack)
+        if stack is not None:
+            wv = w.reshape(w.shape[:-1] + (self.m, self.n_f, self.n_p))
+            sample, patch = w.ndim - 1, w.ndim + 1  # of wv; cols has them at x.ndim - 1, x.ndim
+            return _stacked_vjp_u(wv, self._cols(x), ([sample, patch], [x.ndim - 1, x.ndim]),
+                                  stack is x, (sample, patch) if self.bias else None)
+        gF, wv = self._filter_terms(x, w)
         gF = gF.sum(axis=0)
         if self.bias:
             return np.concatenate([gF.ravel(), wv.sum(axis=(0, 2))])
@@ -480,7 +556,9 @@ class ConvPart(_ConvGeometry):
 
     def vjp_u_samples(self, x, w, count=None):
         """Row s is sample s's filter gradient, then its bias sums."""
-        gF, wv = self._filter_terms(x, w, count)
+        x, w = self._check_x(x), self._check_w(w)
+        _charge(count, self.s_beta + self.s_beta_u)
+        gF, wv = self._filter_terms(x, w)
         gF = gF.reshape(self.m, -1)
         if self.bias:
             return np.concatenate([gF, wv.sum(axis=2)], axis=1)
@@ -492,7 +570,8 @@ class ConvPart(_ConvGeometry):
         F, _ = self._split(u)
         dF, db = self._split(du)
         _charge(count, 2 * self.s_beta + self.s_beta_u)
-        out = self._apply(F, self._cols(dx)) + self._apply(dF, self._cols(x))
+        cols = self._cols(np.stack([dx, x]))  # one gather for both windows
+        out = self._apply(F, cols[0]) + self._apply(dF, cols[1])
         if self.bias:
             out = out + db[None, :, None]
         return out.ravel()
@@ -556,12 +635,11 @@ class IdentityPart(BiAffinePart):
 
     def vjp_x(self, u, w, count=None):
         self._check_u(u)
-        return self._check_w(w).copy()
+        return self._check_w(w, stack=True).copy()
 
     def vjp_u(self, x, w, count=None):
-        self._check_x(x)
-        self._check_w(w)
-        return np.zeros(0)
+        stack = self._check_vjp_u(x, w)[2]
+        return np.zeros(0 if stack is None else (len(stack), 0))
 
     def jvp(self, x, u, dx, du, count=None):
         return self._check_x(dx).copy()
@@ -595,10 +673,13 @@ class ResidualPart(BiAffinePart):
         self.s_beta_x = inner.s_beta_x
         self.s_beta0 = inner.s_beta0
         self.numeric = inner.numeric
+        self.refusal = inner.refusal
 
     def _split_in(self, x):
-        xv = x.reshape(self.m, self.da + self.db)
-        return xv[:, : self.da].ravel(), xv[:, self.da:]
+        """Inner input ``x1`` (flat per row of a stack) and carried block ``x2`` (..., m, db)."""
+        lead = x.shape[:-1]
+        xv = x.reshape(lead + (self.m, self.da + self.db))
+        return xv[..., : self.da].reshape(lead + (-1,)), xv[..., self.da:]
 
     def value(self, x, u, count=None):
         x = self._check_x(x)
@@ -608,18 +689,24 @@ class ResidualPart(BiAffinePart):
         out = np.concatenate([top, x1.reshape(self.m, self.da)], axis=1)
         return out.ravel()
 
+    def _split_out(self, w):
+        """Cotangent ``w`` as (..., m, db + da) and its inner block, flat per row."""
+        lead = w.shape[:-1]
+        wv = w.reshape(lead + (self.m, self.db + self.da))
+        return wv, wv[..., : self.db].reshape(lead + (-1,))
+
     def vjp_x(self, u, w, count=None):
-        w = self._check_w(w)
-        wv = w.reshape(self.m, self.db + self.da)
-        w1 = wv[:, : self.db].ravel()
-        g1 = self.inner.vjp_x(u, w1, count).reshape(self.m, self.da) + wv[:, self.db:]
-        _charge(count, self.m * self.da)
-        return np.concatenate([g1, wv[:, : self.db]], axis=1).ravel()
+        w = self._check_w(w, stack=True)
+        lead = w.shape[:-1]
+        wv, w1 = self._split_out(w)
+        g1 = self.inner.vjp_x(u, w1, count).reshape(lead + (self.m, self.da)) + wv[..., self.db:]
+        _charge(count, self.m * self.da, w)
+        return np.concatenate([g1, wv[..., : self.db]], axis=-1).reshape(lead + (self.d_in,))
 
     def _inner_adjoint_args(self, x, w):
-        """The inner part's input and cotangent at ``(x, w)``."""
-        x, w = self._check_x(x), self._check_w(w)
-        return self._split_in(x)[0], w.reshape(self.m, self.db + self.da)[:, : self.db].ravel()
+        """The inner part's input and cotangent at ``(x, w)``, either a stack."""
+        x, w, _ = self._check_vjp_u(x, w)
+        return self._split_in(x)[0], self._split_out(w)[1]
 
     def vjp_u(self, x, w, count=None):
         return self.inner.vjp_u(*self._inner_adjoint_args(x, w), count)

@@ -265,6 +265,8 @@ def layer_second_contract(tape, t: int, lam):
     block is ``Huu = Ju^T H Ju``, which callers keep factored instead of
     forming a (p, p) array.  The bi-affine part is affine in each argument
     separately, so its only second-order contribution is the cross block.
+    Every product with a Jacobian is a stacked ``vjp`` of a stage or of the
+    part on the rows of a (d, d) array, so no dense Jacobian is formed.
     """
     layer = tape.chain.layers[t]
     if not layer.second_order:
@@ -283,12 +285,14 @@ def layer_second_contract(tape, t: int, lam):
         H = lins[-1].hess_contract(w)
         w = lins[-1].vjp(w)
         for lin in reversed(lins[:-1]):
-            J = lin.dense_jacobian()
-            H = J.T @ H @ J + lin.hess_contract(w)
+            # J^T H J as two stacked adjoints: the rows of vjp(H) are those of H J
+            H = lin.vjp(lin.vjp(H).T).T + lin.hess_contract(w)
             w = lin.vjp(w)
 
-    Jx, Ju = tape.part_jacobians(t)
-    JxH = Jx.T @ H
-    Hxu = JxH @ Ju
+    # Stacked adjoints: the rows of vjp_x(u, M) are those of M Jx and the rows
+    # of vjp_u(x, M) those of M Ju, so no dense part Jacobian is formed.
+    u = tape.u.blocks[t]
+    JxH = part.vjp_x(u, H.T).T
+    Hxu = part.vjp_u(tape.states[t], JxH)
     Hxu += part.second_cross(w)
-    return JxH @ Jx, Hxu, H
+    return part.vjp_x(u, JxH), Hxu, H

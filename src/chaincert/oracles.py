@@ -211,38 +211,23 @@ class OracleStep:
     diagnostics: dict = field(default_factory=dict)
 
 
-class _SharedJacobians(Tape):
-    """A tape that keeps the last layer's dense part Jacobians.
-
-    ``build_lq`` asks for a layer's Jacobians twice in a row, for its blocks
-    and through ``layer_second_contract``; the second request reuses them.
-    """
-
-    def __init__(self, tape: Tape):
-        super().__init__(tape.chain, tape.u, tape.states, tape.stage_lins)
-        self._last = (None, None)
-
-    def part_jacobians(self, t: int):
-        if self._last[0] != t:
-            self._last = (t, super().part_jacobians(t))
-        return self._last[1]
-
-
 def _layer_blocks(tape: Tape, t: int):
     """``(A_t, B_t, U_t, F_t)`` of layer ``t``.
 
     ``A_t``/``B_t`` are the transposed layer Jacobians and ``Ju^T = U_t F_t``
-    (:func:`_part_basis`).  The stages act on the output side, so the range
-    of ``B_t`` lies in that of ``U_t``.
+    (:func:`_part_basis`).  Each stage applies its ``jvp`` to the rows of the
+    part's transposed Jacobians as one stack, so no dense stage Jacobian is
+    formed.  The stages act on the output side, so the range of ``B_t`` lies
+    in that of ``U_t``.
     """
     Jx, Ju = tape.part_jacobians(t)
-    U, F = _part_basis(tape.chain.layers[t].part, tape.states[t], Ju.T)
+    A, B = Jx.T, Ju.T
+    U, F = _part_basis(tape.chain.layers[t].part, tape.states[t], B)
     for lin in tape.stage_lins[t]:
-        Js = lin.dense_jacobian()
-        Jx = Js @ Jx
-        Ju = Js @ Ju
-    _require_finite(tape, t, Jx, Ju, F)
-    return Jx.T, Ju.T, U, F
+        A = lin.jvp(A)
+        B = lin.jvp(B)
+    _require_finite(tape, t, A, B, F)
+    return A, B, U, F
 
 
 def _part_basis(part, x: np.ndarray, JuT: np.ndarray):
@@ -312,9 +297,10 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
     fully-connected parts) ``U_t`` is an operator built from the QR of the
     part's input factor, so neither a (p_t, p_t) array nor a dense
     fully-connected basis is formed.  Layers are visited once, last to
-    first, and each part's dense Jacobians are formed once and shared with
-    ``layer_second_contract``.  A non-finite block raises ``NumericError``
-    naming its layer.
+    first.  Each part's dense Jacobians are formed once, and each stage
+    acts on them as one stacked ``jvp``; ``layer_second_contract`` forms
+    none, and zero blocks are allocated only for the kinds that keep them.
+    A non-finite block raises ``NumericError`` naming its layer.
     """
     if kind not in ("gradient", "gauss-newton", "newton"):
         raise ValueError(f"unknown model kind '{kind}'")
@@ -326,12 +312,12 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
     dims = [chain.d0] + [l.d_out for l in chain.layers]
     pdims = chain.param_dims
 
-    A, B, U, S = ([None] * tau for _ in range(4))
+    A, B, U, S, R = ([None] * tau for _ in range(5))
     q = [b.copy() for b in r.grad(tape.u).blocks]
-    R = [np.zeros((dims[t], pdims[t])) for t in range(tau)]
-    P = [np.zeros((d, d)) for d in dims]
+    P = [None] * (tau + 1)
     p = [np.zeros(d) for d in dims]
     if kind == "gradient":
+        P[tau] = np.zeros((dims[tau], dims[tau]))
         p[tau] = np.asarray(h.value_grad(tape.output)[1], dtype=float)
         _require_finite(tape, tau, p[tau])
     else:
@@ -340,16 +326,18 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
         p[tau] = np.asarray(gh, dtype=float)
         _require_finite(tape, tau, P[tau], p[tau])
 
-    view = _SharedJacobians(tape)
     lam = p[tau]
     for t in range(tau - 1, -1, -1):
-        A[t], B[t], U[t], F = _layer_blocks(view, t)
-        S[t] = np.zeros((F.shape[0], F.shape[0]))
+        A[t], B[t], U[t], F = _layer_blocks(tape, t)
         if kind == "newton":
-            P[t], R[t], H = layer_second_contract(view, t, lam)
+            P[t], R[t], H = layer_second_contract(tape, t, lam)
             S[t] = F @ H @ F.T
             _require_finite(tape, t, P[t], R[t], S[t])
             lam = A[t] @ lam
+        else:
+            P[t] = np.zeros((dims[t], dims[t]))
+            R[t] = np.zeros((dims[t], pdims[t]))
+            S[t] = np.zeros((F.shape[0], F.shape[0]))
     alpha = r.curvatures(pdims) if kind != "gradient" else None
     return LQProblem(A, B, P, p, S, q, R, kappa, U, alpha)
 
@@ -558,13 +546,18 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     stops before ``d_tau`` full iterations (one call short of the cap).
     ``exit_reason`` says why CG stopped: ``"tolerance"``, ``"zero_gradient"``
     (nothing to solve), ``"nonpositive_curvature"`` or ``"iteration_cap"``;
-    ``converged`` is True for the first two only.  ``"nonpositive_curvature"``
+    ``converged`` is True for the first two only.  Beside ``ad_calls``,
+    ``cg_iterations``, ``budget``, ``budget_ok`` and ``residual_norm``, the
+    diagnostics carry the keys every solver shares: ``iterations`` (CG
+    iterations), ``residual`` (the final CG residual norm), ``seconds``,
+    ``converged`` and ``exit_reason``.  ``"nonpositive_curvature"``
     is reachable only through rounding: the system matrix is
     ``A = H + H J W^-1 J^T H`` with ``H`` symmetric PSD, the right-hand side
     and ``A``'s range lie in ``range(H)``, so CG keeps ``p`` there and
     ``p^T A p >= p^T H p > 0`` for every nonzero ``p``.  A non-finite step
     raises ``NumericError``.
     """
+    start = time.perf_counter()
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     r = r if r is not None else ZeroReg()
@@ -590,12 +583,18 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     def w_solve(pv: ParamVector) -> ParamVector:
         return ParamVector([b / s for s, b in zip(shift, pv.blocks)])
 
+    def diagnostics(iters, residual, exit_reason):
+        ad_calls, budget = tape.ad_calls - calls0, 2 * d_tau + 1
+        return {"ad_calls": ad_calls, "cg_iterations": iters, "budget": budget,
+                "budget_ok": ad_calls <= budget, "residual_norm": residual,
+                "iterations": iters, "residual": residual,
+                "seconds": time.perf_counter() - start,
+                "converged": exit_reason in ("tolerance", "zero_gradient"),
+                "exit_reason": exit_reason}
+
     base = backward(tape, g) + r.grad(tape.u)
     if base.norm() == 0.0:
-        diags = {"ad_calls": tape.ad_calls - calls0, "cg_iterations": 0,
-                 "budget": 2 * d_tau + 1, "budget_ok": True, "residual_norm": 0.0,
-                 "converged": True, "exit_reason": "zero_gradient"}
-        return OracleStep(ParamVector.zeros(pdims), diags)
+        return OracleStep(ParamVector.zeros(pdims), diagnostics(0, 0.0, "zero_gradient"))
 
     c0 = w_solve(base)
     rhs = -(H @ jvp(tape, c0))
@@ -631,17 +630,7 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
 
     v = -1.0 * (c0 + w_solve(zeta))
     _check_finite(v, "Gauss-Newton dual")
-    ad_calls = tape.ad_calls - calls0
-    budget = 2 * d_tau + 1
-    diags = {
-        "ad_calls": ad_calls,
-        "cg_iterations": iters,
-        "budget": budget,
-        "budget_ok": ad_calls <= budget,
-        "residual_norm": float(np.sqrt(rr)),
-        "converged": exit_reason == "tolerance",
-        "exit_reason": exit_reason,
-    }
+    diags = diagnostics(iters, float(np.sqrt(rr)), exit_reason)
 
     if compute_gap:
         # Extra derivative calls below are diagnostic only and excluded

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .activations import ScalarActivation
-from .biaffine import _charge, basis_rows
+from .biaffine import _charge, _scatter_rows
 from .errors import DimensionMismatch, SecondOrderUnavailable
 
 __all__ = ["StageConstants", "StageLin", "Stage", "ElementwiseStage", "SoftmaxStage",
@@ -43,9 +43,13 @@ class StageLin:
     """Linearization of a stage at a point: adjoint/forward products.
 
     A linearisation keeps its ``stage`` and defines three things: ``vjp``,
-    ``jvp`` and ``hess_contract``.  ``dense_jacobian`` is derived from
-    ``jvp`` on basis vectors; ``hess_contract`` cannot be derived from
-    first-order products, so every linearisation writes its own.
+    ``jvp`` and ``hess_contract``.  ``vjp`` and ``jvp`` also take a (k, d)
+    stack of vectors and return one row per vector, charged k times the
+    units of a single call; a single vector runs the single-call arithmetic
+    unchanged.  ``dense_jacobian`` is derived here from one stacked ``jvp``
+    on the identity; ``hess_contract`` cannot be derived from first-order
+    products, so every linearisation writes its own.  A linearisation exists
+    only at a numeric point, so none of them is symbolic.
     """
 
     def vjp(self, lam, count=None):  # grad(a) @ lam, input-dim result
@@ -56,8 +60,7 @@ class StageLin:
 
     def dense_jacobian(self):
         """Jacobian (out, in) at the linearisation point; column k is ``jvp(e_k)``."""
-        st = self.stage
-        return basis_rows(st.in_total, st.out_total, self.jvp).T
+        return self.jvp(np.eye(self.stage.in_total)).T
 
     def hess_contract(self, lam):  # sum_k lam_k hess(a_k), (in, in)
         raise NotImplementedError
@@ -134,11 +137,11 @@ class _ElementwiseLin(StageLin):
         self.d1 = stage.act.d1(z)
 
     def vjp(self, lam, count=None):
-        _charge(count, self.stage.in_total)
+        _charge(count, self.stage.in_total, lam)
         return self.d1 * lam
 
     def jvp(self, dz, count=None):
-        _charge(count, self.stage.in_total)
+        _charge(count, self.stage.in_total, dz)
         return self.d1 * dz
 
     def hess_contract(self, lam):
@@ -198,10 +201,10 @@ class _SoftmaxLin(StageLin):
 
     def _apply(self, v, count):
         # (diag(s) - s s^T) v, symmetric so vjp == jvp
-        _charge(count, self.stage.grad_sparsity())
-        rows = v.reshape(self.stage.batch, self.stage.classes)
-        sv = (self.s * rows).sum(axis=1, keepdims=True)
-        return (self.s * rows - self.s * sv).ravel()
+        _charge(count, self.stage.grad_sparsity(), v)
+        rows = v.reshape(v.shape[:-1] + (self.stage.batch, self.stage.classes))
+        sv = (self.s * rows).sum(axis=-1, keepdims=True)
+        return (self.s * rows - self.s * sv).reshape(v.shape)
 
     def vjp(self, lam, count=None):
         return self._apply(lam, count)
@@ -244,7 +247,7 @@ class _PoolBase(Stage):
         self._window_index = None
 
     def _view(self, z):
-        return z.reshape(self.batch, self.channels, self.spatial_in)
+        return z.reshape(z.shape[:-1] + (self.batch, self.channels, self.spatial_in))
 
     def _index(self):
         """Flat input coordinate of every window entry, as (out_total, patch_size).
@@ -260,8 +263,13 @@ class _PoolBase(Stage):
         return self._window_index
 
     def _scatter(self, index, weights):
-        """Adjoint of a gather: add ``weights`` into the input coordinates ``index``."""
-        return np.bincount(index, weights=weights, minlength=self.in_total)
+        """Adjoint of a gather: add ``weights`` into the input coordinates ``index``.
+
+        A (k, len(index)) stack of weights scatters row by row, in one call.
+        """
+        if weights.ndim == 1:
+            return np.bincount(index, weights=weights, minlength=self.in_total)
+        return _scatter_rows(index, weights, self.in_total)
 
 
 class AvgPoolStage(_PoolBase):
@@ -292,13 +300,15 @@ class _AvgPoolLin(StageLin):
 
     def vjp(self, lam, count=None):
         st = self.stage
-        _charge(count, st.grad_sparsity())
-        return st._scatter(st._index().ravel(), np.repeat(lam / st.patch_size, st.patch_size))
+        _charge(count, st.grad_sparsity(), lam)
+        return st._scatter(st._index().ravel(),
+                           np.repeat(lam / st.patch_size, st.patch_size, axis=-1))
 
     def jvp(self, dz, count=None):
         st = self.stage
-        _charge(count, st.grad_sparsity())
-        return st._view(dz)[:, :, st.patches].mean(axis=-1).ravel()
+        _charge(count, st.grad_sparsity(), dz)
+        return st._view(dz)[..., st.patches].mean(axis=-1).reshape(
+            dz.shape[:-1] + (st.out_total,))
 
     def hess_contract(self, lam):
         n = self.stage.in_total
@@ -335,12 +345,12 @@ class _MaxPoolLin(StageLin):
 
     def vjp(self, lam, count=None):
         st = self.stage
-        _charge(count, st.out_total)
+        _charge(count, st.out_total, lam)
         return st._scatter(self.winners, lam)
 
     def jvp(self, dz, count=None):
-        _charge(count, self.stage.out_total)
-        return dz.reshape(self.stage.in_total)[self.winners]
+        _charge(count, self.stage.out_total, dz)
+        return dz.reshape(dz.shape[:-1] + (self.stage.in_total,))[..., self.winners]
 
     def hess_contract(self, lam):
         raise SecondOrderUnavailable("maxpool has no second derivative")
@@ -369,8 +379,8 @@ class BatchNormStage(Stage):
         self.in_total = self.out_total = self.batch * self.features
 
     def _rows(self, z):
-        # (features, batch): row i = feature i across samples
-        return z.reshape(self.batch, self.features).T
+        # (features, batch): row i = feature i across samples, per row of a stack
+        return z.reshape(z.shape[:-1] + (self.batch, self.features)).swapaxes(-1, -2)
 
     def value(self, z, count=None):
         z = self._check(z)
@@ -411,23 +421,23 @@ class _BatchNormLin(StageLin):
         self.f = f  # (features,)
 
     def _center(self, rows):
-        return rows - rows.mean(axis=1, keepdims=True)
+        return rows - rows.mean(axis=-1, keepdims=True)
 
     def _g_apply(self, rows):
         # per row: (I/f - x x^T/(m f^3)) v   (symmetric)
         m = self.stage.batch
-        inner = (self.xc * rows).sum(axis=1, keepdims=True)
+        inner = (self.xc * rows).sum(axis=-1, keepdims=True)
         return rows / self.f[:, None] - self.xc * inner / (m * self.f**3)[:, None]
 
     def vjp(self, lam, count=None):
-        _charge(count, self.stage.grad_sparsity())
+        _charge(count, self.stage.grad_sparsity(), lam)
         rows = self.stage._rows(lam)
-        return self._center(self._g_apply(rows)).T.ravel()
+        return self._center(self._g_apply(rows)).swapaxes(-1, -2).reshape(lam.shape)
 
     def jvp(self, dz, count=None):
-        _charge(count, self.stage.grad_sparsity())
+        _charge(count, self.stage.grad_sparsity(), dz)
         rows = self.stage._rows(dz)
-        return self._g_apply(self._center(rows)).T.ravel()
+        return self._g_apply(self._center(rows)).swapaxes(-1, -2).reshape(dz.shape)
 
     def hess_contract(self, lam):
         st = self.stage
@@ -471,14 +481,18 @@ class BlockStage(Stage):
         self.name = f"residual({inner.name})"
 
     def _split(self, z, per_sample_left):
-        view = z.reshape(self.batch, -1)
-        return view[:, :per_sample_left].ravel(), view[:, per_sample_left:].ravel()
+        """Each sample's leading block and the rest, flat per row of a stack."""
+        lead = z.shape[:-1]
+        view = z.reshape(lead + (self.batch, -1))
+        return (view[..., :per_sample_left].reshape(lead + (-1,)),
+                view[..., per_sample_left:].reshape(lead + (-1,)))
 
     @staticmethod
     def _join(left, right, batch):
-        lv = left.reshape(batch, -1)
-        rv = right.reshape(batch, -1)
-        return np.concatenate([lv, rv], axis=1).ravel()
+        lead = left.shape[:-1]
+        lv = left.reshape(lead + (batch, -1))
+        rv = right.reshape(lead + (batch, -1))
+        return np.concatenate([lv, rv], axis=-1).reshape(lead + (-1,))
 
     def value(self, z, count=None):
         z = self._check(z)
@@ -506,13 +520,13 @@ class _BlockLin(StageLin):
     def vjp(self, lam, count=None):
         st = self.stage
         left, right = st._split(lam, st.inner_out)
-        _charge(count, st.batch * st.pass_dim)
+        _charge(count, st.batch * st.pass_dim, lam)
         return st._join(self.inner_lin.vjp(left, count), right, st.batch)
 
     def jvp(self, dz, count=None):
         st = self.stage
         left, right = st._split(dz, st.inner_in)
-        _charge(count, st.batch * st.pass_dim)
+        _charge(count, st.batch * st.pass_dim, dz)
         return st._join(self.inner_lin.jvp(left, count), right, st.batch)
 
     def hess_contract(self, lam):

@@ -1,9 +1,10 @@
 """Adjoint identities for every numeric part kind and every stage kind.
 
 The dense Jacobians and the cross term of a part, and the dense Jacobian of
-a stage linearisation, are derived from the adjoint/tangent products.  These
-property tests tie the products to each other (the adjoint identity) and
-the derived forms back to ``jvp`` and ``value``, on random small shapes.
+a stage linearisation, are derived from stacked adjoint/tangent products.
+These property tests tie the products to each other (the adjoint identity),
+the stacked calls to a loop of single calls, and the derived forms back to
+``jvp`` and ``value``, on random small shapes.
 """
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaincert import (AvgPoolStage, BatchNormStage, BlockStage,
-                       DenseBiAffinePart, ElementwiseStage, FCPart,
-                       IdentityPart, MaxPoolStage, ResidualPart, SoftmaxStage,
-                       conv2d, get_activation)
+                       DenseBiAffinePart, DimensionMismatch, ElementwiseStage,
+                       FCPart, IdentityPart, MaxPoolStage, OpCounter,
+                       ResidualPart, SoftmaxStage, conv2d, get_activation)
 
 SEEDS = st.integers(0, 2**32 - 1)
 SETTINGS = settings(max_examples=15, deadline=None)
@@ -74,6 +75,39 @@ def test_part_adjoint_identity(kind, seed):
     scale = np.linalg.norm(w) * np.linalg.norm(jv) + np.linalg.norm(gx) * np.linalg.norm(dx) \
         + np.linalg.norm(gu) * np.linalg.norm(du)
     assert _close(float(w @ jv), float(gx @ dx) + float(gu @ du), scale)
+
+
+def _assert_stacked_matches_loop(call, stack):
+    """``call(v, count)`` on a (k, d) stack against single calls on its rows.
+
+    The stacked result must match row by row and charge k times the units of
+    one single call.
+    """
+    stacked, single = OpCounter(), OpCounter()
+    got = call(stack, stacked)
+    rows = [call(v, None) for v in stack]
+    call(stack[0], single)
+    assert got.shape == (len(stack),) + rows[0].shape
+    for g, want in zip(got, rows):
+        scale = 1.0 + np.abs(want).max(initial=0.0)
+        assert np.allclose(g, want, rtol=1e-12, atol=1e-12 * scale)
+    assert stacked.total == len(stack) * single.total
+
+
+@pytest.mark.parametrize("kind", sorted(PARTS))
+@SETTINGS
+@given(SEEDS)
+def test_part_stacked_adjoints_match_single_calls(kind, seed):
+    rng = np.random.default_rng(seed)
+    part = PARTS[kind](rng)
+    k = int(rng.integers(1, 5))
+    x, u, w = (rng.standard_normal(n) for n in (part.d_in, part.p, part.d_out))
+    W, X = rng.standard_normal((k, part.d_out)), rng.standard_normal((k, part.d_in))
+    _assert_stacked_matches_loop(lambda v, c: part.vjp_x(u, v, c), W)
+    _assert_stacked_matches_loop(lambda v, c: part.vjp_u(x, v, c), W)
+    _assert_stacked_matches_loop(lambda v, c: part.vjp_u(v, w, c), X)
+    with pytest.raises(DimensionMismatch):
+        part.vjp_u(X, W)
 
 
 @pytest.mark.parametrize("kind", sorted(PARTS))
@@ -148,3 +182,15 @@ def test_stage_adjoint_identity(kind, seed):
     J = lin.dense_jacobian()
     assert J.shape == (stage.out_total, stage.in_total)
     assert np.allclose(J.T @ lam, vj, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", sorted(STAGES))
+@SETTINGS
+@given(SEEDS)
+def test_stage_stacked_products_match_single_calls(kind, seed):
+    rng = np.random.default_rng(seed)
+    stage = STAGES[kind](rng)
+    lin = stage.linearize(rng.integers(-2, 3, size=stage.in_total).astype(float))
+    k = int(rng.integers(1, 5))
+    _assert_stacked_matches_loop(lin.jvp, rng.standard_normal((k, stage.in_total)))
+    _assert_stacked_matches_loop(lin.vjp, rng.standard_normal((k, stage.out_total)))

@@ -195,18 +195,29 @@ def test_numeric_conv_construction_allocates_no_im2col_index():
     assert peak < 64 * 2**20
 
 
+def _refuses_within_1mb(call, *args):
+    """``call(*args)`` raises ``SymbolicOnlyError`` with a ``tracemalloc`` peak under 1 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SymbolicOnlyError):
+            call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{call.__name__} peaked at {peak} bytes before refusing"
+
+
 def test_symbolic_conv_refuses_numerics_but_reports_constants():
     part = SymbolicConvPart(batch=128, channels=3, spatial=224 * 224,
                             n_patches=224 * 224, kernel_shape=(3, 3),
                             stride=(1, 1), n_filters=64, bias=False)
-    with pytest.raises(SymbolicOnlyError):
-        part.value(np.zeros(2), np.zeros(2))
-    with pytest.raises(SymbolicOnlyError):
-        part.dense_jx(np.zeros(2))
-    with pytest.raises(SymbolicOnlyError):
-        part.dense_ju(np.zeros(2))
-    with pytest.raises(SymbolicOnlyError):
-        part.second_cross(np.zeros(2))
+    # The derived forms refuse before any identity stack: np.eye(d_out)
+    # would take d_out^2 = 1.7e17 floats here.
+    _refuses_within_1mb(part.value, np.zeros(2), np.zeros(2))
+    for p in (part, ResidualPart(part, batch=128)):
+        _refuses_within_1mb(p.dense_jx, np.zeros(2))
+        _refuses_within_1mb(p.dense_ju, np.zeros(2))
+        _refuses_within_1mb(p.second_cross, np.zeros(2))
     c = part.constants()
     assert c.L_b == pytest.approx(3.0)  # ceil(3/1) per axis, sqrt(9)
     assert part.p == 64 * 3 * 9

@@ -402,6 +402,25 @@ def test_newton_step_working_memory_is_below_the_dense_bases(monkeypatch):
     assert peak - _model_bytes(lq) < dense_bases
 
 
+def test_build_lq_working_memory_at_the_benchmark_shape():
+    # The fc-oracles shape: d_t = 128, p_t = 1056, tau = 6; one (d_t, p_t)
+    # array is 1.1 MB and the model itself holds 14.8 MB.  The build peaked
+    # at 18.6 MB while it allocated a zero R block per layer before
+    # overwriting it and multiplied dense stage Jacobians in, and at 16.2 MB
+    # once stages act as stacked products.  The zero R blocks alone bring it
+    # back to 17.2 MB, so the bound lies below that.
+    chain, u, x0, h = _fc_instance(1, 4, 32, tau=6)
+    tape = forward(chain, x0, u)
+    tracemalloc.start()
+    try:
+        lq = build_lq(tape, h, None, "newton", 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lq.tau == 6
+    assert peak < 16.8 * 2**20
+
+
 @pytest.mark.parametrize("rank", [6, 3, 0], ids=["full-rank", "rank-deficient", "zero"])
 def test_range_basis_is_orthonormal_and_factors_its_input(rank):
     from chaincert.oracles import _range_basis
@@ -553,7 +572,7 @@ def test_gn_dual_zero_gradient_shortcut():
     tape2 = forward(chain, x0, u)
     step = solve_gauss_newton_dual(tape2, h, None, 1.0)
     assert step.v.norm() == 0.0
-    assert step.diagnostics["cg_iterations"] == 0
+    assert step.diagnostics["cg_iterations"] == step.diagnostics["iterations"] == 0
     assert step.diagnostics["ad_calls"] <= 2
     assert step.diagnostics["converged"] is True
     assert step.diagnostics["exit_reason"] == "zero_gradient"
@@ -569,6 +588,22 @@ def test_gn_dual_reports_exit_reason():
     assert capped.diagnostics["converged"] is False
     assert capped.diagnostics["exit_reason"] == "iteration_cap"
     assert capped.diagnostics["cg_iterations"] == 1
+
+
+def test_newton_dp_and_gn_dual_share_the_diagnostics_keys():
+    chain, u, x0, h = _small_instance(9, tau=2, width=3, batch=2)
+    newton = solve_newton_dp(build_lq(forward(chain, x0, u), h, None, "newton", 1.0))
+    done = solve_gauss_newton_dual(forward(chain, x0, u), h, None, 1.0, tol=1e-12)
+    capped = solve_gauss_newton_dual(forward(chain, x0, u), h, None, 1.0, max_iter=1)
+    for step in (newton, done, capped):
+        d = step.diagnostics
+        assert {"exit_reason", "iterations", "seconds", "converged"} <= set(d)
+        assert isinstance(d["iterations"], int) and d["seconds"] >= 0.0
+    for step in (done, capped):
+        d = step.diagnostics
+        assert d["iterations"] == d["cg_iterations"]
+        assert d["residual"] == d["residual_norm"]
+    assert capped.diagnostics["iterations"] == 1
 
 
 def test_gn_dual_duality_gap_closes():
