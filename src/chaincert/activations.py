@@ -26,17 +26,34 @@ LOG2 = float(np.log(2.0))
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
-    # stable: log(1+e^x) = max(x,0) + log1p(e^{-|x|})
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    # stable: log(1+e^x) = max(x,0) + log1p(e^{-|x|}), worked in one buffer
+    # (``out`` makes it an array even for a 0-d x)
+    x = np.asarray(x, dtype=float)
+    t = np.abs(x, out=np.empty_like(x))
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    return np.add(np.maximum(x, 0.0), t, out=t)
+
+
+def _softplus_centered(x: np.ndarray) -> np.ndarray:
+    t = _softplus(x)
+    t -= LOG2
+    return t
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Branch-free and stable: with e = exp(-|x|) <= 1 this is 1/(1+e) for
     # x >= 0 and e/(1+e) below, so the far negative tail keeps its relative
     # accuracy (the form 0.5(1 + tanh(x/2)) underflows to 0 below about -37).
+    # The numerator exp(min(x, 0)) is bitwise 1 or e, with no select.  fmin
+    # takes 0 for a NaN x, so a NaN result gets e's sign bit, as before.
     x = np.asarray(x, dtype=float)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e += 1.0
+    s = np.exp(np.fmin(x, 0.0))
+    s /= e
+    return s
 
 
 def _sigmoid_d1(x: np.ndarray) -> np.ndarray:
@@ -120,7 +137,7 @@ SOFTPLUS = _register(
 SOFTPLUS_CENTERED = _register(
     ScalarActivation(
         name="softplus-centered",
-        fn=lambda x: _softplus(x) - LOG2,
+        fn=_softplus_centered,
         d1=_sigmoid,
         d2=_sigmoid_d1,
         lip=1.0,

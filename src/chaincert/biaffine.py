@@ -17,6 +17,7 @@ per-sample layout is ``(channels, spatial)`` for convolutional maps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -445,8 +446,8 @@ class _ConvGeometry(BiAffinePart):
 
     def constants(self):
         return BiAffineConstants(
-            L_b=float(np.sqrt(self._multiplicity())),
-            l_u=float(np.sqrt(self.m * self.n_p)) if self.bias else 0.0,
+            L_b=math.sqrt(self._multiplicity()),
+            l_u=math.sqrt(self.m * self.n_p) if self.bias else 0.0,
             l_x=0.0,
             beta0_norm=0.0,
         )
@@ -599,7 +600,7 @@ class SymbolicConvPart(_ConvGeometry):
                  kernel_shape: tuple, stride: tuple, n_filters: int, bias: bool = False):
         if len(kernel_shape) != len(stride):
             raise DimensionMismatch("kernel and stride ranks differ")
-        super().__init__(batch, channels, spatial, n_patches, int(np.prod(kernel_shape)),
+        super().__init__(batch, channels, spatial, n_patches, int(math.prod(kernel_shape)),
                          n_filters, bias, kernel_shape, stride)
 
     def _no_numeric(self, *args, **kwargs):

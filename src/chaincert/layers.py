@@ -8,6 +8,7 @@ admits any part and stages that satisfy their interfaces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -113,9 +114,16 @@ def _act_stages(batch, total, activation):
 
 
 def _pool_stage(cls, batch, channels, height, width, size, stride):
-    """Pooling stage over a ``(height, width)`` grid, and its output grid."""
-    patches, grid = _valid_patches_2d(height, width, *size, *stride)
-    return cls(batch, channels, height * width, patches), grid
+    """Pooling stage over a ``(height, width)`` grid, and its output grid.
+
+    The stage builds its window table on first numeric use, as a numeric
+    conv part does: a chain that is only certified never needs it.
+    """
+    grid = _valid_grid(height, width, *size, *stride)
+    stage = cls._deferred(batch, channels, height * width, grid[0] * grid[1],
+                          size[0] * size[1],
+                          lambda: _valid_patches_2d(height, width, *size, *stride)[0])
+    return stage, grid
 
 
 # constructors -----------------------------------------------------------
@@ -150,7 +158,8 @@ def _conv_layer(batch, channels, spatial, valid, declared, table, kernel, stride
                         kernel_shape=kernel, stride=stride)
         grid = valid
     else:
-        part = SymbolicConvPart(batch, channels, spatial, int(np.prod(declared)),
+        n_declared = math.prod(declared) if isinstance(declared, tuple) else declared
+        part = SymbolicConvPart(batch, channels, spatial, n_declared,
                                 kernel, stride, filters, bias=bias)
         grid = declared
     hyper.update(channels=channels, filters=filters, kernel=kernel, stride=stride,

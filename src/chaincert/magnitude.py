@@ -19,10 +19,22 @@ from dataclasses import dataclass
 
 __all__ = ["LogMag", "lm_min"]
 
+_INF = math.inf
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LogMag:
-    """A nonnegative magnitude stored as its natural log."""
+    """A nonnegative magnitude stored as its natural log.
+
+    Propagating the constants of a deep chain makes hundreds of products
+    and sums, so the arithmetic is kept lean: ``*`` and ``+`` read the raw
+    ``lg`` floats once and test them directly instead of going through
+    ``is_zero``/``is_inf``, and results are made by ``_make``, which fills
+    the slot without the frozen dataclass's ``__init__`` (that goes through
+    ``object.__setattr__``, about as costly as the arithmetic itself).  The
+    formulas are unchanged, so every result is bitwise what the plain form
+    gives.  Instances stay immutable: assigning ``lg`` raises.
+    """
 
     lg: float
 
@@ -30,9 +42,7 @@ class LogMag:
     def of(cls, v: float) -> "LogMag":
         if v < 0:
             raise ValueError(f"magnitude must be nonnegative, got {v}")
-        if v == 0:
-            return cls(-math.inf)
-        return cls(math.log(v))
+        return _make(-_INF if v == 0 else math.log(v))
 
     @property
     def value(self) -> float:
@@ -51,19 +61,23 @@ class LogMag:
         return self.lg == math.inf
 
     def __mul__(self, other: "LogMag") -> "LogMag":
+        a, b = self.lg, other.lg
+        out = _new(LogMag)  # the hottest constructor: _make, inlined
         # 0 * inf = 0, see module docstring.
-        if self.is_zero or other.is_zero:
-            return LogMag(-math.inf)
-        return LogMag(self.lg + other.lg)
+        _set_lg(out, -_INF if a == -_INF or b == -_INF else a + b)
+        return out
 
     def __add__(self, other: "LogMag") -> "LogMag":
-        if self.is_zero:
+        a, b = self.lg, other.lg
+        if a == -_INF:
             return other
-        if other.is_zero:
+        if b == -_INF:
             return self
-        if self.is_inf or other.is_inf:
-            return LogMag(math.inf)
-        return LogMag(_logaddexp(self.lg, other.lg))
+        if a == _INF or b == _INF:
+            return _make(_INF)
+        if a < b:
+            a, b = b, a
+        return _make(a + math.log1p(math.exp(b - a)))
 
     def __lt__(self, other: "LogMag") -> bool:
         return self.lg < other.lg
@@ -75,10 +89,15 @@ class LogMag:
         return f"LogMag(log={self.lg:.6g})"
 
 
-def _logaddexp(a: float, b: float) -> float:
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
+_new = object.__new__
+_set_lg = LogMag.__dict__["lg"].__set__
+
+
+def _make(lg: float) -> LogMag:
+    """``LogMag(lg)`` without the frozen ``__init__``: fill the slot directly."""
+    out = _new(LogMag)
+    _set_lg(out, lg)
+    return out
 
 
 def lm_min(a: LogMag, b: LogMag) -> LogMag:

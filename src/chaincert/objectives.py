@@ -176,7 +176,7 @@ class Objective:
                 raise DimensionMismatch(
                     f"labels shape {self.y.shape}, expected ({self.n}, {self.q})")
             if self.kind == "logistic":
-                onehot = np.all(np.isin(self.y, (0.0, 1.0))) and \
+                onehot = np.all((self.y == 0.0) | (self.y == 1.0)) and \
                     np.all(self.y.sum(axis=1) == 1.0)
                 if not onehot:
                     raise ValueError("logistic labels must be one-hot rows")

@@ -16,6 +16,7 @@ user-supplied list with the same shape.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -47,10 +48,16 @@ _ONE = LogMag(0.0)
 _TWO = LogMag(math.log(2.0))
 
 
+# Constants repeat across layers (3, 1, 0.25, inf, ...), so their logs are
+# memoised.  ``LogMag.of`` is pure and a LogMag immutable, so sharing a result
+# changes nothing but the time; the bound keeps the memo small.
+_log_of = functools.lru_cache(maxsize=1024)(LogMag.of)
+
+
 def _lm(x) -> LogMag:
     if isinstance(x, LogMag):
         return x
-    return LogMag.of(float(x))
+    return _log_of(float(x))
 
 
 @dataclass(frozen=True)

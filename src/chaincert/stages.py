@@ -11,6 +11,7 @@ than they are charged; the charge is the cost model the counters report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -116,10 +117,10 @@ class ElementwiseStage(Stage):
 
     def constants(self) -> StageConstants:
         n = self.in_total
-        rootn = float(np.sqrt(n))
+        rootn = math.sqrt(n)
         a = self.act
         return StageConstants(
-            m_a=a.bound * rootn if np.isfinite(a.bound) else np.inf,
+            m_a=a.bound * rootn if math.isfinite(a.bound) else np.inf,
             lip=a.lip,
             smooth=a.smooth,
             a0_norm=abs(a.val0) * rootn,
@@ -237,14 +238,40 @@ class _PoolBase(Stage):
             raise DimensionMismatch("patch index set must be (n_out, patch_size)")
         if patches.size and (patches.min() < 0 or patches.max() >= spatial_in):
             raise DimensionMismatch("patch indices out of range")
+        self._shape(batch, channels, spatial_in, *patches.shape)
+        self._patches = patches
+
+    @classmethod
+    def _deferred(cls, batch, channels, spatial_in, n_out, patch_size, table):
+        """A stage whose window table ``table()`` is built on first numeric use.
+
+        ``table`` must return an in-range (n_out, patch_size) integer table,
+        as a valid window sweep does.  Constants and sizes need no table, so
+        a chain that is only certified never builds one; at fixture scale a
+        table takes tens of megabytes.
+        """
+        self = cls.__new__(cls)
+        self._shape(batch, channels, spatial_in, n_out, patch_size)
+        self._patches = None
+        self._table = table
+        return self
+
+    def _shape(self, batch, channels, spatial_in, n_out, patch_size):
         self.batch = int(batch)
         self.channels = int(channels)
         self.spatial_in = int(spatial_in)
-        self.patches = patches
-        self.n_out, self.patch_size = patches.shape
+        self.n_out, self.patch_size = int(n_out), int(patch_size)
         self.in_total = self.batch * self.channels * self.spatial_in
         self.out_total = self.batch * self.channels * self.n_out
         self._window_index = None
+
+    @property
+    def patches(self) -> np.ndarray:
+        """Flat spatial input indices of every window, as (n_out, patch_size)."""
+        if self._patches is None:
+            self._patches = self._table()
+            self._table = None
+        return self._patches
 
     def _view(self, z):
         return z.reshape(z.shape[:-1] + (self.batch, self.channels, self.spatial_in))

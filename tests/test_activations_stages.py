@@ -235,3 +235,92 @@ def test_batchnorm_magnitude_bound_is_tight(batch, features, eps):
         assert max(norms) <= m_a
         if scale >= 1e3:
             assert max(norms) >= 0.99 * m_a
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_activation_kernels_equal_their_reference_formulas_bitwise():
+    # The kernels avoid temporaries and the select of np.where; each must
+    # still give the plain formula's bits, NaN included.
+    from chaincert.activations import LOG2, _sigmoid, _softplus
+
+    def softplus(x):
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+    def sigmoid(x):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([[0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan,
+                          5e-324, -5e-324, 36.0, -37.0, 745.0, -745.0],
+                         rng.standard_normal(2000) * 40.0])
+    centered = get_activation("softplus-centered").fn
+    for got, want in ((_softplus, softplus), (_sigmoid, sigmoid),
+                      (centered, lambda x: softplus(x) - LOG2)):
+        assert _bits_equal(got(xs), want(xs))
+        assert _bits_equal(got(xs[6:].reshape(-1, 9)), want(xs[6:].reshape(-1, 9)))
+        for v in xs[:13]:
+            assert np.array_equal(got(np.float64(v)), want(np.float64(v)), equal_nan=True)
+    z = xs.copy()
+    for act in ("softplus", "softplus-centered", "sigmoid"):
+        a = get_activation(act)
+        a.fn(z), a.d1(z), a.d2(z)
+        assert _bits_equal(z, xs), f"{act} wrote into its input"
+
+
+# Pool geometries (batch, channels, height, width, size, stride): tiling,
+# overlapping and ragged windows.
+_POOL_GEOMETRIES = [(2, 3, 6, 6, (2, 2), (2, 2)), (1, 2, 5, 7, (3, 2), (1, 2)),
+                    (3, 1, 7, 5, (3, 3), (2, 1))]
+
+
+@pytest.mark.parametrize("geometry", _POOL_GEOMETRIES, ids=str)
+@pytest.mark.parametrize("kind", ["avg", "max"])
+def test_pool_stages_from_layers_equal_explicit_table_stages_bitwise(kind, geometry):
+    # A stage built by ``maxpool2d``/``avgpool2d`` builds its window table on
+    # first numeric use; every product must equal the stage built from the
+    # same table passed explicitly.
+    from chaincert import avgpool2d, maxpool2d
+
+    b, c, h, w, size, stride = geometry
+    make, cls = (avgpool2d, AvgPoolStage) if kind == "avg" else (maxpool2d, MaxPoolStage)
+    lazy = make(b, c, h, w, size, stride).stages[0]
+    table = _valid_patches_2d(h, w, *size, *stride)[0]
+    eager = cls(b, c, h * w, table)
+    assert (lazy.n_out, lazy.patch_size, lazy.in_total, lazy.out_total) == \
+        (eager.n_out, eager.patch_size, eager.in_total, eager.out_total)
+    assert lazy.constants() == eager.constants()
+    assert lazy.grad_sparsity() == eager.grad_sparsity()
+
+    rng = np.random.default_rng(17)
+    # small integers make ties within a window common
+    z = rng.integers(0, 3, lazy.in_total).astype(float)
+    dz = rng.standard_normal((4, lazy.in_total))
+    lam = rng.standard_normal((4, lazy.out_total))
+    assert _bits_equal(lazy.value(z), eager.value(z))
+    ll, le = lazy.linearize(z), eager.linearize(z)
+    assert _bits_equal(ll.jvp(dz[0]), le.jvp(dz[0]))
+    assert _bits_equal(ll.vjp(lam[0]), le.vjp(lam[0]))
+    assert _bits_equal(ll.jvp(dz), le.jvp(dz))
+    assert _bits_equal(ll.vjp(lam), le.vjp(lam))
+    assert _bits_equal(ll.dense_jacobian(), le.dense_jacobian())
+    assert np.array_equal(lazy.patches, table)
+
+
+def test_explicit_pool_tables_are_checked_at_construction():
+    from chaincert import DimensionMismatch
+
+    for cls in (AvgPoolStage, MaxPoolStage):
+        for bad in (np.array([[0, 4]]), np.array([[-1, 0]]), np.array([0, 1])):
+            with pytest.raises(DimensionMismatch):
+                cls(1, 1, 4, bad)
+        # the one-coordinate stage a profiler builds to reach the private
+        # linearisation classes
+        st = cls(1, 1, 1, np.zeros((1, 1), dtype=int))
+        assert _bits_equal(st.linearize(np.zeros(1)).vjp(np.ones(1)), np.ones(1))
+        # a profiler wraps these by name on the class itself
+        assert "value" in cls.__dict__ and "linearize" in cls.__dict__

@@ -197,7 +197,7 @@ def test_parse_missing_file():
 def test_vgg16_parse_builds_no_conv_patch_table():
     # Every VGG16 conv layer is symbolic, so its window table would be thrown
     # away; the first layer's (222 * 222 windows of 9 int64 entries) alone
-    # would take 3.5 MB.  Only the small pooling tables are built.
+    # would take 3.5 MB.  The pooling tables are not built either (see below).
     import tracemalloc
 
     table_bytes = 222 * 222 * 9 * 8
@@ -209,6 +209,26 @@ def test_vgg16_parse_builds_no_conv_patch_table():
         tracemalloc.stop()
     assert all(isinstance(l.part, SymbolicConvPart) for l in chain.layers[:13])
     assert peak < table_bytes
+
+
+@pytest.mark.parametrize("name", ["vgg16", "vgg16-smooth", "vgg16-batchnorm"])
+def test_vgg16_parse_builds_no_pool_window_table(name):
+    # Pool stages build their window tables on first numeric use, and
+    # certification makes none.  The largest VGG16 pool table, 112 * 112
+    # windows of 4 int64 entries, is 0.4 MB; with all five tables built a
+    # parse peaks at about 1.84 MB, without them at about 1.44 MB (most of
+    # it the 128 x 1000 label matrix of the objective).
+    import tracemalloc
+
+    path = _fixture(name + ".arch")
+    parse_arch(path)  # warm the parser's caches
+    tracemalloc.start()
+    try:
+        parse_arch(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_600_000
 
 
 def test_declared_grid_with_valid_count_but_other_shape_stays_symbolic():

@@ -253,3 +253,51 @@ def test_symbolic_conv_constructors_build_no_window_table():
         conv2d(1, 1, 4, 4, 1, 5, declared_patches=1)
     with pytest.raises(DimensionMismatch):
         conv1d(1, 1, 3, 1, 4, declared_patches=1)
+
+
+@pytest.mark.parametrize("make", [maxpool2d, avgpool2d], ids=["max", "avg"])
+def test_pool_constructors_build_no_window_table(make):
+    # 64 channels of 2048 x 2048 pooled 2 x 2: the window table alone is
+    # 1024 * 1024 windows of 4 int64 entries, 32 MB.  Constants and sizes
+    # need none of it, so the constructor builds nothing that large.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        layer = make(1, 64, 2048, 2048, 2)
+        constants = layer.stages[0].constants()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert layer.hyper["out_shape"] == (1024, 1024)
+    assert layer.d_out == 64 * 1024 * 1024 and constants.lip == 1.0
+
+
+def test_numeric_pooling_chain_matches_explicit_tables_after_the_deferred_build():
+    from chaincert import sample_params, sample_state
+    from chaincert.biaffine import IdentityPart
+    from chaincert.layers import _valid_patches_2d
+    from chaincert.stages import AvgPoolStage, MaxPoolStage
+
+    def explicit(layer, cls):
+        h = layer.hyper
+        table = _valid_patches_2d(h["height"], h["width"], *h["size"], *h["stride"])[0]
+        stage = cls(layer.batch, h["channels"], h["height"] * h["width"], table)
+        return LayerDescriptor(layer.kind, IdentityPart(layer.d_in), (stage,), layer.batch, h)
+
+    def chain(mp, ap):
+        return ChainSpec((conv2d(2, 1, 9, 9, 2, 2, activation="softplus"), mp,
+                          conv2d(2, 2, 4, 4, 3, 2, activation="softplus"), ap,
+                          fully_connected(2, 3 * 2 * 2, 3)))
+
+    mp, ap = maxpool2d(2, 2, 8, 8, 2), avgpool2d(2, 3, 3, 3, 2, stride=1)
+    lazy, eager = chain(mp, ap), chain(explicit(mp, MaxPoolStage), explicit(ap, AvgPoolStage))
+    rng = np.random.default_rng(9)
+    x0 = sample_state(lazy.d0, 1.0, rng)
+    u = sample_params(lazy.param_dims, [1.0] * lazy.tau, rng)
+    lam = rng.standard_normal(lazy.d_out)
+    got, want = forward(lazy, x0, u), forward(eager, x0, u)
+    assert got.output.tobytes() == want.output.tobytes()
+    for a, b in zip(backward(got, lam).blocks, backward(want, lam).blocks):
+        assert a.tobytes() == b.tobytes()

@@ -58,3 +58,53 @@ def test_add_matches_float(a, b):
 def test_order_matches_float(a, b):
     assert (LogMag.of(a) < LogMag.of(b)) == (a < b)
     assert lm_min(LogMag.of(a), LogMag.of(b)).value == pytest.approx(min(a, b))
+
+
+# logs of zero, infinity, tiny and huge magnitudes, and of ordinary ones
+logs = st.one_of(st.sampled_from([-math.inf, math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                                  1e-300, -1e-300, 1e300, -1e300, 700.0, -745.0]),
+                 st.floats(allow_nan=False))
+
+
+def _ref_mul(a, b):
+    return -math.inf if a == -math.inf or b == -math.inf else a + b
+
+
+def _ref_add(a, b):
+    if a == -math.inf:
+        return b
+    if b == -math.inf:
+        return a
+    if math.inf in (a, b):
+        return math.inf
+    hi, lo = max(a, b), min(a, b)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+@given(logs, logs)
+def test_arithmetic_equals_reference_formulas(a, b):
+    x, y = LogMag(a), LogMag(b)
+    assert (x * y).lg == _ref_mul(a, b)
+    assert (x + y).lg == _ref_add(a, b)
+    # both operations are symmetric, and every result is a LogMag
+    assert (y * x).lg == (x * y).lg and (y + x).lg == (x + y).lg
+    assert type(x * y) is LogMag and type(x + y) is LogMag
+
+
+@given(logs, logs)
+def test_equality_and_hash_follow_the_log(a, b):
+    x, y = LogMag(a), LogMag(b)
+    assert (x == y) == (a == b)
+    assert x == LogMag(a) and hash(x) == hash(LogMag(a))
+    if a == b:
+        assert hash(x) == hash(y)
+
+
+@given(logs)
+def test_zero_annihilates_every_magnitude_and_logs_are_frozen(a):
+    zero, x = LogMag(-math.inf), LogMag(a)
+    assert (zero * x).lg == (x * zero).lg == -math.inf
+    assert (zero * LogMag(math.inf)).lg == (LogMag(math.inf) * zero).lg == -math.inf
+    with pytest.raises(AttributeError):
+        x.lg = 0.0
+    assert x.lg == a

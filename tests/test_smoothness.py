@@ -1,6 +1,7 @@
 """Constant propagation: hand-checked recursions and soundness probes."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from chaincert import (BoundedDomain, ChainSpec, DenseBiAffinePart,
                        LayerDescriptor, LogMag, ParamVector, avgpool2d,
                        backward, batchnorm_layer, catalog_constants, conv2d,
                        forward, fully_connected, generic_recursion,
-                       input_smoothness, objective_smoothness, propagate_chain,
-                       propagate_layers, recenter_domain, refine_on_ball,
-                       residual_wrap, sample_params, sample_state)
+                       input_smoothness, objective_smoothness, parse_arch,
+                       propagate_chain, propagate_layers, recenter_domain,
+                       refine_on_ball, residual_wrap, sample_params, sample_state)
+import chaincert.cli
 from chaincert.biaffine import BiAffineConstants
 
 
@@ -290,3 +292,92 @@ def test_propagate_layers_bounds_random_chains(chain, radius, m0, seed):
         assert np.linalg.norm(ta.output - tb.output) / du <= lip * (1 + 1e-9)
         ratio = (backward(ta, mu) - backward(tb, mu)).norm() / du
         assert ratio <= smooth * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------- pinned certificates
+
+# Every prefix's (log m, log lip, log smooth) from ``propagate_layers`` on the
+# shipped VGG16 fixtures, and the two log differences that
+# ``chaincert smoothness vgg16-smooth.arch --compare vgg16-batchnorm.arch
+# --bn-eps 0.01`` reports, as ``float.hex``.  A certified constant may move
+# only with a proof (or a validating test) of the new bound, so these are
+# compared for exact equality: a faster propagation must give the same bits.
+_PINNED_LOGS = {
+    "vgg16": (
+        ("0x1.cab0bfa2a2002p+0", "0x1.193ea7aad030bp+0", "inf"),
+        ("0x1.cab0bfa2a2002p+1", "0x1.a5ddfb8038490p+1", "inf"),
+        ("0x1.58048fb9f9802p+2", "0x1.4f78c878e58dep+2", "inf"),
+        ("0x1.cab0bfa2a2003p+2", "0x1.c68f59753a71bp+2", "inf"),
+        ("0x1.1eae77c5a5402p+3", "0x1.1daa61ed06cbep+3", "inf"),
+        ("0x1.58048fb9f9802p+3", "0x1.57838d0734e56p+3", "inf"),
+        ("0x1.915aa7ae4dc02p+3", "0x1.911a6758779cap+3", "inf"),
+        ("0x1.cab0bfa2a2002p+3", "0x1.ca90af97ef4f0p+3", "inf"),
+        ("0x1.02036bcb7b201p+4", "0x1.01fb69cad0355p+4", "inf"),
+        ("0x1.1eae77c5a5401p+4", "0x1.1eaa77458fe6cp+4", "inf"),
+        ("0x1.3b5983bfcf601p+4", "0x1.3b57839fccb53p+4", "inf"),
+        ("0x1.58048fb9f9801p+4", "0x1.58038fb1f92acp+4", "inf"),
+        ("0x1.74af9bb423a01p+4", "0x1.74af1bb223957p+4", "inf"),
+        ("0x1.7fc6bd33be809p+4", "0x1.7fc67d333e7fbp+4", "inf"),
+        ("0x1.8adddeb34a7f5p+4", "0x1.8addbeb32a7f8p+4", "inf"),
+        ("0x1.3687a9f1af2b1p+1", "0x1.a10c11b2442a4p+4", "inf"),
+    ),
+    "vgg16-smooth": (
+        ("0x1.cab0bfa2a2002p+0", "0x1.193ea7aad030bp+0", "0x1.9f323ecbf984ep-1"),
+        ("0x1.cab0bfa2a2002p+1", "0x1.a5ddfb8038490p+1", "0x1.554b43c3f5b7dp+2"),
+        ("0x1.58048fb9f9802p+2", "0x1.4f78c878e58dep+2", "0x1.25ccc4db02ae8p+3"),
+        ("0x1.cab0bfa2a2003p+2", "0x1.c68f59753a71bp+2", "0x1.9cb8acfb5f632p+3"),
+        ("0x1.1eae77c5a5402p+3", "0x1.1daa61ed06cbep+3", "0x1.08ca1e9dc55a7p+4"),
+        ("0x1.58048fb9f9802p+3", "0x1.57838d0734e56p+3", "0x1.42ad703b2c2d6p+4"),
+        ("0x1.915aa7ae4dc02p+3", "0x1.911a6758779cap+3", "0x1.7c4a3b60e708cp+4"),
+        ("0x1.cab0bfa2a2002p+3", "0x1.ca90af97ef4f0p+3", "0x1.b5c3a32ede3e5p+4"),
+        ("0x1.02036bcb7b201p+4", "0x1.01fb69cad0355p+4", "0x1.ef2b5d9a40312p+4"),
+        ("0x1.1eae77c5a5401p+4", "0x1.1eaa77458fe6cp+4", "0x1.1445226f65f3bp+5"),
+        ("0x1.3b5983bfcf601p+4", "0x1.3b57839fccb53p+4", "0x1.30f261f3b3eabp+5"),
+        ("0x1.58048fb9f9801p+4", "0x1.58038fb1f92acp+4", "0x1.4d9e879e4e375p+5"),
+        ("0x1.74af9bb423a01p+4", "0x1.74af1bb223957p+4", "0x1.6a4a206b2a4eap+5"),
+        ("0x1.7fc6bd33be809p+4", "0x1.7fc67d333e7fbp+4", "0x1.769d319dfb51cp+5"),
+        ("0x1.8adddeb34a7f5p+4", "0x1.8addbeb32a7f8p+4", "0x1.81fc55d5e8e14p+5"),
+        ("0x1.3687a9f1af2b1p+1", "0x1.a10c11b2442a4p+4", "0x1.a15ebcb72e2c1p+5"),
+    ),
+    "vgg16-batchnorm": (
+        ("0x1.326643c4479c9p+2", "0x1.0609bdc65328bp+2", "0x1.bdc5688a27b32p+2"),
+        ("0x1.326643c4479c9p+3", "0x1.293192bbad2ecp+3", "0x1.15a67d93b0bf2p+4"),
+        ("0x1.3241c6512531fp+3", "0x1.c7538205e171bp+3", "0x1.b3cc8ae7e7aa7p+4"),
+        ("0x1.3241c6512531fp+3", "0x1.2552d7ac15ff2p+4", "0x1.1baa689fcdb2bp+5"),
+        ("0x1.272aa4d1a8150p+3", "0x1.66d5eb3f631c6p+4", "0x1.5d2e8d3c6a41dp+5"),
+        ("0x1.272aa4d1a8150p+3", "0x1.a8585ca01cdbfp+4", "0x1.9eb105dd301f0p+5"),
+        ("0x1.272aa4d1a8150p+3", "0x1.e9dacc19f2435p+4", "0x1.e033757e114aap+5"),
+        ("0x1.1c1383522af80p+3", "0x1.15ae9dc5d521bp+5", "0x1.10daf278493ffp+6"),
+        ("0x1.1c1383522af80p+3", "0x1.366fd57e9fbbep+5", "0x1.319c2a3115d1ap+6"),
+        ("0x1.1c1383522af80p+3", "0x1.57310d376a21dp+5", "0x1.525d61e9e040ep+6"),
+        ("0x1.05e5405330be1p+3", "0x1.77f244f03486ep+5", "0x1.731e99a2aaa61p+6"),
+        ("0x1.05e5405330be1p+3", "0x1.98b37ca8feebfp+5", "0x1.93dfd15b750b2p+6"),
+        ("0x1.05e5405330be1p+3", "0x1.b974b461c9510p+5", "0x1.b4a109143f703p+6"),
+        ("0x1.1c206ec781f48p+3", "0x1.b974b461c9510p+5", "0x1.b70efe1ef539fp+6"),
+        ("0x1.3255258ceb9e0p+3", "0x1.b974b461c9510p+5", "0x1.b88f27f8feae1p+6"),
+        ("0x1.3687a9f1af2b1p+1", "0x1.bf00452187df8p+5", "0x1.c05884934639bp+6"),
+    ),
+}
+_PINNED_COMPARE = ("0x1.dcf47890cb94cp+4", "0x1.df524c6f5e475p+5")
+
+
+def _fixture(name):
+    return os.path.join(os.path.dirname(chaincert.__file__), "fixtures", name + ".arch")
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_LOGS))
+def test_vgg16_certificates_are_pinned_bitwise(name):
+    chain, dom, _ = parse_arch(_fixture(name))
+    got = [tuple(float.hex(v) for v in tri.logs()) for tri in propagate_layers(chain, dom)]
+    assert got == list(_PINNED_LOGS[name])
+
+
+def test_vgg16_compare_differences_are_pinned_bitwise(capsys):
+    a, b = (propagate_layers(*parse_arch(_fixture(n), bn_eps=0.01)[:2])[-1].logs()
+            for n in ("vgg16-smooth", "vgg16-batchnorm"))
+    assert (float.hex(b[1] - a[1]), float.hex(b[2] - a[2])) == _PINNED_COMPARE
+    assert chaincert.cli.main(["smoothness", _fixture("vgg16-smooth"), "--compare",
+                               _fixture("vgg16-batchnorm"), "--bn-eps", "0.01"]) == 0
+    diffs = [line.rsplit("=", 1)[1].strip() for line in capsys.readouterr().out.splitlines()
+             if "difference" in line]
+    assert diffs == [format(float.fromhex(h), ".12g") for h in _PINNED_COMPARE]
