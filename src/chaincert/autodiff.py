@@ -107,11 +107,28 @@ def forward(chain: ChainSpec, x0, u: ParamVector, counter: Optional[OpCounter] =
 
 
 def _first_non_finite(per_layer) -> int:
-    """Index of the first layer, in sweep order, whose array is non-finite.
-
-    The sweeps test their whole result once and scan only when that fails.
-    """
+    """Index of the first non-finite layer array in sweep order, once a whole-result test fails."""
     return next(t for t, arr in per_layer if not np.isfinite(arr).all())
+
+
+def _reverse_sweep(tape: Tape, mu, adjoint, counter: Optional[OpCounter]):
+    """Yield ``(t, adjoint(part, x_t, w_t, counter))``, last layer first.
+
+    ``w_t`` is the cotangent at the part's output.  The consumers check
+    finiteness and count ``tape.ad_calls``: a check per layer in this loop
+    made ``backward`` 10-20% slower on the fc-oracles chain (2 cores).
+    """
+    chain = tape.chain
+    lam = np.asarray(mu, dtype=float)
+    if lam.shape != (chain.d_out,):
+        raise DimensionMismatch(f"cotangent shape {lam.shape}, expected ({chain.d_out},)")
+    for t in range(chain.tau - 1, -1, -1):
+        part = chain.layers[t].part
+        w = lam
+        for lin in reversed(tape.stage_lins[t]):
+            w = lin.vjp(w, counter)
+        yield t, adjoint(part, tape.states[t], w, counter)
+        lam = part.vjp_x(tape.u.blocks[t], w, counter)
 
 
 def backward(tape: Tape, mu, counter: Optional[OpCounter] = None) -> ParamVector:
@@ -122,19 +139,8 @@ def backward(tape: Tape, mu, counter: Optional[OpCounter] = None) -> ParamVector
     non-finite adjoint raises ``NumericError`` naming its layer.
     """
     chain = tape.chain
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (chain.d_out,):
-        raise DimensionMismatch(f"cotangent shape {mu.shape}, expected ({chain.d_out},)")
-    lam = mu
-    grads = [None] * chain.tau
-    for t in range(chain.tau - 1, -1, -1):
-        layer = chain.layers[t]
-        w = lam
-        for lin in reversed(tape.stage_lins[t]):
-            w = lin.vjp(w, counter)
-        x_prev = tape.states[t]
-        grads[t] = layer.part.vjp_u(x_prev, w, counter)
-        lam = layer.part.vjp_x(tape.u.blocks[t], w, counter)
+    sweep = _reverse_sweep(tape, mu, lambda part, x, w, c: part.vjp_u(x, w, c), counter)
+    grads = [g for _, g in sweep][::-1]
     if not np.isfinite(np.concatenate(grads)).all():
         t = _first_non_finite(reversed(list(enumerate(grads))))
         raise NumericError(f"non-finite adjoint at layer {t} ({chain.layers[t].kind})")
@@ -183,27 +189,17 @@ def _backward_samples(tape: Tape, mu, counter: Optional[OpCounter] = None):
     ``backward(tape, mu)``.  Each block is a fresh array, so a consumer may
     reduce it in place before the next and hold one layer's rows, never the
     whole (batch, total_params) array.
-    Valid only where ``_separates_samples(tape.chain)``.  It is kept apart
-    from ``backward`` so that the gradient sweep stays as it is.
+    Valid only where ``_separates_samples(tape.chain)``.
     """
     chain = tape.chain
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (chain.d_out,):
-        raise DimensionMismatch(f"cotangent shape {mu.shape}, expected ({chain.d_out},)")
-    lam = mu
-    for t in range(chain.tau - 1, -1, -1):
-        layer = chain.layers[t]
-        w = lam
-        for lin in reversed(tape.stage_lins[t]):
-            w = lin.vjp(w, counter)
-        if layer.part.p == 0:  # the identity, bare or residual-wrapped
-            rows = np.zeros((chain.batch, 0))
-        else:
-            rows = layer.part.vjp_u_samples(tape.states[t], w, counter)
-        if not np.isfinite(rows).all():
-            raise NumericError(f"non-finite adjoint at layer {t} ({layer.kind})")
-        lam = layer.part.vjp_x(tape.u.blocks[t], w, counter)
-        yield rows
+
+    def rows(part, x, w, c):  # a part without parameters is the identity, bare or wrapped
+        return part.vjp_u_samples(x, w, c) if part.p else np.zeros((chain.batch, 0))
+
+    for t, r in _reverse_sweep(tape, mu, rows, counter):
+        if not np.isfinite(r).all():
+            raise NumericError(f"non-finite adjoint at layer {t} ({chain.layers[t].kind})")
+        yield r
     tape.ad_calls += 1
 
 

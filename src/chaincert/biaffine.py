@@ -531,6 +531,7 @@ class ConvPart(_ConvGeometry):
         if w.ndim == 2:  # one scatter over every (row, sample) block
             cols = np.matmul(wv.swapaxes(1, 2), F2).reshape(len(wv), -1)
             return _scatter_rows(index, cols, width).reshape(len(w), self.d_in)
+        # one vector: 3x faster than the scatter (0.7 vs 2.2 ms, cnn-train conv 1, 2 cores)
         gx = np.empty((self.m, width))
         for s in range(self.m):
             gx[s] = np.bincount(index, weights=(wv[s].T @ F2).ravel(), minlength=width)
@@ -549,6 +550,7 @@ class ConvPart(_ConvGeometry):
             sample, patch = w.ndim - 1, w.ndim + 1  # of wv; cols has them at x.ndim - 1, x.ndim
             return _stacked_vjp_u(wv, self._cols(x), ([sample, patch], [x.ndim - 1, x.ndim]),
                                   stack is x, (sample, patch) if self.bias else None)
+        # one vector: per-sample GEMMs beat a tensordot (0.65 vs 0.85 ms, cnn-train conv 1)
         gF, wv = self._filter_terms(x, w)
         gF = gF.sum(axis=0)
         if self.bias:

@@ -43,7 +43,6 @@ _DOUBLING_CAP = 60
 _PIVOT_EPS = 1e-12
 _DENSE_CAP = 2000
 _BASIS_TOL = 1e-8
-_QR_TOL = 1e-13
 
 
 class _Basis:
@@ -236,7 +235,7 @@ def _part_basis(part, x: np.ndarray, JuT: np.ndarray):
 
     A part with a Kronecker parameter Jacobian (``kron_factor``) gets
     ``Pi (I_g kron Q_x)``, ``Q_x`` the thin QR of its (n, m) input factor,
-    in O(n m^2).  Other parts get the Cholesky-QR basis of ``JuT``
+    in O(n m^2).  Other parts get the thin QR basis of ``JuT``
     (:func:`_range_basis`) when they have fewer outputs than parameters.
     Otherwise, or when the Kronecker basis would span every parameter,
     ``U`` is None (the identity) and ``F = JuT``.
@@ -255,25 +254,8 @@ def _part_basis(part, x: np.ndarray, JuT: np.ndarray):
 
 
 def _range_basis(J: np.ndarray):
-    """``(U, F)`` with orthonormal columns in ``U`` and ``J = U F``, J tall.
-
-    Two passes of Cholesky QR cost a few products of J's size.  Householder
-    QR, several times slower at these shapes, takes over when they break
-    down or miss either property, as J far from full rank can make them.
-    """
-    U, F = J, np.eye(J.shape[1])
-    try:
-        for _ in range(2):
-            L = np.linalg.cholesky(U.T @ U)
-            U = U @ np.linalg.inv(L).T
-            F = L.T @ F
-    except np.linalg.LinAlgError:
-        return np.linalg.qr(J)
-    ortho_err = np.abs(U.T @ U - np.eye(U.shape[1])).max()
-    factor_err = np.abs(U @ F - J).max()
-    if not (ortho_err <= _QR_TOL and factor_err <= _QR_TOL * np.abs(J).max()):
-        return np.linalg.qr(J)
-    return U, F
+    """``(U, F)`` with orthonormal columns in ``U`` and ``J = U F``, J tall: its thin QR."""
+    return np.linalg.qr(J)
 
 
 def _require_finite(tape: Tape, t: int, *blocks) -> None:
@@ -547,15 +529,15 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     ``exit_reason`` says why CG stopped: ``"tolerance"``, ``"zero_gradient"``
     (nothing to solve), ``"nonpositive_curvature"`` or ``"iteration_cap"``;
     ``converged`` is True for the first two only.  Beside ``ad_calls``,
-    ``cg_iterations``, ``budget``, ``budget_ok`` and ``residual_norm``, the
-    diagnostics carry the keys every solver shares: ``iterations`` (CG
-    iterations), ``residual`` (the final CG residual norm), ``seconds``,
-    ``converged`` and ``exit_reason``.  ``"nonpositive_curvature"``
-    is reachable only through rounding: the system matrix is
-    ``A = H + H J W^-1 J^T H`` with ``H`` symmetric PSD, the right-hand side
-    and ``A``'s range lie in ``range(H)``, so CG keeps ``p`` there and
-    ``p^T A p >= p^T H p > 0`` for every nonzero ``p``.  A non-finite step
-    raises ``NumericError``.
+    ``cg_iterations`` (equal to ``iterations``), ``budget`` and
+    ``budget_ok``, the diagnostics carry the keys every solver shares:
+    ``iterations`` (CG iterations), ``residual`` (the final CG residual
+    norm), ``seconds``, ``converged`` and ``exit_reason``.
+    ``"nonpositive_curvature"`` is reachable only through rounding: the
+    system matrix is ``A = H + H J W^-1 J^T H`` with ``H`` symmetric PSD,
+    the right-hand side and ``A``'s range lie in ``range(H)``, so CG keeps
+    ``p`` there and ``p^T A p >= p^T H p > 0`` for every nonzero ``p``.
+    A non-finite step raises ``NumericError``.
     """
     start = time.perf_counter()
     if kappa <= 0:
@@ -586,8 +568,7 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     def diagnostics(iters, residual, exit_reason):
         ad_calls, budget = tape.ad_calls - calls0, 2 * d_tau + 1
         return {"ad_calls": ad_calls, "cg_iterations": iters, "budget": budget,
-                "budget_ok": ad_calls <= budget, "residual_norm": residual,
-                "iterations": iters, "residual": residual,
+                "budget_ok": ad_calls <= budget, "iterations": iters, "residual": residual,
                 "seconds": time.perf_counter() - start,
                 "converged": exit_reason in ("tolerance", "zero_gradient"),
                 "exit_reason": exit_reason}

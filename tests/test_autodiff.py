@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert import (ChainSpec, DenseBiAffinePart, LayerDescriptor,
+from chaincert import (ChainSpec, DenseBiAffinePart, DimensionMismatch, LayerDescriptor,
                        NumericError, OpCounter, ParamVector, activation_layer,
                        avgpool2d, backward, backward_formula, batchnorm_layer,
                        conv2d, count_backward_cost, forward, fully_connected,
@@ -204,6 +204,23 @@ def test_jvp_raises_on_non_finite_tangent():
     du.blocks[0][0] = np.nan
     with pytest.raises(NumericError, match="layer 0"):
         jvp(tape, du)
+    assert tape.ad_calls == 0
+
+
+def test_sweeps_refuse_bad_shapes_at_entry():
+    chain, u, tape = _fc_tape()
+    with pytest.raises(DimensionMismatch, match="input shape"):
+        forward(chain, np.ones(chain.d0 + 1), u)
+    with pytest.raises(DimensionMismatch, match="parameter dims"):
+        forward(chain, tape.states[0], ParamVector(u.blocks[:1]))
+    with pytest.raises(DimensionMismatch, match="cotangent shape"):
+        backward(tape, np.ones(chain.d_out + 1))
+    with pytest.raises(DimensionMismatch, match="cotangent shape"):
+        next(_backward_samples(tape, np.ones((1, chain.d_out))))
+    with pytest.raises(DimensionMismatch, match="direction dims"):
+        jvp(tape, ParamVector([np.zeros(1)] * chain.tau))
+    with pytest.raises(DimensionMismatch, match="input direction shape"):
+        jvp(tape, u, dx0=np.ones(chain.d0 - 1))
     assert tape.ad_calls == 0
 
 

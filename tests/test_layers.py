@@ -10,14 +10,14 @@ Newton model that ``build_lq`` keeps factored).
 import numpy as np
 import pytest
 
-from chaincert import (ChainSpec, DimensionMismatch, LayerDescriptor, ParamVector,
-                       SecondOrderUnavailable, avgpool2d, backward,
-                       batchnorm_layer, build_lq, conv1d, conv2d, forward,
-                       fully_connected, layer_second_contract, maxpool2d,
-                       residual_wrap, softmax_layer)
+from chaincert import (ChainSpec, DimensionMismatch, ElementwiseStage, LayerDescriptor,
+                       ParamVector, SecondOrderUnavailable, SoftmaxStage, avgpool2d,
+                       backward, batchnorm_layer, build_arch, build_lq, conv1d, conv2d,
+                       forward, fully_connected, get_activation, layer_second_contract,
+                       maxpool2d, parse_arch_text, residual_wrap, softmax_layer)
 from chaincert.biaffine import FCPart
 
-from helpers import fd_grad
+from helpers import fd_grad, fd_jacobian
 
 
 def _tape(layer, x, u):
@@ -301,3 +301,75 @@ def test_numeric_pooling_chain_matches_explicit_tables_after_the_deferred_build(
     assert got.output.tobytes() == want.output.tobytes()
     for a, b in zip(backward(got, lam).blocks, backward(want, lam).blocks):
         assert a.tobytes() == b.tobytes()
+
+
+def _dense_second_contract(layer, x, u, lins, lam):
+    """``(Hxx, Hxu, H)`` by the chain rule over dense stage and part Jacobians.
+
+    With ``P_i`` the product of the first i stage Jacobians and ``w_i`` the
+    cotangent at stage i's output, ``H = sum_i P_{i-1}^T hess_i(w_i) P_{i-1}``.
+    """
+    Js = [lin.dense_jacobian() for lin in lins]
+    ws = [lam]
+    for J in reversed(Js):
+        ws.append(J.T @ ws[-1])
+    ws.reverse()  # ws[i] is the cotangent at stage i's input
+    H = np.zeros((layer.part.d_out, layer.part.d_out))
+    P = np.eye(layer.part.d_out)
+    for lin, J, w in zip(lins, Js, ws[1:]):
+        H += P.T @ lin.hess_contract(w) @ P
+        P = J @ P
+    Jx, Ju = layer.part.dense_jx(u), layer.part.dense_ju(x)
+    return Jx.T @ H @ Jx, Jx.T @ H @ Ju + layer.part.second_cross(ws[0]), H
+
+
+def _stage_pullback(stages, z, lam):
+    lins = []
+    for st in stages:
+        lins.append(st.linearize(z))
+        z = st.value(z)
+    for lin in reversed(lins):
+        lam = lin.vjp(lam)
+    return lam
+
+
+def _three_stage_conv():
+    chain, _, _ = build_arch(parse_arch_text("""\
+input samples=2 channels=1 height=5 width=5 norm=1
+radius 1
+objective squared
+layer conv filters=2 kernel=2 bias=true batchnorm=0.5 activation=softplus pool=avg:2:2
+"""))
+    return chain.layers[0]
+
+
+def _fc_sigmoid_softmax():
+    part = FCPart(batch=2, in_features=3, out_features=4, bias=True)
+    stages = (ElementwiseStage(get_activation("sigmoid"), 8), SoftmaxStage(2, 4))
+    return LayerDescriptor("fc-sigmoid-softmax", part, stages, 2)
+
+
+@pytest.mark.parametrize("make", [_three_stage_conv, _fc_sigmoid_softmax],
+                         ids=["conv-batchnorm-softplus-avgpool", "fc-sigmoid-softmax"])
+def test_multi_stage_second_contract_matches_dense_chain_rule(make):
+    layer = make()
+    assert len(layer.stages) >= 2 and layer.second_order
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(layer.d_in) * 0.5
+    u = rng.standard_normal(layer.p) * 0.5
+    lam = rng.standard_normal(layer.d_out)
+    tape = _tape(layer, x, u)
+    got = layer_second_contract(tape, 0, lam)
+    want = _dense_second_contract(layer, x, u, tape.stage_lins[0], lam)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.allclose(a, b, rtol=1e-10, atol=1e-13 * (1.0 + np.abs(b).max()))
+
+    # the same blocks as finite differences of the input adjoint and, for H,
+    # of the stage pullback at the part output
+    z = layer.part.value(x, u)
+    fd = (fd_jacobian(lambda v: _pullback(layer, v, u, lam)[0], x),
+          fd_jacobian(lambda v: _pullback(layer, x, v, lam)[0], u),
+          fd_jacobian(lambda v: _stage_pullback(layer.stages, v, lam), z))
+    for a, b in zip(got, fd):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-8 * (1.0 + np.abs(a).max()))

@@ -69,6 +69,15 @@ def test_cluster_gradient_matches_fd_three_points():
     assert np.allclose(grad.ravel(), g_fd, atol=1e-5)
 
 
+def test_cluster_objective_value_grad_is_the_envelope_on_flat_outputs():
+    yhat = np.random.default_rng(6).standard_normal((4, 3))
+    tol = 1e-9
+    val, grad = cluster_objective(4, 3, tol).value_grad(yhat.ravel())
+    want_val, want_grad = eval_convex_cluster(yhat, tol)
+    assert val == want_val
+    assert grad.shape == (12,) and np.array_equal(grad, want_grad.ravel())
+
+
 def test_cluster_single_point_is_zero():
     val, grad = eval_convex_cluster(np.array([[5.0, -1.0]]), tol=1e-10)
     assert val == 0.0
