@@ -71,11 +71,6 @@ class Tape:
     def output(self) -> np.ndarray:
         return self.states[-1]
 
-    def part_jacobians(self, t: int):
-        """Dense ``(Jx, Ju)`` of layer ``t``'s bi-affine part at the recorded point."""
-        part = self.chain.layers[t].part
-        return part.dense_jx(self.u.blocks[t]), part.dense_ju(self.states[t])
-
 
 def forward(chain: ChainSpec, x0, u: ParamVector, counter: Optional[OpCounter] = None) -> Tape:
     """Evaluate the chain at ``(x0, u)`` and record a ``Tape`` for the sweeps.

@@ -29,4 +29,4 @@ class IterationLimit(RuntimeError):
 
 
 class InvalidBasis(ValueError):
-    """A curvature basis is not orthonormal or misses the range it must span."""
+    """A curvature basis does not have orthonormal columns."""

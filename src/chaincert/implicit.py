@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class InnerProblem:
     mu: float
     lip: float
     hess_lip: float
-    value: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self):
         if self.mu <= 0:

@@ -105,21 +105,19 @@ class _Basis:
 class LQProblem:
     """Layered quadratic model around one trajectory.
 
-    ``A[t]`` is the transposed state Jacobian of layer ``t`` with shape
-    (d_{t-1}, d_t); ``B[t]`` the transposed parameter Jacobian, shape
-    (p_t, d_t).  ``P``/``p`` hold state quadratic/linear terms at indices
-    0..tau (terminal at tau), ``q`` the parameter linear terms per layer and
-    ``R[t]`` the state-parameter cross block, shape (d_{t-1}, p_t).
+    ``A[t]`` (d_{t-1}, d_t) is the transposed state Jacobian of layer ``t``,
+    ``R[t]`` (d_{t-1}, p_t) the state-parameter cross block and ``q[t]`` the
+    parameter linear term; ``P``/``p`` hold the state quadratic/linear terms
+    at indices 0..tau (terminal at tau).
 
-    The parameter curvature is kept factored,
-    ``Q_t = alpha_t I + U_t S_t U_t^T``.  ``U[t]`` is a basis operator of
-    shape (p_t, r_t) with orthonormal columns whose range contains that of
-    ``B[t]``: ``apply``, ``apply_T`` and ``dense()`` (see :class:`_Basis`),
-    or None for the identity basis (r_t = p_t).  A dense orthonormal
-    (p_t, r_t) array is accepted and wrapped once, so the solver has one
-    code path.  ``S[t]`` is (r_t, r_t) and ``alpha[t]`` a scalar.  ``U`` and
-    ``alpha`` default to the identity and zero, so a dense ``Q_t`` passed as
-    ``S[t]`` is the model itself.  ``dense_Q(t)`` materialises ``Q_t``.
+    Each layer's parameter side is kept in a basis ``U[t]``, a (p_t, r_t)
+    operator with orthonormal columns (``apply``, ``apply_T``, ``dense()``;
+    :class:`_Basis`; a dense array is wrapped once) or None for the identity.
+    In it ``B[t]`` (r_t, d_t) holds the transposed parameter Jacobian
+    ``U_t B_t`` and ``S[t]`` (r_t, r_t) the curvature
+    ``Q_t = alpha_t I + U_t S_t U_t^T``.  ``U`` and ``alpha`` default to the
+    identity and zero, so dense ``B_t``, ``Q_t`` passed as ``B[t]``, ``S[t]``
+    are the model itself; ``dense_B(t)`` and ``dense_Q(t)`` lift them back.
     """
 
     A: List[np.ndarray]
@@ -148,12 +146,12 @@ class LQProblem:
             raise ValueError("kappa must be positive")
         for t in range(tau):
             d_prev, d_cur = self.A[t].shape
-            pt = self.B[t].shape[0]
-            if self.B[t].shape[1] != d_cur:
-                raise DimensionMismatch(f"B[{t}] col dim {self.B[t].shape[1]} != {d_cur}")
-            if self.R[t].shape != (d_prev, pt):
-                raise DimensionMismatch(f"R[{t}] shape {self.R[t].shape} != ({d_prev}, {pt})")
+            if self.R[t].ndim != 2 or self.R[t].shape[0] != d_prev:
+                raise DimensionMismatch(f"R[{t}] shape {self.R[t].shape} is not ({d_prev}, p)")
+            pt = self.R[t].shape[1]
             rt = self._check_basis(t, pt)
+            if self.B[t].shape != (rt, d_cur):
+                raise DimensionMismatch(f"B[{t}] shape {self.B[t].shape} != ({rt}, {d_cur})")
             if self.S[t].shape != (rt, rt) or self.q[t].shape != (pt,):
                 raise DimensionMismatch(
                     f"S/q[{t}] shapes inconsistent with r_t={rt}, p_t={pt}")
@@ -164,11 +162,11 @@ class LQProblem:
             raise DimensionMismatch("terminal P/p shapes inconsistent")
 
     def _check_basis(self, t: int, pt: int) -> int:
-        """Validate ``U[t]`` against ``B[t]`` through the operator; return r_t.
+        """Check that ``U[t]`` is an orthonormal (p_t, r_t) basis; return r_t.
 
         A dense array is wrapped in a :class:`_Basis` here, once.
         """
-        U, B = self.U[t], self.B[t]
+        U = self.U[t]
         if U is None:
             return pt
         if not isinstance(U, _Basis):
@@ -180,11 +178,6 @@ class LQProblem:
         gram_err = U.gram_error()
         if not gram_err <= _BASIS_TOL:
             raise InvalidBasis(f"U[{t}] columns are not orthonormal (error {gram_err:.2e})")
-        out = U.apply(U.apply_T(B))
-        out -= B
-        miss = float(np.linalg.norm(out))
-        if not miss <= _BASIS_TOL * float(np.linalg.norm(B)):
-            raise InvalidBasis(f"B[{t}] has a component of norm {miss:.2e} outside U[{t}]")
         return U.shape[1]
 
     @property
@@ -193,7 +186,12 @@ class LQProblem:
 
     @property
     def param_dims(self) -> tuple:
-        return tuple(b.shape[0] for b in self.B)
+        return tuple(r.shape[1] for r in self.R)
+
+    def dense_B(self, t: int) -> np.ndarray:
+        """Transposed parameter Jacobian ``U_t B_t``, shape (p_t, d_t)."""
+        U = self.U[t]
+        return self.B[t] if U is None else U.apply(self.B[t])
 
     def dense_Q(self, t: int) -> np.ndarray:
         """Parameter curvature ``alpha_t I + U_t S_t U_t^T``, shape (p_t, p_t)."""
@@ -201,7 +199,7 @@ class LQProblem:
         if U is not None:
             D = U.dense()
             S = D @ S @ D.T
-        return self.alpha[t] * np.eye(self.B[t].shape[0]) + S
+        return self.alpha[t] * np.eye(self.R[t].shape[1]) + S
 
 
 @dataclass(eq=False)
@@ -213,15 +211,15 @@ class OracleStep:
 def _layer_blocks(tape: Tape, t: int):
     """``(A_t, B_t, U_t, F_t)`` of layer ``t``.
 
-    ``A_t``/``B_t`` are the transposed layer Jacobians and ``Ju^T = U_t F_t``
-    (:func:`_part_basis`).  Each stage applies its ``jvp`` to the rows of the
-    part's transposed Jacobians as one stack, so no dense stage Jacobian is
-    formed.  The stages act on the output side, so the range of ``B_t`` lies
-    in that of ``U_t``.
+    ``A_t`` is the transposed state Jacobian and ``Ju^T = U_t F_t``
+    (:func:`_part_basis`).  Each stage applies its ``jvp`` to the rows of
+    ``A_t`` and ``F_t`` as one stack, so no dense stage Jacobian is formed.
+    The stages act on the output side, so the layer's transposed parameter
+    Jacobian is ``U_t B_t`` for ``B_t`` the stages applied to ``F_t``.
     """
-    Jx, Ju = tape.part_jacobians(t)
-    A, B = Jx.T, Ju.T
-    U, F = _part_basis(tape.chain.layers[t].part, tape.states[t], B)
+    part, x = tape.chain.layers[t].part, tape.states[t]
+    U, F = _part_basis(part, x, part.dense_ju(x).T)
+    A, B = part.dense_jx(tape.u.blocks[t]).T, F
     for lin in tape.stage_lins[t]:
         A = lin.jvp(A)
         B = lin.jvp(B)
@@ -274,15 +272,16 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
     contracts each layer's second derivatives against the adjoint.  The
     parameter curvature stays factored (see :class:`LQProblem`): the
     regularizer gives ``alpha_t``, and the layer term ``Ju^T H Ju`` becomes
-    ``S_t = F_t H F_t^T`` in the basis ``U_t`` of :func:`_part_basis`.  For
-    a part with a Kronecker parameter Jacobian (``BiAffinePart.kron_factor``,
-    fully-connected parts) ``U_t`` is an operator built from the QR of the
-    part's input factor, so neither a (p_t, p_t) array nor a dense
-    fully-connected basis is formed.  Layers are visited once, last to
-    first.  Each part's dense Jacobians are formed once, and each stage
-    acts on them as one stacked ``jvp``; ``layer_second_contract`` forms
-    none, and zero blocks are allocated only for the kinds that keep them.
-    A non-finite block raises ``NumericError`` naming its layer.
+    ``S_t = F_t H F_t^T`` in the basis ``U_t`` of :func:`_part_basis`, which
+    holds ``B_t`` too.  For a part with a Kronecker parameter Jacobian
+    (``BiAffinePart.kron_factor``, fully-connected parts) ``U_t`` is an
+    operator built from the QR of the part's input factor, so the model
+    holds no (p_t, p_t) or (p_t, d_t) array and no dense basis.  Layers are
+    visited once, last to first.  Each part's dense Jacobians are formed
+    once, and each stage acts on them as one stacked ``jvp``;
+    ``layer_second_contract`` forms none, and zero blocks are allocated
+    only for the kinds that keep them.  A non-finite block raises
+    ``NumericError`` naming its layer.
     """
     if kind not in ("gradient", "gauss-newton", "newton"):
         raise ValueError(f"unknown model kind '{kind}'")
@@ -331,7 +330,7 @@ def solve_gradient_step(lq: LQProblem, gamma: float) -> OracleStep:
     lam = lq.p[lq.tau].copy()
     blocks = [None] * lq.tau
     for t in range(lq.tau - 1, -1, -1):
-        blocks[t] = -gamma * (lq.q[t] + lq.B[t] @ lam)
+        blocks[t] = -gamma * (lq.q[t] + lq.dense_B(t) @ lam)
         lam = lq.p[t] + lq.A[t] @ lam
     return OracleStep(ParamVector(blocks), {"kind": "gradient", "gamma": gamma})
 
@@ -364,20 +363,20 @@ def _chol_pd(N: np.ndarray, tail: Optional[float] = None):
 
 
 def _stage_terms(lq: LQProblem, t: int):
-    """The kappa-independent terms of stage ``t``: ``(Bt, UtY0, RZ0)``.
+    """The kappa-independent terms of stage ``t``: ``(UtY0, RZ0)``.
 
-    With ``Y0 = [R_t^T | q_t]``: ``Bt = U^T B``, ``UtY0 = U^T Y0`` and
-    ``RZ0 = R Z0`` for the out-of-basis part ``Z0 = (I - U U^T) Y0``.  As
-    ``R U`` is ``UtY0[:, :-1]^T``, ``R Z0 = R Y0 - UtY0[:, :-1]^T UtY0`` needs
-    no (p_t, d) array besides ``R``.  The identity basis has no out-of-basis
+    With ``Y0 = [R_t^T | q_t]``: ``UtY0 = U^T Y0`` and ``RZ0 = R Z0`` for the
+    out-of-basis part ``Z0 = (I - U U^T) Y0``.  As ``R U`` is
+    ``UtY0[:, :-1]^T``, ``R Z0 = R Y0 - UtY0[:, :-1]^T UtY0`` needs no
+    (p_t, d) array besides ``R``.  The identity basis has no out-of-basis
     part: ``UtY0`` is ``Y0`` and ``RZ0`` is None.
     """
-    U, B, R, q = lq.U[t], lq.B[t], lq.R[t], lq.q[t]
+    U, R, q = lq.U[t], lq.R[t], lq.q[t]
     if U is None:
-        return B, np.column_stack((R.T, q)), None
+        return np.column_stack((R.T, q)), None
     UtY0 = np.column_stack((U.apply_T(R.T), U.apply_T(q)))
     RY0 = np.column_stack((R @ R.T, R @ q))
-    return U.apply_T(B), UtY0, RY0 - UtY0[:, :-1].T @ UtY0
+    return UtY0, RY0 - UtY0[:, :-1].T @ UtY0
 
 
 def solve_newton_dp(lq: LQProblem) -> OracleStep:
@@ -388,21 +387,22 @@ def solve_newton_dp(lq: LQProblem) -> OracleStep:
     test, the whole backward sweep restarts with the proximal weight
     doubled, up to a cap.
 
-    The stage cost ``N_t = kappa I + Q_t + B_t C B_t^T`` is solved in the
-    basis ``U_t`` of :class:`LQProblem`.  With ``s_t = kappa + alpha_t`` and
-    ``Bt_t = U_t^T B_t`` it is ``s_t (I - U_t U_t^T) + U_t T_t U_t^T`` for
-    the (r_t, r_t) matrix ``T_t = s_t I + S_t + Bt_t C Bt_t^T``, so it is
-    positive definite when ``T_t`` is and, if r_t < p_t, ``s_t`` is too.
-    The right-hand side ``Y = [M^T | q + B c]`` with ``M = R + A C B^T`` is
-    ``Y0 + B [C A^T | c]`` for ``Y0 = [R^T | q]``, and ``B`` lies in the
-    range of ``U``, so only ``U^T Y`` depends on the stage:
+    The stage cost ``N_t = kappa I + Q_t + U_t B_t C B_t^T U_t^T`` is
+    solved in the basis ``U_t`` of :class:`LQProblem`, which holds ``B_t``.
+    With ``s_t = kappa + alpha_t`` it is
+    ``s_t (I - U_t U_t^T) + U_t T_t U_t^T`` for the (r_t, r_t) matrix
+    ``T_t = s_t I + S_t + B_t C B_t^T``, so it is positive definite when
+    ``T_t`` is and, if r_t < p_t, ``s_t`` is too.  The right-hand side
+    ``Y = [M^T | q + U B c]`` with ``M = R + A C B^T U^T`` is
+    ``Y0 + U B [C A^T | c]`` for ``Y0 = [R^T | q]``, so only ``U^T Y``
+    depends on the stage:
 
-    * ``U^T Y = U^T Y0 + [Bt C A^T | Bt c]``,
+    * ``U^T Y = U^T Y0 + [B C A^T | B c]``,
     * ``N^{-1} Y = Z0 / s + U T^{-1} U^T Y``, ``Z0 = (I - U U^T) Y0``,
     * ``M N^{-1} Y = R Z0 / s + (U^T Y)[:, :-1]^T T^{-1} U^T Y``.
 
-    ``U^T Y0``, ``R Z0`` and ``Bt`` depend neither on kappa nor on ``C``, so
-    they are computed once per model (:func:`_stage_terms`), and each stage
+    ``U^T Y0`` and ``R Z0`` depend neither on kappa nor on ``C``, so they
+    are computed once per model (:func:`_stage_terms`), and each stage
     visit costs O(r_t d^2) for d = d_{t-1} + d_t in (r_t, d) products
     instead of O(p_t r_t d).  The gains stay factored as
     ``(T^{-1} U^T Y, s)``; the rollout forms ``Z0 [y; 1]`` from ``R^T y + q``,
@@ -426,20 +426,19 @@ def solve_newton_dp(lq: LQProblem) -> OracleStep:
         feasible = True
         for t in range(tau - 1, -1, -1):
             visits += 1
-            A = lq.A[t]
-            Bt, UtY0, RZ0 = terms[t]
+            A, B, (UtY0, RZ0) = lq.A[t], lq.B[t], terms[t]
             s = kappa + lq.alpha[t]
-            r = Bt.shape[0]
-            T = s * np.eye(r) + lq.S[t] + Bt @ (C @ Bt.T)
+            r = B.shape[0]
+            T = s * np.eye(r) + lq.S[t] + B @ (C @ B.T)
             T = 0.5 * (T + T.T)
-            L = _chol_pd(T, s if r < lq.B[t].shape[0] else None)
+            L = _chol_pd(T, s if r < lq.R[t].shape[1] else None)
             if L is None:
                 if not (np.all(np.isfinite(T)) and np.isfinite(s)):
                     raise NumericError(f"Newton-DP stage cost {t} is non-finite")
                 feasible = False
                 break
             CA = C @ A.T
-            UtY = UtY0 + Bt @ np.column_stack((CA, c))
+            UtY = UtY0 + B @ np.column_stack((CA, c))
             # one factorisation of T serves the gain and the offset
             W = np.linalg.solve(T, UtY)
             MNY = UtY[:, :-1].T @ W
@@ -453,14 +452,14 @@ def solve_newton_dp(lq: LQProblem) -> OracleStep:
             y = np.zeros(lq.A[0].shape[0])
             blocks = []
             for t in range(tau):
-                (W, s), (Bt, UtY0, _), U = gains[t], terms[t], lq.U[t]
+                (W, s), (UtY0, _), U = gains[t], terms[t], lq.U[t]
                 y1 = np.append(y, 1.0)
                 w = W @ y1
                 # v = -(Z0 y1 / s + U w), with Z0 y1 = R^T y + q - U UtY0 y1
                 blocks.append(-w if U is None else
                               -((y @ lq.R[t] + lq.q[t]) / s + U.apply(w - UtY0 @ y1 / s)))
-                # B^T Z0 = 0, so B^T v = -Bt^T w
-                y = lq.A[t].T @ y - Bt.T @ w
+                # U^T Z0 = 0, so (U B)^T v = -B^T w
+                y = lq.A[t].T @ y - lq.B[t].T @ w
             step = ParamVector(blocks)
             _check_finite(step, "Newton-DP")
             return OracleStep(step,
@@ -501,7 +500,7 @@ def solve_dense_reference(lq: LQProblem) -> OracleStep:
         g += Y_prev.T @ lq.p[t]
         cross = Y_prev.T @ lq.R[t] @ E
         H += cross + cross.T
-        Y_prev = lq.A[t].T @ Y_prev + lq.B[t].T @ E
+        Y_prev = lq.A[t].T @ Y_prev + lq.dense_B(t).T @ E
     H += Y_prev.T @ lq.P[tau] @ Y_prev
     g += Y_prev.T @ lq.p[tau]
     H = 0.5 * (H + H.T)

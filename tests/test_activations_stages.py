@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from chaincert import (AvgPoolStage, BatchNormStage, BlockStage,
-                       ElementwiseStage, MaxPoolStage, SoftmaxStage,
-                       get_activation)
+from chaincert import (AvgPoolStage, BatchNormStage, BlockStage, DimensionMismatch,
+                       ElementwiseStage, MaxPoolStage, SecondOrderUnavailable,
+                       SoftmaxStage, get_activation)
 from chaincert.layers import _valid_patches_2d
 
 from helpers import fd_jacobian
@@ -135,6 +135,21 @@ def test_maxpool_stage_value_and_first_order():
     assert st.value(z) == pytest.approx([3.0, 5.0])
     _check_stage_consistency(st, rng.standard_normal(4) * 2, rng, second=False)
     assert not st.second_order
+
+
+def test_stages_refuse_a_state_of_the_wrong_size():
+    st = ElementwiseStage(get_activation("softplus"), 3)
+    for call in (st.value, st.linearize):
+        with pytest.raises(DimensionMismatch, match=r"expected \(3,\), got \(2,\)"):
+            call(np.zeros(2))
+
+
+def test_first_order_linearisations_refuse_a_second_order_contraction():
+    relu = ElementwiseStage(get_activation("relu"), 3)
+    pool = MaxPoolStage(1, 1, 4, np.array([[0, 1], [2, 3]]))
+    for st, z in ((relu, np.array([-1.0, 0.5, 2.0])), (pool, np.array([3.0, -1.0, 2.0, 5.0]))):
+        with pytest.raises(SecondOrderUnavailable):
+            st.linearize(z).hess_contract(np.ones(st.out_total))
 
 
 def _pool_jacobian(st, z):

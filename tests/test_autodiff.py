@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert import (ChainSpec, DenseBiAffinePart, DimensionMismatch, LayerDescriptor,
-                       NumericError, OpCounter, ParamVector, activation_layer,
-                       avgpool2d, backward, backward_formula, batchnorm_layer,
-                       conv2d, count_backward_cost, forward, fully_connected,
-                       grad_objective, jvp, layer_sparsity, maxpool2d,
-                       residual_wrap, sample_params, sample_state,
-                       squared_objective)
+from chaincert import (BlockStage, ChainSpec, DenseBiAffinePart, DimensionMismatch,
+                       ElementwiseStage, FCPart, IdentityPart, LayerDescriptor,
+                       NumericError, OpCounter, ParamVector, ResidualPart,
+                       activation_layer, avgpool2d, backward, backward_formula,
+                       batchnorm_layer, conv2d, count_backward_cost, forward,
+                       fully_connected, get_activation, grad_objective, jvp,
+                       layer_sparsity, maxpool2d, residual_wrap, sample_params,
+                       sample_state, squared_objective)
 import chaincert.training as training
 from chaincert.autodiff import _backward_samples, _separates_samples
 from chaincert.training import _sample_spread
@@ -196,6 +197,30 @@ def test_backward_raises_on_non_finite_adjoint():
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="layer 1"):
         backward(tape, mu)
     assert tape.ad_calls == 0
+
+
+def test_per_sample_sweep_raises_on_non_finite_adjoint():
+    chain, _, tape = _fc_tape()
+    assert _separates_samples(chain)
+    mu = np.zeros(chain.d_out)
+    mu[1] = np.nan
+    with pytest.raises(NumericError, match="non-finite adjoint at layer 1"):
+        list(_backward_samples(tape, mu))
+    assert tape.ad_calls == 0
+
+
+def test_wrappers_of_another_batch_couple_the_samples():
+    # a residual part or a block stage whose batch is not the chain's (2)
+    def chain(part, stages=()):
+        return ChainSpec((LayerDescriptor("wrapped", part, stages, 2),))
+
+    softplus = get_activation("softplus")
+    assert _separates_samples(chain(ResidualPart(FCPart(2, 2, 2), 2)))
+    assert not _separates_samples(chain(ResidualPart(FCPart(2, 2, 2), 1)))
+    assert _separates_samples(chain(IdentityPart(6),
+                                    (BlockStage(ElementwiseStage(softplus, 4), 2, 1),)))
+    assert not _separates_samples(chain(IdentityPart(6),
+                                        (BlockStage(ElementwiseStage(softplus, 4), 1, 2),)))
 
 
 def test_jvp_raises_on_non_finite_tangent():
