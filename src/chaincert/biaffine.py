@@ -375,6 +375,12 @@ class FCPart(BiAffinePart):
         xt = self._check_x(x).reshape(self.m, self.nin).T
         return (np.vstack([xt, np.ones((1, self.m))]) if self.bias else xt), self.bias
 
+    def kron_cotangent(self, w):
+        """``w`` as the (batch, out_features) array ``W``: row (s, f) of ``Ju`` is
+        ``Pi (e_f kron X[:, s])`` and row (s, i) of ``second_cross(w)`` is
+        ``Pi (W[s] kron e_i)``, for ``(X, bias) = kron_factor(x)``."""
+        return self._check_w(w).reshape(self.m, self.nout)
+
     def dense_jx(self, u):
         u = self._check_u(u)
         W, _ = self._split(u)
@@ -392,20 +398,6 @@ class FCPart(BiAffinePart):
         if self.bias:
             J[:, f, self.nout * self.nin + f] = 1.0
         return J.reshape(self.d_out, self.p)
-
-    def second_cross(self, w):
-        """Row (s, i) holds ``w_s`` in the weight columns of input feature i.
-
-        A scatter of d_in * out_features entries into the zero (d_in, p)
-        result.  The derived form runs ``vjp_u`` on the (d_in, d_in) identity
-        stack of points and made the benchmark's Newton step about 5 ms
-        (9%) slower.
-        """
-        wv = self._check_w(w).reshape(self.m, self.nout)
-        cross = np.zeros((self.m, self.nin, self.p))
-        i = np.arange(self.nin)[:, None]
-        cross[:, i, np.arange(self.nout) * self.nin + i] = wv[:, None, :]
-        return cross.reshape(self.d_in, self.p)
 
     def constants(self):
         return BiAffineConstants(

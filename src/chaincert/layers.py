@@ -273,10 +273,17 @@ def layer_second_contract(tape, t: int, lam):
     contracted Hessian of the stages at the part output: the parameter
     block is ``Huu = Ju^T H Ju``, which callers keep factored instead of
     forming a (p, p) array.  The bi-affine part is affine in each argument
-    separately, so its only second-order contribution is the cross block.
-    Every product with a Jacobian is a stacked ``vjp`` of a stage or of the
-    part on the rows of a (d, d) array, so no dense Jacobian is formed.
+    separately, so its only second-order piece is ``second_cross(w)`` in
+    ``Hxu``.  Every product with a Jacobian is a stacked ``vjp``, so no dense
+    Jacobian is formed.  ``build_lq`` shares all but ``Hxu`` (``_layer_curvature``).
     """
+    Hxx, JxH, H, w = _layer_curvature(tape, t, lam)
+    part = tape.chain.layers[t].part
+    return Hxx, part.vjp_u(tape.states[t], JxH) + part.second_cross(w), H
+
+
+def _layer_curvature(tape, t: int, lam):
+    """``(Hxx, Jx^T H, H, w)``, ``w`` the cotangent at the part output: all but ``Hxu``."""
     layer = tape.chain.layers[t]
     if not layer.second_order:
         raise SecondOrderUnavailable(
@@ -298,10 +305,7 @@ def layer_second_contract(tape, t: int, lam):
             H = lin.vjp(lin.vjp(H).T).T + lin.hess_contract(w)
             w = lin.vjp(w)
 
-    # Stacked adjoints: the rows of vjp_x(u, M) are those of M Jx and the rows
-    # of vjp_u(x, M) those of M Ju, so no dense part Jacobian is formed.
+    # stacked adjoints: the rows of vjp_x(u, M) are those of M Jx
     u = tape.u.blocks[t]
     JxH = part.vjp_x(u, H.T).T
-    Hxu = part.vjp_u(tape.states[t], JxH)
-    Hxu += part.second_cross(w)
-    return part.vjp_x(u, JxH), Hxu, H
+    return part.vjp_x(u, JxH), JxH, H, w

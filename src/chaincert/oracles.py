@@ -26,7 +26,7 @@ import numpy as np
 from .autodiff import Tape, backward, jvp
 from .chain import ParamVector
 from .errors import DimensionMismatch, InfeasibleModel, InvalidBasis, NumericError
-from .layers import layer_second_contract
+from .layers import _layer_curvature
 from .objectives import Regularizer, ZeroReg
 
 __all__ = [
@@ -101,23 +101,58 @@ class _Basis:
         return float(np.abs(self.Q.T @ self.Q - np.eye(self.Q.shape[1])).max(initial=0.0))
 
 
+class _KronCross:
+    """Out-of-basis part ``E = X_c (I - U U^T)`` of a Kronecker layer's cross block.
+
+    Row (s, i) of ``X_c = second_cross(w)`` is ``Pi (W[s] kron e_i)``, ``W =
+    kron_cotangent(w)``, so in ``U = Pi (I_g kron Q)`` row (s, i) of ``E`` is
+    ``Pi (W[s] kron P[i])``, ``P = I - Q Q^T``.  It acts as that (d, p) array
+    under ``@``, and ``gram() = kron(W W^T, P[:n_in, :n_in])`` is ``E E^T``.
+    """
+
+    __array_ufunc__ = None  # so that ``y @ E`` for an array ``y`` calls ``__rmatmul__``
+
+    def __init__(self, U: _Basis, W: np.ndarray):
+        self.U, self.W, self.shape = U, W, (W.shape[0] * len(U._Qw), U.shape[0])
+
+    def gram(self):
+        return np.kron(self.W @ self.W.T, np.eye(len(self.U._Qw)) - self.U._Qw @ self.U._QwT)
+
+    def __matmul__(self, q):
+        """``E q``: row (s, i) is ``W[s] . (Q_m P)[:, i]``, ``Q_m`` the (g, n) ``q``."""
+        g, (n_in, k) = self.U.g, self.U._Qw.shape
+        QmP = q[:g * n_in].reshape(g, n_in) - self.U.apply_T(q).reshape(g, k) @ self.U._QwT
+        return (self.W @ QmP).ravel()
+
+    def __rmatmul__(self, y):
+        """``y E = Pi vec(W^T Y P[:n_in])``, or the rows ``Y E`` of a (c, d) stack."""
+        Y = np.reshape(y, (-1, self.W.shape[0], len(self.U._Qw)))
+        WtY = np.matmul(self.W.T, Y)
+        out = -self.U.apply((WtY @ self.U._Qw).reshape(len(Y), -1).T).T
+        out[:, :WtY[0].size] += WtY.reshape(len(Y), -1)  # X_c^T y, zero in the bias
+        return out.reshape(np.shape(y)[:-1] + (self.shape[1],))
+
+
 @dataclass(eq=False)
 class LQProblem:
     """Layered quadratic model around one trajectory.
 
     ``A[t]`` (d_{t-1}, d_t) is the transposed state Jacobian of layer ``t``,
-    ``R[t]`` (d_{t-1}, p_t) the state-parameter cross block and ``q[t]`` the
-    parameter linear term; ``P``/``p`` hold the state quadratic/linear terms
-    at indices 0..tau (terminal at tau).
+    ``q[t]`` the parameter linear term; ``P``/``p`` hold the state
+    quadratic/linear terms at indices 0..tau (terminal at tau).
 
     Each layer's parameter side is kept in a basis ``U[t]``, a (p_t, r_t)
     operator with orthonormal columns (``apply``, ``apply_T``, ``dense()``;
     :class:`_Basis`; a dense array is wrapped once) or None for the identity.
     In it ``B[t]`` (r_t, d_t) holds the transposed parameter Jacobian
-    ``U_t B_t`` and ``S[t]`` (r_t, r_t) the curvature
-    ``Q_t = alpha_t I + U_t S_t U_t^T``.  ``U`` and ``alpha`` default to the
-    identity and zero, so dense ``B_t``, ``Q_t`` passed as ``B[t]``, ``S[t]``
-    are the model itself; ``dense_B(t)`` and ``dense_Q(t)`` lift them back.
+    ``U_t B_t``, ``S[t]`` (r_t, r_t) the curvature
+    ``Q_t = alpha_t I + U_t S_t U_t^T``, ``R[t]`` (d_{t-1}, r_t) the cross
+    block ``R_t U_t`` and ``E[t]`` its rest ``R_t (I - U_t U_t^T)``: an
+    array with ``E_t U_t = 0``, a :class:`_KronCross` (from :func:`build_lq`)
+    or None where it is zero, as for ``U_t = None``.  With ``E[t]`` None and
+    r_t < p_t, a full (d_{t-1}, p_t) ``R[t]`` is split here once.  ``U`` and
+    ``alpha`` default to the identity and zero, so dense ``B_t``, ``Q_t``,
+    ``R_t`` are the model itself; ``dense_B``, ``dense_Q``, ``dense_R`` lift them back.
     """
 
     A: List[np.ndarray]
@@ -130,13 +165,15 @@ class LQProblem:
     kappa: float
     U: Optional[list] = None
     alpha: Optional[np.ndarray] = None
+    E: Optional[list] = None
 
     def __post_init__(self):
         tau = len(self.A)
         self.U = [None] * tau if self.U is None else list(self.U)
+        self.E, self.R = [None] * tau if self.E is None else list(self.E), list(self.R)
         self.alpha = np.zeros(tau) if self.alpha is None else np.asarray(self.alpha, float)
         if not (len(self.B) == len(self.S) == len(self.q) == len(self.R) == len(self.U)
-                == tau):
+                == len(self.E) == tau):
             raise DimensionMismatch("per-layer lists must share one length")
         if self.alpha.shape != (tau,):
             raise DimensionMismatch(f"alpha has shape {self.alpha.shape}, expected ({tau},)")
@@ -146,10 +183,19 @@ class LQProblem:
             raise ValueError("kappa must be positive")
         for t in range(tau):
             d_prev, d_cur = self.A[t].shape
-            if self.R[t].ndim != 2 or self.R[t].shape[0] != d_prev:
-                raise DimensionMismatch(f"R[{t}] shape {self.R[t].shape} is not ({d_prev}, p)")
-            pt = self.R[t].shape[1]
+            pt = self.q[t].shape[0]
             rt = self._check_basis(t, pt)
+            U, R, E = self.U[t], self.R[t], self.E[t]
+            if E is None and rt < pt and R.shape == (d_prev, pt):  # a full block
+                self.R[t] = U.apply_T(R.T).T
+                self.E[t] = R - U.apply(self.R[t].T).T
+            if self.R[t].shape != (d_prev, rt):
+                raise DimensionMismatch(f"R[{t}] shape {self.R[t].shape} != ({d_prev}, {rt})")
+            if E is not None and (U is None or E.shape != (d_prev, pt)):
+                raise DimensionMismatch(f"E[{t}] is not a ({d_prev}, {pt}) out-of-basis part")
+            if isinstance(E, np.ndarray) and not (np.linalg.norm(U.apply_T(E.T)) <= _BASIS_TOL
+                                                  * (np.linalg.norm(E) + np.linalg.norm(R))):
+                raise InvalidBasis(f"E[{t}] is not outside the basis U[{t}]")
             if self.B[t].shape != (rt, d_cur):
                 raise DimensionMismatch(f"B[{t}] shape {self.B[t].shape} != ({rt}, {d_cur})")
             if self.S[t].shape != (rt, rt) or self.q[t].shape != (pt,):
@@ -186,7 +232,7 @@ class LQProblem:
 
     @property
     def param_dims(self) -> tuple:
-        return tuple(r.shape[1] for r in self.R)
+        return tuple(q.shape[0] for q in self.q)
 
     def dense_B(self, t: int) -> np.ndarray:
         """Transposed parameter Jacobian ``U_t B_t``, shape (p_t, d_t)."""
@@ -199,7 +245,12 @@ class LQProblem:
         if U is not None:
             D = U.dense()
             S = D @ S @ D.T
-        return self.alpha[t] * np.eye(self.R[t].shape[1]) + S
+        return self.alpha[t] * np.eye(self.q[t].shape[0]) + S
+
+    def dense_R(self, t: int) -> np.ndarray:
+        """Cross block ``R[t] U_t^T + E[t]``, shape (d_{t-1}, p_t)."""
+        R = self.R[t] if self.U[t] is None else self.U[t].apply(self.R[t].T).T
+        return R if self.E[t] is None else R + np.eye(len(R)) @ self.E[t]
 
 
 @dataclass(eq=False)
@@ -209,46 +260,61 @@ class OracleStep:
 
 
 def _layer_blocks(tape: Tape, t: int):
-    """``(A_t, B_t, U_t, F_t)`` of layer ``t``.
+    """``(A_t, B_t, U_t, F_t, kron)`` of layer ``t``.
 
     ``A_t`` is the transposed state Jacobian and ``Ju^T = U_t F_t``
-    (:func:`_part_basis`).  Each stage applies its ``jvp`` to the rows of
-    ``A_t`` and ``F_t`` as one stack, so no dense stage Jacobian is formed.
+    (:func:`_part_basis`, also ``kron``).  Each stage applies its ``jvp`` to
+    the rows of ``A_t`` and ``F_t`` as one stack, so no dense Jacobian is formed.
     The stages act on the output side, so the layer's transposed parameter
     Jacobian is ``U_t B_t`` for ``B_t`` the stages applied to ``F_t``.
     """
     part, x = tape.chain.layers[t].part, tape.states[t]
-    U, F = _part_basis(part, x, part.dense_ju(x).T)
+    U, F, kron = _part_basis(part, x)
     A, B = part.dense_jx(tape.u.blocks[t]).T, F
     for lin in tape.stage_lins[t]:
         A = lin.jvp(A)
         B = lin.jvp(B)
     _require_finite(tape, t, A, B, F)
-    return A, B, U, F
+    return A, B, U, F, kron
 
 
-def _part_basis(part, x: np.ndarray, JuT: np.ndarray):
-    """``(U, F)`` with ``JuT = U F``: an orthonormal basis of the range of the
-    part's transposed parameter Jacobian ``JuT`` at input ``x``.
+def _part_basis(part, x: np.ndarray):
+    """``(U, F, kron)`` with ``Ju^T = U F``: an orthonormal basis of the range
+    of the part's transposed parameter Jacobian at input ``x``.
 
     A part with a Kronecker parameter Jacobian (``kron_factor``) gets
-    ``Pi (I_g kron Q_x)``, ``Q_x`` the thin QR of its (n, m) input factor,
-    in O(n m^2).  Other parts get the thin QR basis of ``JuT``
-    (:func:`_range_basis`) when they have fewer outputs than parameters.
-    Otherwise, or when the Kronecker basis would span every parameter,
-    ``U`` is None (the identity) and ``F = JuT``.
+    ``Pi (I_g kron Q_x)`` from the thin QR ``Q_x R_x`` of its (n, m) input
+    factor, in O(n m^2); with ``kron_cotangent`` too, ``kron`` is True and
+    ``F`` is ``I_g kron R_x`` in output order.  Other parts get the thin QR
+    basis of ``Ju^T = dense_ju(x)^T`` (:func:`_range_basis`) when they have
+    fewer outputs than parameters.  Otherwise, or when the Kronecker basis
+    would span every parameter, ``U`` is None and ``F = Ju^T``.
     """
     factor = part.kron_factor(x)
-    if factor is not None:
-        X, bias = factor
-        if X.shape[1] >= X.shape[0]:
-            return None, JuT
-        U = _Basis(np.linalg.qr(X)[0], part.p // X.shape[0], bias)
-        return U, U.apply_T(JuT)
-    if part.d_out < part.p:
+    if factor is not None and factor[0].shape[1] < factor[0].shape[0]:
+        (X, bias), g = factor, part.p // factor[0].shape[0]
+        Q, Rx = np.linalg.qr(X)
+        U = _Basis(Q, g, bias)
+        if hasattr(part, "kron_cotangent"):  # F[(f, a), (s, h)] = [f == h] R_x[a, s]
+            return U, np.einsum("fh,as->fash", np.eye(g), Rx).reshape(g * len(Rx), -1), True
+        return U, U.apply_T(part.dense_ju(x).T), False
+    JuT = part.dense_ju(x).T
+    if factor is None and part.d_out < part.p:
         U, F = _range_basis(JuT)
-        return _Basis(U), F
-    return None, JuT
+        return _Basis(U), F, False
+    return None, JuT, False
+
+
+def _cross_block(part, U, F, kron: bool, JxH: np.ndarray, w: np.ndarray):
+    """``(R_t U_t, E_t)`` for ``R_t = JxH Ju + X_c``, ``X_c = second_cross(w)``.
+
+    ``JxH Ju U_t = JxH F^T`` and ``JxH Ju`` has its rows in the range of
+    ``U_t``, so for ``kron`` (:func:`_part_basis`) ``E_t = X_c (I - U_t U_t^T)``.
+    """
+    if not kron:  # the full block, split by LQProblem
+        return JxH @ (F if U is None else U.apply(F)).T + part.second_cross(w), None
+    E = _KronCross(U, part.kron_cotangent(w))
+    return JxH @ F.T + np.einsum("sf,ia->sifa", E.W, U._Qw).reshape(E.shape[0], -1), E
 
 
 def _range_basis(J: np.ndarray):
@@ -270,18 +336,14 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
     "gradient" keeps only linear terms; "gauss-newton" adds the loss
     curvature at the output and the regularizer curvature; "newton" also
     contracts each layer's second derivatives against the adjoint.  The
-    parameter curvature stays factored (see :class:`LQProblem`): the
-    regularizer gives ``alpha_t``, and the layer term ``Ju^T H Ju`` becomes
-    ``S_t = F_t H F_t^T`` in the basis ``U_t`` of :func:`_part_basis`, which
-    holds ``B_t`` too.  For a part with a Kronecker parameter Jacobian
-    (``BiAffinePart.kron_factor``, fully-connected parts) ``U_t`` is an
-    operator built from the QR of the part's input factor, so the model
-    holds no (p_t, p_t) or (p_t, d_t) array and no dense basis.  Layers are
-    visited once, last to first.  Each part's dense Jacobians are formed
-    once, and each stage acts on them as one stacked ``jvp``;
-    ``layer_second_contract`` forms none, and zero blocks are allocated
-    only for the kinds that keep them.  A non-finite block raises
-    ``NumericError`` naming its layer.
+    parameter side stays in the basis ``U_t`` of :func:`_part_basis` (see
+    :class:`LQProblem`): the regularizer gives ``alpha_t``, the layer term
+    ``Ju^T H Ju`` becomes ``S_t = F_t H F_t^T`` and the cross block
+    ``R_t U_t = JxH F_t^T + X_c U_t`` (:func:`_cross_block`), in closed form
+    from the QR of a fully-connected part's input factor, so no array with a
+    p_t-sized axis besides ``q_t`` is formed.  Layers are visited once, last
+    to first, with the stage curvature of ``layer_second_contract``.  A
+    non-finite block raises ``NumericError`` naming its layer.
     """
     if kind not in ("gradient", "gauss-newton", "newton"):
         raise ValueError(f"unknown model kind '{kind}'")
@@ -291,9 +353,8 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
     chain = tape.chain
     tau = chain.tau
     dims = [chain.d0] + [l.d_out for l in chain.layers]
-    pdims = chain.param_dims
 
-    A, B, U, S, R = ([None] * tau for _ in range(5))
+    A, B, U, S, R, E = ([None] * tau for _ in range(6))
     q = [b.copy() for b in r.grad(tape.u).blocks]
     P = [None] * (tau + 1)
     p = [np.zeros(d) for d in dims]
@@ -309,18 +370,19 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
 
     lam = p[tau]
     for t in range(tau - 1, -1, -1):
-        A[t], B[t], U[t], F = _layer_blocks(tape, t)
+        A[t], B[t], U[t], F, kron = _layer_blocks(tape, t)
         if kind == "newton":
-            P[t], R[t], H = layer_second_contract(tape, t, lam)
+            P[t], JxH, H, w = _layer_curvature(tape, t, lam)
+            R[t], E[t] = _cross_block(chain.layers[t].part, U[t], F, kron, JxH, w)
             S[t] = F @ H @ F.T
             _require_finite(tape, t, P[t], R[t], S[t])
             lam = A[t] @ lam
         else:
             P[t] = np.zeros((dims[t], dims[t]))
-            R[t] = np.zeros((dims[t], pdims[t]))
+            R[t] = np.broadcast_to(0.0, (dims[t], F.shape[0]))
             S[t] = np.zeros((F.shape[0], F.shape[0]))
-    alpha = r.curvatures(pdims) if kind != "gradient" else None
-    return LQProblem(A, B, P, p, S, q, R, kappa, U, alpha)
+    alpha = r.curvatures(chain.param_dims) if kind != "gradient" else None
+    return LQProblem(A, B, P, p, S, q, R, kappa, U, alpha, E)
 
 
 def solve_gradient_step(lq: LQProblem, gamma: float) -> OracleStep:
@@ -365,18 +427,14 @@ def _chol_pd(N: np.ndarray, tail: Optional[float] = None):
 def _stage_terms(lq: LQProblem, t: int):
     """The kappa-independent terms of stage ``t``: ``(UtY0, RZ0)``.
 
-    With ``Y0 = [R_t^T | q_t]``: ``UtY0 = U^T Y0`` and ``RZ0 = R Z0`` for the
-    out-of-basis part ``Z0 = (I - U U^T) Y0``.  As ``R U`` is
-    ``UtY0[:, :-1]^T``, ``R Z0 = R Y0 - UtY0[:, :-1]^T UtY0`` needs no
-    (p_t, d) array besides ``R``.  The identity basis has no out-of-basis
-    part: ``UtY0`` is ``Y0`` and ``RZ0`` is None.
+    With ``Y0 = [R_t^T | q_t]``: ``UtY0 = U^T Y0 = [R[t]^T | U^T q]`` and, for
+    ``Z0 = (I - U U^T) Y0``, ``RZ0 = R Z0 = [E E^T | E q]`` (None for ``E[t]`` None).
     """
-    U, R, q = lq.U[t], lq.R[t], lq.q[t]
-    if U is None:
-        return np.column_stack((R.T, q)), None
-    UtY0 = np.column_stack((U.apply_T(R.T), U.apply_T(q)))
-    RY0 = np.column_stack((R @ R.T, R @ q))
-    return UtY0, RY0 - UtY0[:, :-1].T @ UtY0
+    U, R, q, E = lq.U[t], lq.R[t], lq.q[t], lq.E[t]
+    UtY0 = np.column_stack((R.T, q if U is None else U.apply_T(q)))
+    if E is None:
+        return UtY0, None
+    return UtY0, np.column_stack((E @ E.T if isinstance(E, np.ndarray) else E.gram(), E @ q))
 
 
 def solve_newton_dp(lq: LQProblem) -> OracleStep:
@@ -404,10 +462,10 @@ def solve_newton_dp(lq: LQProblem) -> OracleStep:
     ``U^T Y0`` and ``R Z0`` depend neither on kappa nor on ``C``, so they
     are computed once per model (:func:`_stage_terms`), and each stage
     visit costs O(r_t d^2) for d = d_{t-1} + d_t in (r_t, d) products
-    instead of O(p_t r_t d).  The gains stay factored as
-    ``(T^{-1} U^T Y, s)``; the rollout forms ``Z0 [y; 1]`` from ``R^T y + q``,
-    one p_t-sized product per layer.  The identity basis (``U_t = None``) is
-    the dense stage itself.
+    instead of O(p_t r_t d); stage tau - 1 sees ``C = P_tau`` in every sweep
+    and forms its products once per call.  The gains stay factored as
+    ``(T^{-1} U^T Y, s)``; the rollout forms ``Z0 [y; 1] = E^T y + q - U U^T q``,
+    one p_t-sized product per layer; ``U_t = None`` is the dense stage itself.
 
     Diagnostics: ``kappa_used``, ``doublings``, ``iterations`` (backward
     sweeps started, ``doublings + 1``), ``stage_visits`` (stage costs
@@ -418,6 +476,9 @@ def solve_newton_dp(lq: LQProblem) -> OracleStep:
     tau = lq.tau
     kappa = lq.kappa
     terms = [_stage_terms(lq, t) for t in range(tau)]
+    A, B, C = lq.A[-1], lq.B[-1], lq.P[tau]
+    CA = C @ A.T
+    last = (B @ (C @ B.T), terms[-1][0] + B @ np.column_stack((CA, lq.p[tau])), A @ CA)
     visits = 0
     for doubling in range(_DOUBLING_CAP + 1):
         C = lq.P[tau]
@@ -429,35 +490,38 @@ def solve_newton_dp(lq: LQProblem) -> OracleStep:
             A, B, (UtY0, RZ0) = lq.A[t], lq.B[t], terms[t]
             s = kappa + lq.alpha[t]
             r = B.shape[0]
-            T = s * np.eye(r) + lq.S[t] + B @ (C @ B.T)
+            T = s * np.eye(r) + lq.S[t] + (last[0] if t == tau - 1 else B @ (C @ B.T))
             T = 0.5 * (T + T.T)
-            L = _chol_pd(T, s if r < lq.R[t].shape[1] else None)
+            L = _chol_pd(T, s if r < lq.q[t].shape[0] else None)
             if L is None:
                 if not (np.all(np.isfinite(T)) and np.isfinite(s)):
                     raise NumericError(f"Newton-DP stage cost {t} is non-finite")
                 feasible = False
                 break
-            CA = C @ A.T
-            UtY = UtY0 + B @ np.column_stack((CA, c))
+            if t == tau - 1:  # formed only once T is known to factor
+                UtY, ACA = last[1:]
+            else:
+                CA = C @ A.T
+                UtY, ACA = UtY0 + B @ np.column_stack((CA, c)), A @ CA
             # one factorisation of T serves the gain and the offset
             W = np.linalg.solve(T, UtY)
             MNY = UtY[:, :-1].T @ W
             if RZ0 is not None:
                 MNY += RZ0 / s
             gains[t] = (W, s)
-            Cn = lq.P[t] + A @ CA - MNY[:, :-1]
+            Cn = lq.P[t] + ACA - MNY[:, :-1]
             C = 0.5 * (Cn + Cn.T)
             c = lq.p[t] + A @ c - MNY[:, -1]
         if feasible:
             y = np.zeros(lq.A[0].shape[0])
             blocks = []
             for t in range(tau):
-                (W, s), (UtY0, _), U = gains[t], terms[t], lq.U[t]
-                y1 = np.append(y, 1.0)
-                w = W @ y1
-                # v = -(Z0 y1 / s + U w), with Z0 y1 = R^T y + q - U UtY0 y1
+                (W, s), (UtY0, _), U, E = gains[t], terms[t], lq.U[t], lq.E[t]
+                w = W @ np.append(y, 1.0)
+                # v = -(Z0 [y; 1] / s + U w), Z0 [y; 1] = E^T y + q - U U^T q
+                Ety = 0.0 if E is None else y @ E
                 blocks.append(-w if U is None else
-                              -((y @ lq.R[t] + lq.q[t]) / s + U.apply(w - UtY0 @ y1 / s)))
+                              -((Ety + lq.q[t]) / s + U.apply(w - UtY0[:, -1] / s)))
                 # U^T Z0 = 0, so (U B)^T v = -B^T w
                 y = lq.A[t].T @ y - lq.B[t].T @ w
             step = ParamVector(blocks)
@@ -498,7 +562,7 @@ def solve_dense_reference(lq: LQProblem) -> OracleStep:
         g[sl] += lq.q[t]
         H += Y_prev.T @ lq.P[t] @ Y_prev
         g += Y_prev.T @ lq.p[t]
-        cross = Y_prev.T @ lq.R[t] @ E
+        cross = Y_prev.T @ lq.dense_R(t) @ E
         H += cross + cross.T
         Y_prev = lq.A[t].T @ Y_prev + lq.dense_B(t).T @ E
     H += Y_prev.T @ lq.P[tau] @ Y_prev

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from chaincert import (BlockRidge, ChainSpec, FCPart, InfeasibleModel, InvalidBasis,
                        LQProblem, NumericError, ResidualPart, ZeroReg, build_lq,
                        forward, fully_connected, grad_objective, layer_second_contract,
+                       residual_wrap,
                        sample_params, sample_state, solve_dense_reference,
                        solve_gauss_newton_dual, solve_gradient_step,
                        solve_newton_dp, squared_objective)
@@ -263,6 +264,31 @@ def test_dp_diagnostics_count_sweeps_and_stage_visits():
     assert (d["kind"], d["converged"], d["exit_reason"]) == ("newton-dp", True, "exact")
 
 
+@pytest.mark.parametrize("seed, pinned", [
+    (1, [(8.0, 4, 14)] * 3),
+    (7331, [(16.0, 5, 16), (8.0, 4, 14), (8.0, 4, 14)]),
+])
+def test_dp_sweeps_are_pinned_on_the_benchmark_points(seed, pinned):
+    # The fc-oracles workload's chain (batch 4, width 32, tau 6), loss and
+    # three points, drawn in its order, at its kappa 0.5.
+    chain = ChainSpec(tuple(
+        fully_connected(4, 32, 32, activation="softplus" if t < 5 else "identity")
+        for t in range(6)))
+    rng = np.random.default_rng(seed)
+    h = squared_objective(rng.standard_normal((4, 32)))
+    points = [(sample_state(chain.d0, 1.0, rng), sample_params(chain.param_dims, 1.0, rng))
+              for _ in range(3)]
+    for (x0, u), want in zip(points, pinned):
+        lq = build_lq(forward(chain, x0, u), h, None, "newton", 0.5)
+        step = solve_newton_dp(lq)
+        d = step.diagnostics
+        assert (d["kappa_used"], d["doublings"], d["stage_visits"]) == want
+        # the last sweep alone, started at kappa_used, is bitwise the step
+        again = solve_newton_dp(replace(lq, kappa=d["kappa_used"]))
+        assert again.diagnostics["doublings"] == 0
+        assert np.array_equal(again.v.flat(), step.v.flat())
+
+
 def test_dp_refuses_a_factored_stage_whose_out_of_basis_tail_fails_the_pivot_test():
     # Q = U U^T - kappa I: in the basis, T = I + Bt C Bt^T factors, but the
     # out-of-basis tail s = kappa + alpha is 0 until kappa doubles.
@@ -353,9 +379,10 @@ def test_model_keeps_the_parameter_jacobian_in_its_basis(kind):
 
 
 def _identity_basis_twin(lq):
-    """The same model with each ``B_t`` and ``Q_t`` materialised in the identity basis."""
+    """The same model with ``B_t``, ``Q_t`` and ``R_t`` materialised in the identity basis."""
     return LQProblem(lq.A, [lq.dense_B(t) for t in range(lq.tau)], lq.P, lq.p,
-                     [lq.dense_Q(t) for t in range(lq.tau)], lq.q, lq.R, lq.kappa)
+                     [lq.dense_Q(t) for t in range(lq.tau)], lq.q,
+                     [lq.dense_R(t) for t in range(lq.tau)], lq.kappa)
 
 
 @pytest.mark.parametrize("batch, width, factored, same_samples", [
@@ -405,7 +432,7 @@ def test_kronecker_basis_spans_the_parameter_jacobian(seed, nin, nout, bias, sam
         x = np.concatenate([x.reshape(batch, nin), rng.standard_normal((batch, nout))],
                            axis=1).ravel()
     JuT = part.dense_ju(x).T
-    U, F = oracles._part_basis(part, x, JuT)
+    U, F, kron = oracles._part_basis(part, x)
     if U is None:  # the input factor is square: the basis would be every parameter
         assert not bias and batch == nin
         return
@@ -445,9 +472,75 @@ def test_kronecker_dense_and_identity_bases_give_one_step(monkeypatch, batch, wi
             assert (got.v - steps[0].v).norm() <= 1e-12 * steps[0].v.norm()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+       st.booleans(), st.booleans(), st.booleans())
+def test_kronecker_cross_block_matches_the_dense_contraction(seed, batch, nin, nout, bias,
+                                                             same, residual):
+    # An FC chain whose middle layer is fully connected or residual-wrapped
+    # (the dense path of a Kronecker basis), with or without bias; identical
+    # samples make every input factor rank-deficient.
+    rng = np.random.default_rng(seed)
+    mid = fully_connected(batch, nin, nout, activation="softplus", bias=bias)
+    if residual:
+        mid = residual_wrap(mid)
+    layers = (fully_connected(batch, 2, mid.d_in // batch, activation="sigmoid", bias=bias),
+              mid, fully_connected(batch, mid.d_out // batch, 2, bias=bias))
+    chain = ChainSpec(layers)
+    u = sample_params(chain.param_dims, 1.0, rng)
+    x0 = sample_state(chain.d0, 1.0, rng)
+    if same:
+        x0 = np.tile(x0[:2], batch)
+    h = squared_objective(rng.standard_normal((batch, 2)))
+    tape = forward(chain, x0, u)
+    lq = build_lq(tape, h, BlockRidge(0.1), "newton", 0.5)
+    lam = lq.p[lq.tau]
+    for t in range(lq.tau - 1, -1, -1):
+        part, x = chain.layers[t].part, tape.states[t]
+        Hxu = layer_second_contract(tape, t, lam)[1]
+        scale = max(1.0, np.abs(Hxu).max())
+        assert np.allclose(lq.dense_R(t), Hxu, rtol=0.0, atol=1e-12 * scale)
+        U, F, kron = oracles._part_basis(part, x)
+        assert kron == (U is not None and not (residual and t == 1))
+        assert isinstance(lq.E[t], oracles._KronCross) == kron
+        assert (lq.E[t] is None) == (U is None)
+        JuT = part.dense_ju(x).T
+        want = JuT if U is None else U.apply_T(JuT)
+        assert np.allclose(F, want, rtol=0.0, atol=1e-12 * max(1.0, np.abs(want).max()))
+        lam = lq.A[t] @ lam
+    step = solve_newton_dp(lq)
+    dense = solve_dense_reference(replace(lq, kappa=step.diagnostics["kappa_used"]))
+    assert (step.v - dense.v).norm() <= 1e-10 * dense.v.norm()
+
+
+def _arrays(obj, depth=3):
+    """Every array a model holds, through lists and its operators' attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif depth and isinstance(obj, (list, tuple)):
+        for o in obj:
+            yield from _arrays(o, depth - 1)
+    elif depth and hasattr(obj, "__dict__"):
+        for o in vars(obj).values():
+            yield from _arrays(o, depth - 1)
+
+
+@pytest.mark.parametrize("kind", ["gradient", "gauss-newton", "newton"])
+def test_kronecker_model_holds_no_parameter_wide_array(kind):
+    # p_t = 30 parameters against d_t = r_t = 10 and a (6, 2) input factor
+    chain, u, x0, h = _fc_instance(0, 2, 5)
+    lq = build_lq(forward(chain, x0, u), h, BlockRidge(0.1), kind, 0.5)
+    assert set(chain.param_dims) == {30} and all(U is not None for U in lq.U)
+    held = [a for name, v in vars(lq).items() if name != "q" for a in _arrays(v)]
+    assert held and all(30 not in a.shape for a in held)
+    if kind != "newton":  # a zero cross block is one broadcast float
+        assert all(R.strides == (0, 0) and not R.any() for R in lq.R)
+        assert all(E is None for E in lq.E)
+
+
 def _model_bytes(lq):
     """Bytes of every array the model holds (a basis operator's factor is tiny)."""
-    arrays = [lq.alpha, *lq.A, *lq.B, *lq.P, *lq.p, *lq.S, *lq.q, *lq.R, *lq.U]
+    arrays = [lq.alpha, *lq.A, *lq.B, *lq.P, *lq.p, *lq.S, *lq.q, *lq.R, *lq.U, *lq.E]
     return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
 
@@ -473,21 +566,21 @@ def test_newton_step_working_memory_is_below_the_dense_bases(monkeypatch):
 
 def test_build_lq_working_memory_at_the_benchmark_shape():
     # The fc-oracles shape: d_t = 128, p_t = 1056, tau = 6; one (d_t, p_t)
-    # array is 1.1 MB and the model itself holds 14.8 MB.  The build peaked
-    # at 18.6 MB while it allocated a zero R block per layer before
-    # overwriting it and multiplied dense stage Jacobians in, and at 16.2 MB
-    # once stages act as stacked products.  The zero R blocks alone bring it
-    # back to 17.2 MB, so the bound lies below that.
+    # array is 1.1 MB.  With a dense (d_t, p_t) cross block and parameter
+    # Jacobian per layer, build_lq alone peaked at 16.2 MB and build_lq
+    # plus the DP at 12.85 MB once B and S were kept in the basis; with the
+    # cross block in the Kronecker basis too, they peak at 7.9 MB.
     chain, u, x0, h = _fc_instance(1, 4, 32, tau=6)
     tape = forward(chain, x0, u)
     tracemalloc.start()
     try:
         lq = build_lq(tape, h, None, "newton", 0.5)
+        step = solve_newton_dp(lq)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lq.tau == 6
-    assert peak < 16.8 * 2**20
+    assert lq.tau == 6 and np.all(np.isfinite(step.v.flat()))
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("rank", [6, 3, 0], ids=["full-rank", "rank-deficient", "zero"])
@@ -507,11 +600,15 @@ def test_lq_rejects_bad_bases():
     U, S = lq.U[0].dense(), lq.S[0]
     assert U.shape == (20, 4)
 
-    def with_basis(U0, S0=S, alpha=lq.alpha):
+    def with_basis(U0, S0=S, alpha=lq.alpha, E0=lq.E[0]):
         return LQProblem(lq.A, lq.B, lq.P, lq.p, [S0, lq.S[1]], lq.q, lq.R, 1.0,
-                         [U0, lq.U[1]], alpha)
+                         [U0, lq.U[1]], alpha, [E0, lq.E[1]])
 
     with_basis(U)  # well-formed
+    E = np.eye(len(lq.R[0])) @ lq.E[0]
+    assert np.array_equal(with_basis(U, E0=E).dense_R(0), lq.dense_R(0))
+    with pytest.raises(InvalidBasis, match="outside"):
+        with_basis(U, E0=E + lq.R[0] @ U.T)  # a part inside the basis
     with pytest.raises(InvalidBasis, match="orthonormal"):
         with_basis(2.0 * U)
     with pytest.raises(DimensionMismatch):
@@ -520,6 +617,19 @@ def test_lq_rejects_bad_bases():
         with_basis(U, S0=np.zeros((5, 5)))
     with pytest.raises(DimensionMismatch):
         with_basis(U, alpha=np.zeros(3))
+
+
+def test_lq_reads_the_cross_block_of_a_square_basis_as_coordinates():
+    # r_t = p_t: R[t] has the shape of a full block but holds coordinates
+    chain, u, x0, h = _small_instance(0)
+    lq = _identity_basis_twin(build_lq(forward(chain, x0, u), h, None, "newton", 1.0))
+    rng = np.random.default_rng(0)
+    U = [np.linalg.qr(rng.standard_normal((len(q), len(q))))[0] for q in lq.q]
+    rot = LQProblem(lq.A, [u.T @ b for u, b in zip(U, lq.B)], lq.P, lq.p, lq.S, lq.q,
+                    lq.R, lq.kappa, U)
+    for t in range(lq.tau):
+        assert rot.E[t] is None and rot.R[t] is lq.R[t]
+        assert np.allclose(rot.dense_R(t), lq.R[t] @ U[t].T, rtol=0.0, atol=1e-13)
 
 
 def test_newton_path_forms_no_parameter_sized_square():
