@@ -23,7 +23,7 @@ valid-window grid (rows and columns, not only their product) the layer
 becomes symbolic (constants and cost figures only).  Every layer is made
 by the constructors in ``layers``.  Supervised objectives get
 deterministic synthetic targets: one-hot class ``i mod q`` for logistic,
-zeros for squared.
+zeros for squared, built when the objective first reads them.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import DimensionMismatch
 from .layers import (LayerDescriptor, _conv_layer, _valid_grid, _valid_patches_2d,
                      activation_layer, avgpool2d, batchnorm_layer, fully_connected,
                      maxpool2d, softmax_layer)
-from .objectives import Objective, cluster_objective
+from .objectives import _LabelsOnRead, cluster_objective
 from .smoothness import BoundedDomain
 
 __all__ = ["ParseError", "ArchFile", "read_archfile", "parse_arch_text",
@@ -333,14 +333,19 @@ def build_arch(af: ArchFile):
         raise ParseError(
             f"output dim {chain.d_out} does not split over {m} samples")
     if af.objective == "squared":
-        h = Objective("squared", m, q, np.zeros((m, q)))
+        h = _LabelsOnRead("squared", m, q, lambda n, q: np.zeros((n, q)))
     elif af.objective == "logistic":
-        y = np.zeros((m, q))
-        y[np.arange(m), np.arange(m) % q] = 1.0
-        h = Objective("logistic", m, q, y)
+        h = _LabelsOnRead("logistic", m, q, _cyclic_one_hot)
     else:
         h = cluster_objective(m, q)
     return chain, dom, h
+
+
+def _cyclic_one_hot(n: int, q: int) -> np.ndarray:
+    """One-hot rows of class ``i mod q``, the synthetic logistic targets."""
+    y = np.zeros((n, q))
+    y[np.arange(n), np.arange(n) % q] = 1.0
+    return y
 
 
 def parse_arch(path: str, batch: Optional[int] = None, radius: Optional[float] = None,

@@ -1,10 +1,11 @@
 """Reverse- and forward-mode differentiation over a recorded chain pass.
 
-``forward`` records every intermediate state plus the stage linearisations;
-``backward`` and ``jvp`` replay the record.  All three honestly meter scalar
-adds/multiplies through an ``OpCounter`` (one unit per nonzero of an applied
-stored operator, one per scalar nonlinearity evaluation), which is what the
-closed-form cost predictions are checked against.
+``forward`` records every intermediate state plus the part and stage
+linearisations; ``backward`` and ``jvp`` replay the record.  All three
+honestly meter scalar adds/multiplies through an ``OpCounter`` (one unit per
+nonzero of an applied stored operator, one per scalar nonlinearity
+evaluation), which is what the closed-form cost predictions are checked
+against.
 """
 
 from __future__ import annotations
@@ -55,15 +56,20 @@ class Tape:
     """One recorded forward pass at parameters ``u``.
 
     ``states[t]`` is the input to layer ``t`` (``states[0]`` the chain input,
-    ``states[tau]`` the final output); ``stage_lins[t]`` the layer's stage
-    linearisations.  ``ad_calls`` counts completed ``backward``/``jvp``
-    sweeps on this tape.
+    ``states[tau]`` the final output); ``part_lins[t]`` the layer's part
+    linearisation (``BiAffinePart.linearize``) at ``(states[t], u.blocks[t])``
+    and ``stage_lins[t]`` its stage linearisations.  The sweeps call them
+    without checking shapes again: ``forward`` checked every state and
+    parameter block once, and ``backward``/``jvp`` check their own arguments
+    at entry.  ``ad_calls`` counts completed ``backward``/``jvp`` sweeps on
+    this tape.
     """
 
-    def __init__(self, chain: ChainSpec, u: ParamVector, states, stage_lins):
+    def __init__(self, chain: ChainSpec, u: ParamVector, states, part_lins, stage_lins):
         self.chain = chain
         self.u = u
         self.states = states
+        self.part_lins = part_lins
         self.stage_lins = stage_lins
         self.ad_calls = 0
 
@@ -75,8 +81,11 @@ class Tape:
 def forward(chain: ChainSpec, x0, u: ParamVector, counter: Optional[OpCounter] = None) -> Tape:
     """Evaluate the chain at ``(x0, u)`` and record a ``Tape`` for the sweeps.
 
-    Operation units are charged to ``counter`` when one is given.  A
-    non-finite state raises ``NumericError`` naming its layer.
+    Each layer is linearised once, at its input and parameter block, and
+    evaluated through that linearisation; the tape keeps it next to the
+    stage linearisations.  Operation units are charged to ``counter`` when
+    one is given.  A non-finite state raises ``NumericError`` naming its
+    layer.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (chain.d0,):
@@ -85,20 +94,22 @@ def forward(chain: ChainSpec, x0, u: ParamVector, counter: Optional[OpCounter] =
         raise DimensionMismatch(
             f"parameter dims {u.dims} do not match chain {chain.param_dims}")
     states = [x0]
-    stage_lins = []
+    part_lins, stage_lins = [], []
     x = x0
     for t, layer in enumerate(chain.layers):
-        z = layer.part.value(x, u.blocks[t], counter)
+        lin = layer.part.linearize(x, u.blocks[t])
+        z = lin.value(counter)
+        part_lins.append(lin)
         lins = []
         for st in layer.stages:
             lins.append(st.linearize(z))
             z = st.value(z, counter)
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NumericError(f"non-finite state after layer {t} ({layer.kind})")
         states.append(z)
         stage_lins.append(lins)
         x = z
-    return Tape(chain, u, states, stage_lins)
+    return Tape(chain, u, states, part_lins, stage_lins)
 
 
 def _first_non_finite(per_layer) -> int:
@@ -107,23 +118,24 @@ def _first_non_finite(per_layer) -> int:
 
 
 def _reverse_sweep(tape: Tape, mu, adjoint, counter: Optional[OpCounter]):
-    """Yield ``(t, adjoint(part, x_t, w_t, counter))``, last layer first.
+    """Yield ``(t, adjoint(lin_t, w_t, counter))``, last layer first.
 
-    ``w_t`` is the cotangent at the part's output.  The consumers check
-    finiteness and count ``tape.ad_calls``: a check per layer in this loop
-    made ``backward`` 10-20% slower on the fc-oracles chain (2 cores).
+    ``lin_t`` is the layer's part linearisation and ``w_t`` the cotangent at
+    the part's output.  The consumers check finiteness and count
+    ``tape.ad_calls``: a check per layer in this loop made ``backward``
+    10-20% slower on the fc-oracles chain (2 cores).
     """
     chain = tape.chain
     lam = np.asarray(mu, dtype=float)
     if lam.shape != (chain.d_out,):
         raise DimensionMismatch(f"cotangent shape {lam.shape}, expected ({chain.d_out},)")
     for t in range(chain.tau - 1, -1, -1):
-        part = chain.layers[t].part
+        lin = tape.part_lins[t]
         w = lam
-        for lin in reversed(tape.stage_lins[t]):
-            w = lin.vjp(w, counter)
-        yield t, adjoint(part, tape.states[t], w, counter)
-        lam = part.vjp_x(tape.u.blocks[t], w, counter)
+        for slin in reversed(tape.stage_lins[t]):
+            w = slin.vjp(w, counter)
+        yield t, adjoint(lin, w, counter)
+        lam = lin.vjp_x(w, counter)
 
 
 def backward(tape: Tape, mu, counter: Optional[OpCounter] = None) -> ParamVector:
@@ -134,7 +146,7 @@ def backward(tape: Tape, mu, counter: Optional[OpCounter] = None) -> ParamVector
     non-finite adjoint raises ``NumericError`` naming its layer.
     """
     chain = tape.chain
-    sweep = _reverse_sweep(tape, mu, lambda part, x, w, c: part.vjp_u(x, w, c), counter)
+    sweep = _reverse_sweep(tape, mu, lambda lin, w, c: lin.vjp_u(w, c), counter)
     grads = [g for _, g in sweep][::-1]
     if not np.isfinite(np.concatenate(grads)).all():
         t = _first_non_finite(reversed(list(enumerate(grads))))
@@ -188,8 +200,8 @@ def _backward_samples(tape: Tape, mu, counter: Optional[OpCounter] = None):
     """
     chain = tape.chain
 
-    def rows(part, x, w, c):  # a part without parameters is the identity, bare or wrapped
-        return part.vjp_u_samples(x, w, c) if part.p else np.zeros((chain.batch, 0))
+    def rows(lin, w, c):  # a part without parameters is the identity, bare or wrapped
+        return lin.vjp_u_samples(w, c) if lin.part.p else np.zeros((chain.batch, 0))
 
     for t, r in _reverse_sweep(tape, mu, rows, counter):
         if not np.isfinite(r).all():
@@ -211,8 +223,8 @@ def jvp(tape: Tape, du: ParamVector, dx0=None, counter: Optional[OpCounter] = No
     if dx.shape != (chain.d0,):
         raise DimensionMismatch(f"input direction shape {dx.shape}, expected ({chain.d0},)")
     tangents = []
-    for t, layer in enumerate(chain.layers):
-        dz = layer.part.jvp(tape.states[t], tape.u.blocks[t], dx, du.blocks[t], counter)
+    for t in range(chain.tau):
+        dz = tape.part_lins[t].jvp(dx, du.blocks[t], counter)
         for lin in tape.stage_lins[t]:
             dz = lin.jvp(dz, counter)
         tangents.append(dz)

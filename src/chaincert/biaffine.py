@@ -83,6 +83,30 @@ def _stacked_vjp_u(wv, xv, axes, stacked_points: bool, bias_axes=None) -> np.nda
     return np.concatenate([out, np.broadcast_to(bias, (len(out), bias.shape[-1]))], axis=1)
 
 
+class _PartLin:
+    """A part at one checked point, calling its public methods."""
+
+    __slots__ = ("part", "x", "u")
+
+    def __init__(self, part, x, u):
+        self.part, self.x, self.u = part, x, u
+
+    def value(self, count=None):
+        return self.part.value(self.x, self.u, count)
+
+    def vjp_x(self, w, count=None):
+        return self.part.vjp_x(self.u, w, count)
+
+    def vjp_u(self, w, count=None):
+        return self.part.vjp_u(self.x, w, count)
+
+    def vjp_u_samples(self, w, count=None):
+        return self.part.vjp_u_samples(self.x, w, count)
+
+    def jvp(self, dx, du, count=None):
+        return self.part.jvp(self.x, self.u, dx, du, count)
+
+
 @dataclass(frozen=True)
 class BiAffineConstants:
     """Norm data of one bi-affine map, all plain nonnegative floats."""
@@ -149,6 +173,18 @@ class BiAffinePart:
     def jvp(self, x, u, dx, du, count=None) -> np.ndarray:
         """Directional derivative at ``(x, u)`` along ``(dx, du)``."""
         raise NotImplementedError
+
+    def linearize(self, x: np.ndarray, u: np.ndarray):
+        """The part at ``(x, u)`` for the sweeps of one tape, ``x`` and ``u`` checked here.
+
+        It has ``value``, ``vjp_x``, ``vjp_u``, ``jvp`` (and ``vjp_u_samples``
+        where the part has it) on single vectors, and holds views of ``x`` and
+        ``u`` only, never a gathered copy.  This one calls the public methods,
+        whose checks cost well under 1% of a convolution; ``FCPart``, where
+        checks and splitting took a third of a call, overrides it.
+        """
+        self._require_numeric()
+        return _PartLin(self, self._check_x(x), self._check_u(u))
 
     def dense_jx(self, u: np.ndarray) -> np.ndarray:
         """State Jacobian at ``u``, shape (d_out, d_in); row k is ``vjp_x(u, e_k)``."""
@@ -320,51 +356,66 @@ class FCPart(BiAffinePart):
         b = u[self.nout * self.nin:] if self.bias else np.zeros(self.nout)
         return w, b
 
-    def value(self, x, u, count=None):
-        x, u = self._check_x(x), self._check_u(u)
-        W, b = self._split(u)
-        _charge(count, self.s_beta + self.s_beta_u)
-        return (x.reshape(self.m, self.nin) @ W.T + b).ravel()
+    def linearize(self, x, u):
+        return _FCLin(self, self._check_x(x), self._check_u(u))
 
-    def vjp_x(self, u, w, count=None):
-        u, w = self._check_u(u), self._check_w(w, stack=True)
-        W, _ = self._split(u)
+    # Kernels on checked views, shared by the public methods and _FCLin:
+    # ``xv`` is the (m, n_in) input, ``W`` and ``b`` the split parameters.
+
+    def _value(self, xv, W, b, count):
+        _charge(count, self.s_beta + self.s_beta_u)
+        return (xv @ W.T + b).ravel()
+
+    def _vjp_x(self, W, w, count):
         _charge(count, self.s_beta, w)
         return (w.reshape(-1, self.nout) @ W).reshape(w.shape[:-1] + (self.d_in,))
 
+    def _vjp_u(self, xv, w, count):
+        _charge(count, self.s_beta + self.s_beta_u)
+        wv = w.reshape(self.m, self.nout)
+        out = np.empty(self.p)  # the weight and bias gradients written in place, no concatenation
+        np.matmul(wv.T, xv, out=out[:self.nout * self.nin].reshape(self.nout, self.nin))
+        if self.bias:
+            wv.sum(axis=0, out=out[self.nout * self.nin:])
+        return out
+
+    def _vjp_u_samples(self, xv, w, count):
+        _charge(count, self.s_beta + self.s_beta_u)
+        wv = w.reshape(self.m, self.nout)
+        gw = (wv[:, :, None] * xv[:, None, :]).reshape(self.m, -1)
+        return np.concatenate([gw, wv], axis=1) if self.bias else gw
+
+    def _jvp(self, xv, W, dx, du, count):
+        _charge(count, 2 * self.s_beta + self.s_beta_u)
+        dW, db = self._split(du)
+        return (dx.reshape(self.m, self.nin) @ W.T + xv @ dW.T + db).ravel()
+
+    def value(self, x, u, count=None):
+        return self.linearize(x, u).value(count)
+
+    def vjp_x(self, u, w, count=None):
+        u, w = self._check_u(u), self._check_w(w, stack=True)
+        return self._vjp_x(self._split(u)[0], w, count)
+
     def vjp_u(self, x, w, count=None):
         x, w, stack = self._check_vjp_u(x, w)
+        if stack is None:
+            return self._vjp_u(x.reshape(self.m, self.nin), w, count)
         _charge(count, self.s_beta + self.s_beta_u, stack)
-        if stack is not None:
-            xv = x.reshape(x.shape[:-1] + (self.m, self.nin))
-            wv = w.reshape(w.shape[:-1] + (self.m, self.nout))
-            return _stacked_vjp_u(wv, xv, (w.ndim - 1, x.ndim - 1), stack is x,
-                                  w.ndim - 1 if self.bias else None)
-        xv = x.reshape(self.m, self.nin)
-        wv = w.reshape(self.m, self.nout)
-        gw = wv.T @ xv
-        if self.bias:
-            return np.concatenate([gw.ravel(), wv.sum(axis=0)])
-        return gw.ravel()
+        xv = x.reshape(x.shape[:-1] + (self.m, self.nin))
+        wv = w.reshape(w.shape[:-1] + (self.m, self.nout))
+        return _stacked_vjp_u(wv, xv, (w.ndim - 1, x.ndim - 1), stack is x,
+                              w.ndim - 1 if self.bias else None)
 
     def vjp_u_samples(self, x, w, count=None):
         """Row s is sample s's outer product ``w_s x_s^T``, then ``w_s`` for the bias."""
         x, w = self._check_x(x), self._check_w(w)
-        xv = x.reshape(self.m, self.nin)
-        wv = w.reshape(self.m, self.nout)
-        _charge(count, self.s_beta + self.s_beta_u)
-        gw = (wv[:, :, None] * xv[:, None, :]).reshape(self.m, -1)
-        return np.concatenate([gw, wv], axis=1) if self.bias else gw
+        return self._vjp_u_samples(x.reshape(self.m, self.nin), w, count)
 
     def jvp(self, x, u, dx, du, count=None):
         x, u = self._check_x(x), self._check_u(u)
         dx, du = self._check_x(dx), self._check_u(du)
-        W, _ = self._split(u)
-        dW, db = self._split(du)
-        _charge(count, 2 * self.s_beta + self.s_beta_u)
-        xv = x.reshape(self.m, self.nin)
-        dxv = dx.reshape(self.m, self.nin)
-        return (dxv @ W.T + xv @ dW.T + db).ravel()
+        return self._jvp(x.reshape(self.m, self.nin), self._split(u)[0], dx, du, count)
 
     def kron_factor(self, x):
         """Augmented inputs ``[x_s; 1]`` as columns (``x_s`` alone without bias).
@@ -406,6 +457,35 @@ class FCPart(BiAffinePart):
             l_x=0.0,
             beta0_norm=0.0,
         )
+
+
+class _FCLin:
+    """An ``FCPart`` at one checked point: its (m, n_in) input and split parameters.
+
+    The sweeps call the part's kernels on these views with no check or split
+    per call; a tangent ``du`` is split per call, as it changes.
+    """
+
+    __slots__ = ("part", "xv", "W", "b")
+
+    def __init__(self, part: FCPart, x, u):
+        self.part, self.xv = part, x.reshape(part.m, part.nin)
+        self.W, self.b = part._split(u)
+
+    def value(self, count=None):
+        return self.part._value(self.xv, self.W, self.b, count)
+
+    def vjp_x(self, w, count=None):
+        return self.part._vjp_x(self.W, w, count)
+
+    def vjp_u(self, w, count=None):
+        return self.part._vjp_u(self.xv, w, count)
+
+    def vjp_u_samples(self, w, count=None):
+        return self.part._vjp_u_samples(self.xv, w, count)
+
+    def jvp(self, dx, du, count=None):
+        return self.part._jvp(self.xv, self.W, dx, du, count)
 
 
 class _ConvGeometry(BiAffinePart):
@@ -638,6 +718,7 @@ class IdentityPart(BiAffinePart):
         return np.zeros(0 if stack is None else (len(stack), 0))
 
     def jvp(self, x, u, dx, du, count=None):
+        self._check_x(x), self._check_u(u), self._check_u(du)
         return self._check_x(dx).copy()
 
     def constants(self):

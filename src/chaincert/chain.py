@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,7 +49,7 @@ class ChainSpec:
     def d_out(self) -> int:
         return self.layers[-1].d_out
 
-    @property
+    @cached_property  # read at every forward, jvp and oracle call; the layers never change
     def param_dims(self) -> tuple:
         return tuple(l.p for l in self.layers)
 

@@ -9,7 +9,7 @@ sample-major order and are viewed as (n, q).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -158,7 +158,11 @@ class Objective:
     """A terminal objective over flat chain outputs.
 
     ``kind`` is "squared", "logistic" or "convex-cluster"; supervised kinds
-    carry one label row per sample.
+    carry one label row per sample.  ``value_grad`` gives the value and
+    gradient.  The supervised losses are sums of per-sample terms, so their
+    Hessian is block-diagonal: ``grad_hess_blocks`` reports its (n, q, q)
+    stack of per-sample blocks and ``grad_hess`` the dense matrix built from
+    it.  The clustering envelope has neither.
     """
 
     kind: str
@@ -207,23 +211,34 @@ class Objective:
     def value(self, yhat) -> float:
         return self.value_grad(yhat)[0]
 
-    def grad_hess(self, yhat):
-        """Gradient and dense Hessian, for quadratic-model oracles."""
+    def grad_hess_blocks(self, yhat):
+        """Gradient and the Hessian's per-sample diagonal blocks, shape (n, q, q).
+
+        A decomposable loss has a block-diagonal Hessian, one (q, q) block per
+        sample; the squared loss's blocks are one read-only broadcast view.
+        """
         yh = self._rows(yhat)
         if self.kind == "squared":
             _, g = eval_squared(yh, self.y)
-            return g, np.eye(self.dim) / self.n
+            return g, np.broadcast_to(np.eye(self.q) / self.n, (self.n, self.q, self.q))
         if self.kind == "logistic":
             _, g = eval_logistic(yh, self.y)
-            H = np.zeros((self.dim, self.dim))
             s = _softmax_rows(yh)
-            for i in range(self.n):
-                blk = (np.diag(s[i]) - np.outer(s[i], s[i])) / self.n
-                sl = slice(i * self.q, (i + 1) * self.q)
-                H[sl, sl] = blk
-            return g, H
+            blocks = -s[:, :, None] * s[:, None, :]
+            diag = np.arange(self.q)
+            blocks[:, diag, diag] += s
+            blocks /= self.n
+            return g, blocks
         raise SecondOrderUnavailable(
             "the clustering envelope has no second-order model here")
+
+    def grad_hess(self, yhat):
+        """Gradient and dense Hessian, the block-diagonal matrix of ``grad_hess_blocks``."""
+        g, blocks = self.grad_hess_blocks(yhat)
+        H = np.zeros((self.n, self.q, self.n, self.q))
+        i = np.arange(self.n)
+        H[i, :, i, :] = blocks
+        return g, H.reshape(self.dim, self.dim)
 
     def grad_minibatch(self, yhat, idx) -> np.ndarray:
         """Gradient of the minibatch average, embedded at full output size."""
@@ -251,6 +266,21 @@ class Objective:
         if self.kind == "logistic":
             return 2.0 / self.n
         return 1.0
+
+
+class _LabelsOnRead(Objective):
+    """A supervised objective whose labels ``y(n, q)`` builds when first read.
+
+    For labels that are valid by construction, so they are not checked:
+    ``archfile``'s synthetic targets, which certification never reads.
+    """
+
+    def __post_init__(self):
+        self._make = self.__dict__.pop("y")
+
+    @cached_property
+    def y(self) -> np.ndarray:
+        return self._make(self.n, self.q)
 
 
 def squared_objective(y: np.ndarray) -> Objective:

@@ -578,15 +578,22 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
                             compute_gap: bool = False) -> OracleStep:
     """Prox-linear step through the dual, metered in chain-derivative calls.
 
+    ``h`` gives ``grad_hess_blocks(y) -> (g, blocks)``: the loss gradient and
+    its Hessian as an (n, q, q) stack of diagonal blocks with n q = d_tau
+    (``Objective.grad_hess_blocks``); a dense (d_tau, d_tau) Hessian is the
+    one-block stack ``H[None]``.  ``value(y)`` is read only for the gap.
     The quadratic loss model must be convex and every shifted regularizer
     curvature ``alpha_t + kappa`` positive (both checked before any
-    derivative call, refused otherwise).  The regularizer Hessian is
-    ``alpha_t I`` per block, so its shifted inverse is a per-block division
-    and no parameter-sized matrix is formed.  The dual reduces to a
-    positive-definite system in an output-sized variable, solved by
-    conjugate gradients where each iteration costs one adjoint and one
-    tangent call; the primal step is recovered for free from accumulated
-    CG data.  Diagnostics report the exact number of
+    derivative call, refused otherwise).  Convexity is tested with
+    ``eigvalsh`` on the blocks, whose spectra together are the Hessian's,
+    and the Hessian is applied block by block, so no (d_tau, d_tau) array is
+    formed from per-sample blocks.  The regularizer Hessian is ``alpha_t I``
+    per block, so its shifted inverse is a division and no parameter-sized
+    matrix is formed; the CG loop keeps the parameter side flat and updates
+    it in place.  The dual reduces to a positive-definite system in an
+    output-sized variable, solved by conjugate gradients where each
+    iteration costs one adjoint and one tangent call; the primal step is
+    recovered for free from accumulated CG data.  Diagnostics report the exact number of
     adjoint/tangent calls, which is at most ``2 d_tau + 1`` whenever CG
     stops before ``d_tau`` full iterations (one call short of the cap).
     ``exit_reason`` says why CG stopped: ``"tolerance"``, ``"zero_gradient"``
@@ -617,16 +624,33 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
             "block; the duality route needs it positive")
 
     y = tape.output
-    g, H = h.grad_hess(y)
-    evals = np.linalg.eigvalsh(0.5 * (H + H.T))
+    g, Hb = h.grad_hess_blocks(y)
+    Hb = np.asarray(Hb, dtype=float)
+    if Hb.ndim != 3 or Hb.shape[1] != Hb.shape[2] or Hb.shape[0] * Hb.shape[1] != d_tau:
+        raise DimensionMismatch(
+            f"loss Hessian blocks have shape {Hb.shape}, expected (n, q, q) with n q = {d_tau}")
+    # The spectrum of a block-diagonal matrix is the union of its blocks'
+    # spectra; a broadcast stack (the squared loss's) repeats one block.
+    distinct = Hb[:1] if Hb.strides[0] == 0 else Hb
+    evals = np.linalg.eigvalsh(0.5 * (distinct + distinct.swapaxes(1, 2)))
     scale = max(1.0, float(np.abs(evals).max()))
     if float(evals.min()) < -1e-10 * scale:
         raise InfeasibleModel(
             "loss quadratic model is not convex; the duality route needs a "
             "convex model")
+    n_blk, q_blk = Hb.shape[:2]
 
-    def w_solve(pv: ParamVector) -> ParamVector:
-        return ParamVector([b / s for s, b in zip(shift, pv.blocks)])
+    def H(v):  # the loss Hessian applied block by block
+        return np.matmul(Hb, v.reshape(n_blk, q_blk, 1)).reshape(d_tau)
+
+    # The parameter side is kept flat: the shifted regularizer inverse is a
+    # division by ``shift`` repeated over each block, and each jvp reads
+    # views of one flat array.
+    shift_flat = np.repeat(shift, pdims)
+    bounds = list(zip(np.cumsum((0,) + pdims[:-1]), np.cumsum(pdims)))
+
+    def as_params(flat):
+        return ParamVector([flat[a:b] for a, b in bounds])
 
     def diagnostics(iters, residual, exit_reason):
         ad_calls, budget = tape.ad_calls - calls0, 2 * d_tau + 1
@@ -640,9 +664,10 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     if base.norm() == 0.0:
         return OracleStep(ParamVector.zeros(pdims), diagnostics(0, 0.0, "zero_gradient"))
 
-    c0 = w_solve(base)
-    rhs = -(H @ jvp(tape, c0))
-    zeta = ParamVector.zeros(pdims)
+    base = base.flat()
+    c0 = base / shift_flat
+    rhs = -H(jvp(tape, as_params(c0)))
+    zeta = np.zeros(len(base))
     w = np.zeros(d_tau)
     res = rhs.copy()
     rr = float(res @ res)
@@ -655,24 +680,27 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
         if iters >= cap:
             exit_reason = "iteration_cap"
             break
-        t1 = H @ p
-        t2 = backward(tape, t1)
-        t4 = jvp(tape, w_solve(t2))
-        Ap = t1 + H @ t4
+        t1 = H(p)
+        t2 = backward(tape, t1).flat()
+        Ap = H(jvp(tape, as_params(t2 / shift_flat)))
+        Ap += t1
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             exit_reason = "nonpositive_curvature"
             break
         alpha = rr / pAp
-        w = w + alpha * p
-        zeta = zeta + alpha * t2
-        res = res - alpha * Ap
+        w += alpha * p
+        t2 *= alpha
+        zeta += t2
+        Ap *= alpha
+        res -= Ap
         rr_new = float(res @ res)
         iters += 1
-        p = res + (rr_new / rr) * p
+        p *= rr_new / rr
+        p += res
         rr = rr_new
 
-    v = -1.0 * (c0 + w_solve(zeta))
+    v = ParamVector.from_flat(pdims, -1.0 * (c0 + zeta / shift_flat))
     _check_finite(v, "Gauss-Newton dual")
     diags = diagnostics(iters, float(np.sqrt(rr)), exit_reason)
 
@@ -682,10 +710,10 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
         h_val = h.value(y)
         r_val = r.value(tape.u)
         s = base + zeta
-        ws = w_solve(s)
-        dual_val = h_val + r_val - 0.5 * float(w @ (H @ w)) - 0.5 * s.dot(ws)
+        dual_val = (h_val + r_val - 0.5 * float(w @ H(w))
+                    - 0.5 * as_params(s).dot(as_params(s / shift_flat)))
         jv = jvp(tape, v)
-        prim_h = h_val + float(g @ jv) + 0.5 * float(jv @ (H @ jv))
+        prim_h = h_val + float(g @ jv) + 0.5 * float(jv @ H(jv))
         rv = r.grad(tape.u).dot(v)
         vWv = sum(s * float(b @ b) for s, b in zip(shift, v.blocks))
         prim_val = prim_h + r_val + rv + 0.5 * vWv

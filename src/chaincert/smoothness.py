@@ -266,6 +266,16 @@ def recenter_domain(constants: Sequence[LayerConstants],
     return out
 
 
+def _slope_reach(psi: SmoothTriple, dom: BoundedDomain, L_h: float) -> LogMag:
+    """``L_h lip diam``: how far the loss slope can move over the domain.
+
+    ``diam = 2 sqrt(sum R_t^2)`` is the domain diameter and ``lip`` the
+    chain's Lipschitz bound in ``psi``.
+    """
+    diam = _TWO * _lm(float(np.sqrt(sum(r * r for r in dom.radii))))
+    return _lm(L_h) * psi.lip * diam
+
+
 def objective_smoothness(psi: SmoothTriple, dom: BoundedDomain, ell_h: float,
                          L_h: float, grad_ref_norm: float,
                          L_r: float = 0.0) -> Tuple[LogMag, LogMag]:
@@ -273,10 +283,10 @@ def objective_smoothness(psi: SmoothTriple, dom: BoundedDomain, ell_h: float,
 
     ``psi`` holds the chain's parameter-space bounds, ``grad_ref_norm`` is
     ``|grad h|`` evaluated at the chain output for one reference parameter
-    point in the domain.  The loss slope is first tightened through the
-    domain diameter ``2 sqrt(sum R_t^2)``; returns ``(L_F, ell_h_refined)``.
+    point in the domain, or ``inf`` when none was evaluated.  The loss slope
+    is first tightened to ``min(ell_h, grad_ref_norm + L_h lip diam)``
+    (:func:`_slope_reach`); returns ``(L_F, ell_h_refined)``.
     """
-    diam = _TWO * _lm(float(np.sqrt(sum(r * r for r in dom.radii))))
-    ell_ref = lm_min(_lm(ell_h), _lm(grad_ref_norm) + _lm(L_h) * psi.lip * diam)
+    ell_ref = lm_min(_lm(ell_h), _lm(grad_ref_norm) + _slope_reach(psi, dom, L_h))
     L_F = psi.smooth * ell_ref + psi.lip * psi.lip * _lm(L_h) + _lm(L_r)
     return L_F, ell_ref

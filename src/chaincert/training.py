@@ -9,6 +9,7 @@ record objective values, gradient-mapping norms and projection activity.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -18,7 +19,8 @@ from .autodiff import _backward_samples, _separates_samples, backward, forward
 from .chain import ChainSpec, ParamVector
 from .errors import InfeasibleModel
 from .objectives import Objective, Regularizer, ZeroReg
-from .smoothness import BoundedDomain, objective_smoothness, propagate_chain
+from .smoothness import (BoundedDomain, _lm, _slope_reach, objective_smoothness,
+                         propagate_chain)
 
 __all__ = [
     "TrainConfig",
@@ -109,9 +111,15 @@ def certified_step(chain: ChainSpec, h: Objective, r: Optional[Regularizer],
     rho_out = psi.m.value
     ell_h = h.lip_bound(rho_out)
     L_h = h.smooth_bound()
-    u_ref = ParamVector.zeros(chain.param_dims)
-    tape = forward(chain, x0, u_ref)
-    grad_ref = float(np.linalg.norm(h.value_grad(tape.output)[1]))
+    # The refined slope is min(ell_h, |grad h(f(x0, 0))| + reach).  A LogMag
+    # sum is never below its larger operand, so once ell_h <= reach the
+    # reference gradient cannot win the min and its forward pass is skipped;
+    # inf stands in for it and the bound is ell_h, bitwise.
+    if _lm(ell_h) <= _slope_reach(psi, dom, L_h):
+        grad_ref = math.inf
+    else:
+        tape = forward(chain, x0, ParamVector.zeros(chain.param_dims))
+        grad_ref = float(np.linalg.norm(h.value_grad(tape.output)[1]))
     L_F, _ = objective_smoothness(psi, dom, ell_h, L_h, grad_ref, r.smooth)
     Lf = L_F.value
     if not np.isfinite(Lf) or Lf <= 0:

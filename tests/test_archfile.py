@@ -216,8 +216,8 @@ def test_vgg16_parse_builds_no_pool_window_table(name):
     # Pool stages build their window tables on first numeric use, and
     # certification makes none.  The largest VGG16 pool table, 112 * 112
     # windows of 4 int64 entries, is 0.4 MB; with all five tables built a
-    # parse peaks at about 1.84 MB, without them at about 1.44 MB (most of
-    # it the 128 x 1000 label matrix of the objective).
+    # parse peaked at about 1.84 MB.  The objective's 128 x 1000 label
+    # matrix (1 MB) is built when first read, so a parse peaks near 30 KB.
     import tracemalloc
 
     path = _fixture(name + ".arch")
@@ -228,7 +228,17 @@ def test_vgg16_parse_builds_no_pool_window_table(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_600_000
+    assert peak < 200_000
+
+
+def test_synthetic_labels_are_built_when_first_read():
+    # A parse builds no label matrix (128 x 1000 floats for VGG16), and the
+    # labels read later are the documented synthetic targets.
+    _, _, h = parse_arch(_fixture("vgg16.arch"))
+    assert "y" not in vars(h)
+    y = h.y
+    assert y.shape == (128, 1000) and np.array_equal(y.argmax(axis=1), np.arange(128))
+    assert np.array_equal(y.sum(axis=1), np.ones(128)) and h.y is y
 
 
 def test_declared_grid_with_valid_count_but_other_shape_stays_symbolic():

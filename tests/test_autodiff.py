@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert import (BlockStage, ChainSpec, DenseBiAffinePart, DimensionMismatch,
+from chaincert import (BiAffinePart, BlockStage, ChainSpec, DenseBiAffinePart, DimensionMismatch,
                        ElementwiseStage, FCPart, IdentityPart, LayerDescriptor,
                        NumericError, OpCounter, ParamVector, ResidualPart,
                        activation_layer, avgpool2d, backward, backward_formula,
@@ -247,6 +247,43 @@ def test_sweeps_refuse_bad_shapes_at_entry():
     with pytest.raises(DimensionMismatch, match="input direction shape"):
         jvp(tape, u, dx0=np.ones(chain.d0 - 1))
     assert tape.ad_calls == 0
+
+
+def test_sweeps_on_a_recorded_tape_call_no_part_shape_check():
+    # forward checks each state and parameter block once, through the part
+    # linearisations; the sweeps then run the FC kernels on their views.
+    chain, u, tape = _fc_tape()
+    checks = []
+    real = BiAffinePart._check
+    with mock.patch.object(BiAffinePart, "_check",
+                           lambda self, *a, **kw: checks.append(a) or real(self, *a, **kw)):
+        forward(chain, tape.states[0], u)
+        assert checks  # the patch sees forward's checks
+        checks.clear()
+        backward(tape, np.ones(chain.d_out))
+        jvp(tape, u, dx0=np.ones(chain.d0))
+        list(_backward_samples(tape, np.ones(chain.d_out)))
+    assert checks == []
+
+
+def test_conv_sweeps_call_the_public_methods_on_the_recorded_views():
+    # A conv linearisation keeps the tape's own state and parameter arrays,
+    # no gathered windows, and the sweeps reach the conv through its public
+    # methods (which a tracer may wrap).
+    rng = np.random.default_rng(2)
+    chain = ChainSpec((conv2d(2, 1, 5, 5, 2, 2, activation="softplus"),
+                       fully_connected(2, 2 * 4 * 4, 3)))
+    u = sample_params(chain.param_dims, 1.0, rng)
+    tape = forward(chain, sample_state(chain.d0, 1.0, rng), u)
+    lin = tape.part_lins[0]
+    assert lin.x is tape.states[0] and lin.u is u.blocks[0]
+    part = chain.layers[0].part
+    with mock.patch.object(type(part), "vjp_u", wraps=part.vjp_u) as vjp_u, \
+            mock.patch.object(type(part), "vjp_x", wraps=part.vjp_x) as vjp_x, \
+            mock.patch.object(type(part), "jvp", wraps=part.jvp) as tangent:
+        backward(tape, np.ones(chain.d_out))
+        jvp(tape, u)
+    assert (vjp_u.call_count, vjp_x.call_count, tangent.call_count) == (1, 1, 1)
 
 
 def _sample_chain(rng, coupling):

@@ -310,6 +310,48 @@ def test_dimension_validation():
         part.vjp_x(np.zeros(4), np.zeros(3))
 
 
+def _parts_of_every_kind():
+    fc = FCPart(batch=2, in_features=3, out_features=2)
+    rng = np.random.default_rng(9)
+    return {
+        "fc": fc,
+        "conv": ConvPart(2, 1, 9, _valid_patches_2d(3, 3, 2, 2, 1, 1)[0], 2, bias=True),
+        "dense": DenseBiAffinePart(rng.standard_normal((3, 2, 4))),
+        "identity": IdentityPart(4),
+        "residual": ResidualPart(fc, batch=2),
+    }
+
+
+@pytest.mark.parametrize("kind", ["fc", "conv", "dense", "identity", "residual"])
+def test_every_public_method_refuses_a_bad_shape(kind):
+    part = _parts_of_every_kind()[kind]
+    x, u, w = np.zeros(part.d_in), np.zeros(part.p), np.zeros(part.d_out)
+    bad_x, bad_u, bad_w = np.zeros(part.d_in + 1), np.zeros(part.p + 1), np.zeros(part.d_out + 1)
+    calls = [
+        (part.value, (bad_x, u)), (part.value, (x, bad_u)),
+        (part.linearize, (bad_x, u)), (part.linearize, (x, bad_u)),
+        (part.vjp_x, (bad_u, w)), (part.vjp_x, (u, bad_w)),
+        (part.vjp_u, (bad_x, w)), (part.vjp_u, (x, bad_w)),
+        (part.jvp, (bad_x, u, x, u)), (part.jvp, (x, bad_u, x, u)),
+        (part.jvp, (x, u, bad_x, u)), (part.jvp, (x, u, x, bad_u)),
+    ]
+    if hasattr(part, "vjp_u_samples"):
+        calls += [(part.vjp_u_samples, (bad_x, w)), (part.vjp_u_samples, (x, bad_w))]
+    for method, args in calls:
+        with pytest.raises(DimensionMismatch):
+            method(*args)
+
+
+def test_symbolic_conv_refuses_every_public_method():
+    part = SymbolicConvPart(batch=2, channels=1, spatial=9, n_patches=4,
+                            kernel_shape=(2, 2), stride=(1, 1), n_filters=2)
+    x, u, w = np.zeros(part.d_in), np.zeros(part.p), np.zeros(part.d_out)
+    for method, args in [(part.value, (x, u)), (part.linearize, (x, u)), (part.vjp_x, (u, w)),
+                         (part.vjp_u, (x, w)), (part.jvp, (x, u, x, u))]:
+        with pytest.raises(SymbolicOnlyError):
+            method(*args)
+
+
 def test_constants_dataclass_is_frozen():
     c = BiAffineConstants(1.0, 2.0, 3.0, 0.0)
     with pytest.raises(Exception):

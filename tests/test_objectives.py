@@ -177,6 +177,26 @@ def test_grad_hess_squared_and_logistic():
         hc.grad_hess(np.zeros(4))
 
 
+@pytest.mark.parametrize("kind", ["squared", "logistic"])
+def test_grad_hess_is_the_block_diagonal_matrix_of_the_blocks(kind):
+    rng = np.random.default_rng(8)
+    n, q = 3, 4
+    y = rng.standard_normal((n, q)) if kind == "squared" else np.eye(q)[[0, 3, 1]]
+    h = Objective(kind, n, q, y)
+    z = rng.standard_normal(n * q) * 3.0
+    g_b, blocks = h.grad_hess_blocks(z)
+    g, H = h.grad_hess(z)
+    assert blocks.shape == (n, q, q)
+    assert np.array_equal(g_b, g) and np.array_equal(g, h.value_grad(z)[1])
+    want = np.zeros((n * q, n * q))
+    for i in range(n):
+        want[i * q:(i + 1) * q, i * q:(i + 1) * q] = blocks[i]
+    assert np.array_equal(H, want)
+    assert np.array_equal(blocks, blocks.swapaxes(1, 2))
+    with pytest.raises(SecondOrderUnavailable):
+        cluster_objective(n, q).grad_hess_blocks(z)
+
+
 def test_grad_minibatch_embedding():
     rng = np.random.default_rng(4)
     y = rng.standard_normal((4, 2))

@@ -18,10 +18,11 @@ from chaincert import (BlockRidge, ChainSpec, FCPart, InfeasibleModel, InvalidBa
                        residual_wrap,
                        sample_params, sample_state, solve_dense_reference,
                        solve_gauss_newton_dual, solve_gradient_step,
-                       solve_newton_dp, squared_objective)
+                       solve_newton_dp, squared_objective, logistic_objective)
 from chaincert import oracles
 from chaincert.cli import _bench_chain
 from chaincert.errors import DimensionMismatch
+from chaincert.objectives import Objective
 
 from helpers import flat, unflat
 
@@ -264,13 +265,9 @@ def test_dp_diagnostics_count_sweeps_and_stage_visits():
     assert (d["kind"], d["converged"], d["exit_reason"]) == ("newton-dp", True, "exact")
 
 
-@pytest.mark.parametrize("seed, pinned", [
-    (1, [(8.0, 4, 14)] * 3),
-    (7331, [(16.0, 5, 16), (8.0, 4, 14), (8.0, 4, 14)]),
-])
-def test_dp_sweeps_are_pinned_on_the_benchmark_points(seed, pinned):
-    # The fc-oracles workload's chain (batch 4, width 32, tau 6), loss and
-    # three points, drawn in its order, at its kappa 0.5.
+def _benchmark_points(seed):
+    """The fc-oracles workload's chain (batch 4, width 32, tau 6), loss and
+    three points, drawn in its order; its kappa is 0.5."""
     chain = ChainSpec(tuple(
         fully_connected(4, 32, 32, activation="softplus" if t < 5 else "identity")
         for t in range(6)))
@@ -278,6 +275,15 @@ def test_dp_sweeps_are_pinned_on_the_benchmark_points(seed, pinned):
     h = squared_objective(rng.standard_normal((4, 32)))
     points = [(sample_state(chain.d0, 1.0, rng), sample_params(chain.param_dims, 1.0, rng))
               for _ in range(3)]
+    return chain, h, points
+
+
+@pytest.mark.parametrize("seed, pinned", [
+    (1, [(8.0, 4, 14)] * 3),
+    (7331, [(16.0, 5, 16), (8.0, 4, 14), (8.0, 4, 14)]),
+])
+def test_dp_sweeps_are_pinned_on_the_benchmark_points(seed, pinned):
+    chain, h, points = _benchmark_points(seed)
     for (x0, u), want in zip(points, pinned):
         lq = build_lq(forward(chain, x0, u), h, None, "newton", 0.5)
         step = solve_newton_dp(lq)
@@ -786,9 +792,9 @@ def test_gn_dual_rejects_nonconvex_loss_model():
         def value_grad(self, y):
             return -0.5 * float(np.sum(y * y)), -np.asarray(y, float)
 
-        def grad_hess(self, y):
+        def grad_hess_blocks(self, y):  # one dense block
             y = np.asarray(y, float)
-            return -y, -np.eye(y.size)
+            return -y, -np.eye(y.size)[None]
 
     chain, u, x0, _ = _small_instance(6, tau=2, width=2, batch=1)
     tape = forward(chain, x0, u)
@@ -836,3 +842,109 @@ def test_gn_dual_actual_objective_decrease():
     before = _objective_value(chain, h, r, x0, u)
     after = _objective_value(chain, h, r, x0, u + step.v)
     assert after < before
+
+
+class _OneDenseBlock:
+    """``h`` with its Hessian reported as one dense (d, d) block."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def value(self, y):
+        return self.h.value(y)
+
+    def grad_hess_blocks(self, y):
+        g, H = self.h.grad_hess(y)
+        return g, H[None]
+
+
+@pytest.mark.parametrize("seed", [1, 7331])
+def test_gn_dual_steps_from_per_sample_blocks_equal_one_dense_block(seed):
+    chain, h, points = _benchmark_points(seed)
+    for x0, u in points:
+        by_sample, dense = (
+            solve_gauss_newton_dual(forward(chain, x0, u), obj, None, 0.5, compute_gap=True)
+            for obj in (h, _OneDenseBlock(h)))
+        assert np.array_equal(by_sample.v.flat(), dense.v.flat())
+        for key in ("gap", "dual_value", "primal_model_value", "residual", "ad_calls",
+                    "cg_iterations", "budget_ok", "exit_reason"):
+            assert by_sample.diagnostics[key] == dense.diagnostics[key], key
+
+
+def test_gn_dual_logistic_step_from_blocks_matches_the_dense_hessian():
+    chain, _, points = _benchmark_points(1)
+    h = logistic_objective(np.eye(32)[[3, 17, 0, 31]])
+    for x0, u in points:
+        by_sample, dense = (solve_gauss_newton_dual(forward(chain, x0, u), obj, None, 0.5)
+                            for obj in (h, _OneDenseBlock(h)))
+        assert (by_sample.v - dense.v).norm() <= 1e-12 * dense.v.norm()
+        assert by_sample.diagnostics["ad_calls"] == dense.diagnostics["ad_calls"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["psd", "rank-deficient", "indefinite"]),
+       st.integers(1, 4), st.integers(1, 4))
+def test_gn_dual_block_convexity_test_agrees_with_dense_eigvalsh(seed, kind, n, q):
+    # Eigenvalues are 0 or at least 1e-3 in magnitude, far from the refusal
+    # threshold -1e-10 * scale, so rounding cannot decide the outcome.
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(1e-3, 3.0, (n, q)) * rng.choice([0.1, 1.0, 10.0])
+    if kind == "rank-deficient":
+        lam[rng.random((n, q)) < 0.5] = 0.0
+    if kind == "indefinite":
+        lam[rng.random((n, q)) < 0.3] *= -1.0
+        if lam.min() > 0:
+            lam[rng.integers(n), rng.integers(q)] *= -1.0
+    blocks = np.empty((n, q, q))
+    for i in range(n):
+        Q = np.linalg.qr(rng.standard_normal((q, q)))[0]
+        blocks[i] = (Q * lam[i]) @ Q.T
+    H = np.zeros((n * q, n * q))
+    for i in range(n):
+        H[i * q:(i + 1) * q, i * q:(i + 1) * q] = blocks[i]
+    evals = np.linalg.eigvalsh(0.5 * (H + H.T))
+    refuse = float(evals.min()) < -1e-10 * max(1.0, float(np.abs(evals).max()))
+    assert refuse == (kind == "indefinite")
+
+    class Stub:  # a zero gradient: the solve stops right after the convexity test
+        def grad_hess_blocks(self, y):
+            return np.zeros(n * q), blocks
+
+    tape = forward(ChainSpec((fully_connected(n, 2, q),)), np.ones(2 * n),
+                   sample_params((3 * q,), 1.0, rng))
+    if refuse:
+        with pytest.raises(InfeasibleModel):
+            solve_gauss_newton_dual(tape, Stub(), None, 1.0)
+    else:
+        step = solve_gauss_newton_dual(tape, Stub(), None, 1.0)
+        assert step.diagnostics["exit_reason"] == "zero_gradient"
+
+
+def test_gn_dual_forms_no_output_sized_square(monkeypatch):
+    # At fc-oracles size (d_tau = 128) the convexity test sees one 32 x 32
+    # block of the squared loss's broadcast stack, and the dense Hessian is
+    # never built.
+    chain, h, points = _benchmark_points(1)
+    tape = forward(chain, *points[0])
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+
+    def no_dense(self, yhat):
+        raise AssertionError("dense loss Hessian built")
+
+    monkeypatch.setattr(Objective, "grad_hess", no_dense)
+    step = solve_gauss_newton_dual(tape, h, None, 0.5, compute_gap=True)
+    assert step.diagnostics["converged"]
+    assert shapes == [(1, 32, 32)]
+
+
+def test_gn_dual_refuses_hessian_blocks_of_the_wrong_size():
+    chain, u, x0, h = _small_instance(4)
+
+    class Stub:
+        def grad_hess_blocks(self, y):
+            return h.grad_hess_blocks(y)[0], np.eye(3)[None]
+
+    with pytest.raises(DimensionMismatch, match="Hessian blocks"):
+        solve_gauss_newton_dual(forward(chain, x0, u), Stub(), None, 1.0)

@@ -14,6 +14,8 @@ from chaincert import (BlockRidge, BoundedDomain, ChainSpec, InfeasibleModel,
                        logistic_objective, project_domain, residual_wrap,
                        sample_params, sample_state, squared_objective,
                        train_pgd, train_sgd)
+from chaincert import training
+from chaincert.smoothness import objective_smoothness, propagate_chain
 
 
 def _toy(seed=0, tau=2, width=3, batch=4, act="softplus-centered"):
@@ -55,6 +57,25 @@ def test_certified_step_finite_on_smooth_chain():
     gamma, L = certified_step(chain, h, None, x0, dom)
     assert gamma == pytest.approx(1.0 / L)
     assert 0 < gamma < 1
+
+
+@pytest.mark.parametrize("label_scale, skips", [(0.3, True), (1e4, False)])
+def test_certified_step_skips_the_reference_forward_only_where_it_cannot_matter(
+        label_scale, skips, monkeypatch):
+    # The refined loss slope is min(ell_h, |grad h(f(x0, 0))| + reach).  With
+    # labels of scale 0.3 ell_h is below the reach, so the reference term
+    # cannot win; with labels of scale 1e4 it can, and the forward must run.
+    chain, _, x0, dom, rng = _toy()
+    h = squared_objective(rng.standard_normal((4, 3)) * label_scale)
+    psi = propagate_chain(chain, dom)
+    ref = forward(chain, x0, ParamVector.zeros(chain.param_dims))
+    L_F, _ = objective_smoothness(psi, dom, h.lip_bound(psi.m.value), h.smooth_bound(),
+                                  float(np.linalg.norm(h.value_grad(ref.output)[1])))
+    calls = []
+    monkeypatch.setattr(training, "forward", lambda *a: calls.append(a) or forward(*a))
+    gamma, Lf = certified_step(chain, h, None, x0, dom)
+    assert (Lf, gamma) == (L_F.value, 1.0 / L_F.value)
+    assert len(calls) == (0 if skips else 1)
 
 
 def test_certified_step_refuses_nonsmooth_chain():
