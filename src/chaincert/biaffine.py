@@ -52,37 +52,6 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _scatter_rows(index, weights, width: int) -> np.ndarray:
-    """Scatter each row of a (k, len(index)) stack of ``weights`` into ``index``.
-
-    Row r of the (k, width) result adds row r of ``weights`` at ``index``;
-    one ``bincount`` covers every row, each shifted to its own block.
-    """
-    k = len(weights)
-    shifted = (np.arange(k, dtype=np.intp)[:, None] * width + index).ravel()
-    return np.bincount(shifted, weights=weights.ravel(), minlength=k * width).reshape(k, width)
-
-
-def _stacked_vjp_u(wv, xv, axes, stacked_points: bool, bias_axes=None) -> np.ndarray:
-    """Rows of a stacked ``vjp_u`` as one ``tensordot`` GEMM, then the bias columns.
-
-    ``wv`` and ``xv`` are the cotangent and point views, exactly one of them
-    with a leading stack axis; ``axes`` pairs the axes summed over.  One GEMM
-    replaces a batch of k small products, each of which would pay a BLAS
-    call.  The cotangent's free axes come first, so a stack of points is
-    moved to the front.  With ``bias_axes`` the sum of ``wv`` over them is
-    appended to every row.
-    """
-    out = np.tensordot(wv, xv, axes=axes)
-    if stacked_points:
-        out = np.moveaxis(out, 1, 0)
-    out = out.reshape(len(out), -1)
-    if bias_axes is None:
-        return out
-    bias = wv.sum(axis=bias_axes)
-    return np.concatenate([out, np.broadcast_to(bias, (len(out), bias.shape[-1]))], axis=1)
-
-
 class _PartLin:
     """A part at one checked point, calling its public methods."""
 
@@ -124,15 +93,16 @@ class BiAffinePart:
     ``constants``.  The adjoints also take a stack: ``vjp_x(u, W)`` and
     ``vjp_u(x, W)`` with a (k, d_out) stack of cotangents, and
     ``vjp_u(X, w)`` with a (k, d_in) stack of points, return one row per
-    stacked vector and charge k times the units of a single call.  A single
-    vector runs the single-call arithmetic unchanged.
+    stacked vector (k may be 0) and charge k times the units of a single
+    call.  A stack of k vectors is k single sweeps (vector reverse mode,
+    Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3-4), so a
+    part with no stacked kernel answers it one row at a time (``_rows``).
 
-    Everything else is derived here, each from one stacked call (vector
-    reverse mode, Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-    ch. 3-4): the dense Jacobians ``dense_jx``/``dense_ju`` are the adjoints
-    of the identity stack of cotangents, and ``second_cross`` follows from
-    ``vjp_u`` on the identity stack of points by bilinearity.  Each checks
-    ``numeric`` before it builds an identity stack.
+    Everything else is derived here, each from one stacked call: the dense
+    Jacobians ``dense_jx``/``dense_ju`` are the adjoints of the identity
+    stack of cotangents, and ``second_cross`` follows from ``vjp_u`` on the
+    identity stack of points by bilinearity.  Each checks ``numeric``
+    before it builds an identity stack.
 
     Subclasses set ``d_in``, ``d_out``, ``p`` and the four sparsity figures
     ``s_beta``, ``s_beta_u``, ``s_beta_x``, ``s_beta0`` (stored nonzeros of
@@ -212,16 +182,29 @@ class BiAffinePart:
     def kron_factor(self, x: np.ndarray):
         """Input factor of a Kronecker parameter Jacobian at ``x``, or None.
 
-        A part whose transposed parameter Jacobian at ``x`` has the range of
-        ``Pi (I_g kron X)`` returns ``(X, bias)``.  ``X`` has shape (n, m)
-        with ``g n = p``.  ``Pi`` orders the parameters as the C-order ravel
-        of a (g, n) array or, with ``bias``, of a (g, n - 1) array followed
-        by the g entries of the last column.  Other parts return None.
+        A part whose outputs are sample-major, the C-order ravel of an (m, g)
+        array, with row (s, f) of ``Ju`` equal to ``Pi (e_f kron X[:, s])``
+        returns ``(X, bias)``; ``X`` has shape (n, m) with ``g n = p``.  ``Pi``
+        orders the parameters as the C-order ravel of a (g, n) array or, with
+        ``bias``, of a (g, n - 1) array followed by the g entries of the last
+        column (a fully-connected layer, as in K-FAC, Martens & Grosse, 2015).
+        Other parts return None.
         """
         return None
 
     def constants(self) -> BiAffineConstants:
         raise NotImplementedError
+
+    @staticmethod
+    def _rows(method, a, b, width: int, count) -> np.ndarray:
+        """(k, width) rows of ``method(a, b, count)``, one call per row of the stack ``a`` or ``b``.
+
+        Each call charges its own units, so the stack is charged k times one call.
+        """
+        out = np.empty((len(b) if b.ndim == 2 else len(a), width))
+        for r in range(len(out)):
+            out[r] = method(a, b[r], count) if b.ndim == 2 else method(a[r], b, count)
+        return out
 
     # shape guards -----------------------------------------------------
 
@@ -399,13 +382,9 @@ class FCPart(BiAffinePart):
 
     def vjp_u(self, x, w, count=None):
         x, w, stack = self._check_vjp_u(x, w)
-        if stack is None:
-            return self._vjp_u(x.reshape(self.m, self.nin), w, count)
-        _charge(count, self.s_beta + self.s_beta_u, stack)
-        xv = x.reshape(x.shape[:-1] + (self.m, self.nin))
-        wv = w.reshape(w.shape[:-1] + (self.m, self.nout))
-        return _stacked_vjp_u(wv, xv, (w.ndim - 1, x.ndim - 1), stack is x,
-                              w.ndim - 1 if self.bias else None)
+        if stack is not None:
+            return self._rows(self.vjp_u, x, w, self.p, count)
+        return self._vjp_u(x.reshape(self.m, self.nin), w, count)
 
     def vjp_u_samples(self, x, w, count=None):
         """Row s is sample s's outer product ``w_s x_s^T``, then ``w_s`` for the bias."""
@@ -426,19 +405,13 @@ class FCPart(BiAffinePart):
         xt = self._check_x(x).reshape(self.m, self.nin).T
         return (np.vstack([xt, np.ones((1, self.m))]) if self.bias else xt), self.bias
 
-    def kron_cotangent(self, w):
-        """``w`` as the (batch, out_features) array ``W``: row (s, f) of ``Ju`` is
-        ``Pi (e_f kron X[:, s])`` and row (s, i) of ``second_cross(w)`` is
-        ``Pi (W[s] kron e_i)``, for ``(X, bias) = kron_factor(x)``."""
-        return self._check_w(w).reshape(self.m, self.nout)
-
     def dense_jx(self, u):
         u = self._check_u(u)
         W, _ = self._split(u)
         return np.kron(np.eye(self.m), W)
 
     def dense_ju(self, x):
-        # closed form: 18x faster than the derived one (87 us vs 1.6 ms, fc-oracles, 2 cores)
+        # closed form; the derived one makes d_out single vjp_u calls
         x = self._check_x(x)
         xv = x.reshape(self.m, self.nin)
         J = np.zeros((self.m, self.nout, self.p))
@@ -594,17 +567,15 @@ class ConvPart(_ConvGeometry):
 
     def vjp_x(self, u, w, count=None):
         u, w = self._check_u(u), self._check_w(w, stack=True)
+        if w.ndim == 2:
+            return self._rows(self.vjp_x, u, w, self.d_in, count)
         F, _ = self._split(u)
         wv = w.reshape(-1, self.n_f, self.n_p)
-        _charge(count, self.s_beta, w)
+        _charge(count, self.s_beta)
         F2 = F.reshape(self.n_f, self.C * self.k_sp)
         index = self._index().ravel()
         width = self.C * self.n_sp
         # col2im: each window column adds back into the input it read
-        if w.ndim == 2:  # one scatter over every (row, sample) block
-            cols = np.matmul(wv.swapaxes(1, 2), F2).reshape(len(wv), -1)
-            return _scatter_rows(index, cols, width).reshape(len(w), self.d_in)
-        # one vector: 3x faster than the scatter (0.7 vs 2.2 ms, cnn-train conv 1, 2 cores)
         gx = np.empty((self.m, width))
         for s in range(self.m):
             gx[s] = np.bincount(index, weights=(wv[s].T @ F2).ravel(), minlength=width)
@@ -617,13 +588,9 @@ class ConvPart(_ConvGeometry):
 
     def vjp_u(self, x, w, count=None):
         x, w, stack = self._check_vjp_u(x, w)
-        _charge(count, self.s_beta + self.s_beta_u, stack)
         if stack is not None:
-            wv = w.reshape(w.shape[:-1] + (self.m, self.n_f, self.n_p))
-            sample, patch = w.ndim - 1, w.ndim + 1  # of wv; cols has them at x.ndim - 1, x.ndim
-            return _stacked_vjp_u(wv, self._cols(x), ([sample, patch], [x.ndim - 1, x.ndim]),
-                                  stack is x, (sample, patch) if self.bias else None)
-        # one vector: per-sample GEMMs beat a tensordot (0.65 vs 0.85 ms, cnn-train conv 1)
+            return self._rows(self.vjp_u, x, w, self.p, count)
+        _charge(count, self.s_beta + self.s_beta_u)
         gF, wv = self._filter_terms(x, w)
         gF = gF.sum(axis=0)
         if self.bias:
@@ -756,7 +723,7 @@ class ResidualPart(BiAffinePart):
         """Inner input ``x1`` (flat per row of a stack) and carried block ``x2`` (..., m, db)."""
         lead = x.shape[:-1]
         xv = x.reshape(lead + (self.m, self.da + self.db))
-        return xv[..., : self.da].reshape(lead + (-1,)), xv[..., self.da:]
+        return xv[..., : self.da].reshape(lead + (self.inner.d_in,)), xv[..., self.da:]
 
     def value(self, x, u, count=None):
         x = self._check_x(x)
@@ -770,7 +737,7 @@ class ResidualPart(BiAffinePart):
         """Cotangent ``w`` as (..., m, db + da) and its inner block, flat per row."""
         lead = w.shape[:-1]
         wv = w.reshape(lead + (self.m, self.db + self.da))
-        return wv, wv[..., : self.db].reshape(lead + (-1,))
+        return wv, wv[..., : self.db].reshape(lead + (self.inner.d_out,))
 
     def vjp_x(self, u, w, count=None):
         w = self._check_w(w, stack=True)
@@ -790,9 +757,6 @@ class ResidualPart(BiAffinePart):
 
     def vjp_u_samples(self, x, w, count=None):
         return self.inner.vjp_u_samples(*self._inner_adjoint_args(x, w), count)
-
-    def kron_factor(self, x):
-        return self.inner.kron_factor(self._split_in(self._check_x(x))[0])
 
     def jvp(self, x, u, dx, du, count=None):
         x, dx = self._check_x(x), self._check_x(dx)

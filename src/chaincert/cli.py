@@ -194,7 +194,7 @@ def cmd_oracle_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.gamma is not None and args.gamma <= 0:
+    if args.gamma is not None and not args.gamma > 0:
         print("error: --gamma must be a positive step size", file=sys.stderr)
         return 2
     if args.gamma is None and not args.certified:

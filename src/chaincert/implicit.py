@@ -54,11 +54,11 @@ class InnerProblem:
     hess_lip: float
 
     def __post_init__(self):
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise ValueError("strong convexity modulus must be positive")
-        if self.lip < self.mu:
+        if not self.lip >= self.mu:
             raise ValueError("gradient Lipschitz constant cannot be below the modulus")
-        if self.hess_lip < 0:
+        if not self.hess_lip >= 0:
             raise ValueError("Hessian Lipschitz constant must be nonnegative")
 
 
@@ -78,7 +78,7 @@ def solve_inner(p: InnerProblem, alpha, tol: float, beta0=None):
     ``|beta_hat - g(alpha)|`` by ``grad_norm / mu``.  An infinite ``tol``
     returns the initialization untouched.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     alpha = np.asarray(alpha, dtype=float)
     beta = np.zeros(p.d_beta) if beta0 is None else np.asarray(beta0, dtype=float).copy()

@@ -40,7 +40,7 @@ class LogMag:
 
     @classmethod
     def of(cls, v: float) -> "LogMag":
-        if v < 0:
+        if not v >= 0:
             raise ValueError(f"magnitude must be nonnegative, got {v}")
         return _make(-_INF if v == 0 else math.log(v))
 

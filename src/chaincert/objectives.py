@@ -110,7 +110,7 @@ def eval_convex_cluster(yhat: np.ndarray, tol: float):
     yhat = np.asarray(yhat, dtype=float)
     if yhat.ndim != 2:
         raise DimensionMismatch(f"clustering input must be (n, q), got {yhat.shape}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     n, q = yhat.shape
     if n == 1:
@@ -345,18 +345,18 @@ class ZeroReg(Regularizer):
 
 
 class BlockRidge(Regularizer):
-    """Quadratic penalty ``sum_t alpha_t/2 ||u_t||^2``."""
+    """Quadratic penalty ``sum_t alpha_t/2 ||u_t||^2``; ``alphas`` is one float
+    or one per block (any iterable, read once), of either sign."""
 
     def __init__(self, alphas):
-        self.alphas = alphas
+        self.alphas = float(alphas) if np.isscalar(alphas) else tuple(float(a) for a in alphas)
 
     def _alpha(self, k: int):
-        if np.isscalar(self.alphas):
-            return [float(self.alphas)] * k
-        al = [float(a) for a in self.alphas]
-        if len(al) != k:
-            raise DimensionMismatch(f"{len(al)} penalties for {k} blocks")
-        return al
+        if isinstance(self.alphas, float):
+            return [self.alphas] * k
+        if len(self.alphas) != k:
+            raise DimensionMismatch(f"{len(self.alphas)} penalties for {k} blocks")
+        return list(self.alphas)
 
     def value(self, u):
         al = self._alpha(len(u.blocks))
@@ -371,6 +371,7 @@ class BlockRidge(Regularizer):
 
     @property
     def smooth(self):
-        if np.isscalar(self.alphas):
-            return float(self.alphas)
-        return float(max(self.alphas)) if len(list(self.alphas)) else 0.0
+        """``max_t |alpha_t|``: the Lipschitz constant of the gradient ``(alpha_t u_t)_t``."""
+        if isinstance(self.alphas, float):
+            return abs(self.alphas)
+        return max(map(abs, self.alphas), default=0.0)

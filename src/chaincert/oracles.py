@@ -104,8 +104,9 @@ class _Basis:
 class _KronCross:
     """Out-of-basis part ``E = X_c (I - U U^T)`` of a Kronecker layer's cross block.
 
-    Row (s, i) of ``X_c = second_cross(w)`` is ``Pi (W[s] kron e_i)``, ``W =
-    kron_cotangent(w)``, so in ``U = Pi (I_g kron Q)`` row (s, i) of ``E`` is
+    Row (s, i) of ``X_c = second_cross(w)`` is ``Pi (W[s] kron e_i)``, ``W``
+    the (m, g) cotangent (``BiAffinePart.kron_factor`` orders the outputs
+    sample-major), so in ``U = Pi (I_g kron Q)`` row (s, i) of ``E`` is
     ``Pi (W[s] kron P[i])``, ``P = I - Q Q^T``.  It acts as that (d, p) array
     under ``@``, and ``gram() = kron(W W^T, P[:n_in, :n_in])`` is ``E E^T``.
     """
@@ -179,7 +180,7 @@ class LQProblem:
             raise DimensionMismatch(f"alpha has shape {self.alpha.shape}, expected ({tau},)")
         if not (len(self.P) == len(self.p) == tau + 1):
             raise DimensionMismatch("state terms must have tau + 1 entries")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ValueError("kappa must be positive")
         for t in range(tau):
             d_prev, d_cur = self.A[t].shape
@@ -282,38 +283,36 @@ def _part_basis(part, x: np.ndarray):
     """``(U, F, kron)`` with ``Ju^T = U F``: an orthonormal basis of the range
     of the part's transposed parameter Jacobian at input ``x``.
 
-    A part with a Kronecker parameter Jacobian (``kron_factor``) gets
-    ``Pi (I_g kron Q_x)`` from the thin QR ``Q_x R_x`` of its (n, m) input
-    factor, in O(n m^2); with ``kron_cotangent`` too, ``kron`` is True and
-    ``F`` is ``I_g kron R_x`` in output order.  Other parts get the thin QR
-    basis of ``Ju^T = dense_ju(x)^T`` (:func:`_range_basis`) when they have
-    fewer outputs than parameters.  Otherwise, or when the Kronecker basis
-    would span every parameter, ``U`` is None and ``F = Ju^T``.
+    With no fewer outputs than parameters a basis would span every
+    parameter, so ``U`` is None and ``F = Ju^T``.  Otherwise a part with a
+    Kronecker parameter Jacobian (``kron_factor``) gets ``Pi (I_g kron Q_x)``
+    from the thin QR ``Q_x R_x`` of its (n, m) input factor, in O(n m^2), and
+    ``F = I_g kron R_x`` in the factor's sample-major output order, with
+    ``kron`` True.  Other parts, a residual-wrapped one among them, get the
+    thin QR basis of ``Ju^T = dense_ju(x)^T`` (:func:`_range_basis`).
     """
     factor = part.kron_factor(x)
-    if factor is not None and factor[0].shape[1] < factor[0].shape[0]:
-        (X, bias), g = factor, part.p // factor[0].shape[0]
-        Q, Rx = np.linalg.qr(X)
-        U = _Basis(Q, g, bias)
-        if hasattr(part, "kron_cotangent"):  # F[(f, a), (s, h)] = [f == h] R_x[a, s]
-            return U, np.einsum("fh,as->fash", np.eye(g), Rx).reshape(g * len(Rx), -1), True
-        return U, U.apply_T(part.dense_ju(x).T), False
-    JuT = part.dense_ju(x).T
-    if factor is None and part.d_out < part.p:
-        U, F = _range_basis(JuT)
+    if part.d_out >= part.p:  # for a Kronecker part, m >= n
+        return None, part.dense_ju(x).T, False
+    if factor is None:
+        U, F = _range_basis(part.dense_ju(x).T)
         return _Basis(U), F, False
-    return None, JuT, False
+    (X, bias), g = factor, part.p // factor[0].shape[0]
+    Q, Rx = np.linalg.qr(X)
+    F = np.einsum("fh,as->fash", np.eye(g), Rx)  # F[(f, a), (s, h)] = [f == h] R_x[a, s]
+    return _Basis(Q, g, bias), F.reshape(g * len(Rx), -1), True
 
 
 def _cross_block(part, U, F, kron: bool, JxH: np.ndarray, w: np.ndarray):
     """``(R_t U_t, E_t)`` for ``R_t = JxH Ju + X_c``, ``X_c = second_cross(w)``.
 
     ``JxH Ju U_t = JxH F^T`` and ``JxH Ju`` has its rows in the range of
-    ``U_t``, so for ``kron`` (:func:`_part_basis`) ``E_t = X_c (I - U_t U_t^T)``.
+    ``U_t``, so for ``kron`` (:func:`_part_basis`) ``E_t = X_c (I - U_t U_t^T)``,
+    with the sample-major cotangent ``w`` read as an (m, g) array.
     """
     if not kron:  # the full block, split by LQProblem
         return JxH @ (F if U is None else U.apply(F)).T + part.second_cross(w), None
-    E = _KronCross(U, part.kron_cotangent(w))
+    E = _KronCross(U, w.reshape(-1, U.g))
     return JxH @ F.T + np.einsum("sf,ia->sifa", E.W, U._Qw).reshape(E.shape[0], -1), E
 
 
@@ -347,7 +346,7 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
     """
     if kind not in ("gradient", "gauss-newton", "newton"):
         raise ValueError(f"unknown model kind '{kind}'")
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa must be positive")
     r = r if r is not None else ZeroReg()
     chain = tape.chain
@@ -387,7 +386,7 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
 
 def solve_gradient_step(lq: LQProblem, gamma: float) -> OracleStep:
     """Scaled steepest-descent step from the linear model terms."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("step size must be positive")
     lam = lq.p[lq.tau].copy()
     blocks = [None] * lq.tau
@@ -610,8 +609,10 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     A non-finite step raises ``NumericError``.
     """
     start = time.perf_counter()
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa must be positive")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     r = r if r is not None else ZeroReg()
     chain = tape.chain
     pdims = chain.param_dims

@@ -115,7 +115,7 @@ def refine_on_ball(R: float, lip: float, smooth: float, slope0: float,
     ``min(lip, slope0 + R * smooth)`` and the magnitude bound
     ``min(m_bound, val0 + R * lip_R)``.
     """
-    if R < 0:
+    if not R >= 0:
         raise ValueError("radius must be nonnegative")
     lip_r = min(lip, slope0 + R * smooth)
     m_r = min(m_bound, val0 + R * lip_r)
@@ -199,12 +199,12 @@ def input_smoothness(chain: ChainSpec, u: ParamVector, R: float,
     ``L_b |u_t| + l_x``), composed with its stages using ball-refined stage
     slopes; layer bounds then chain by composition.
     """
+    if not R >= 0:
+        raise ValueError("radius must be nonnegative")
     consts = _resolve_constants(chain, constants)
     if u.dims != chain.param_dims:
         raise DimensionMismatch(
             f"parameter dims {u.dims} do not match chain {chain.param_dims}")
-    if R < 0:
-        raise ValueError("radius must be nonnegative")
 
     m = _lm(R)
     lip = _ONE

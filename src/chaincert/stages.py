@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .activations import ScalarActivation
-from .biaffine import _charge, _scatter_rows
+from .biaffine import _charge
 from .errors import DimensionMismatch, SecondOrderUnavailable
 
 __all__ = ["StageConstants", "StageLin", "Stage", "ElementwiseStage", "SoftmaxStage",
@@ -292,11 +292,13 @@ class _PoolBase(Stage):
     def _scatter(self, index, weights):
         """Adjoint of a gather: add ``weights`` into the input coordinates ``index``.
 
-        A (k, len(index)) stack of weights scatters row by row, in one call.
+        A (k, len(index)) stack of weights scatters one row per call, as k
+        single vectors (k may be 0).
         """
-        if weights.ndim == 1:
-            return np.bincount(index, weights=weights, minlength=self.in_total)
-        return _scatter_rows(index, weights, self.in_total)
+        if weights.ndim == 2:
+            rows = [self._scatter(index, v) for v in weights]
+            return np.array(rows).reshape(len(weights), self.in_total)
+        return np.bincount(index, weights=weights, minlength=self.in_total)
 
 
 class AvgPoolStage(_PoolBase):
@@ -509,17 +511,17 @@ class BlockStage(Stage):
 
     def _split(self, z, per_sample_left):
         """Each sample's leading block and the rest, flat per row of a stack."""
-        lead = z.shape[:-1]
-        view = z.reshape(lead + (self.batch, -1))
-        return (view[..., :per_sample_left].reshape(lead + (-1,)),
-                view[..., per_sample_left:].reshape(lead + (-1,)))
+        lead, m = z.shape[:-1], self.batch
+        view = z.reshape(lead + (m, z.shape[-1] // m))
+        return (view[..., :per_sample_left].reshape(lead + (m * per_sample_left,)),
+                view[..., per_sample_left:].reshape(lead + (m * self.pass_dim,)))
 
     @staticmethod
     def _join(left, right, batch):
         lead = left.shape[:-1]
-        lv = left.reshape(lead + (batch, -1))
-        rv = right.reshape(lead + (batch, -1))
-        return np.concatenate([lv, rv], axis=-1).reshape(lead + (-1,))
+        lv = left.reshape(lead + (batch, left.shape[-1] // batch))
+        rv = right.reshape(lead + (batch, right.shape[-1] // batch))
+        return np.concatenate([lv, rv], axis=-1).reshape(lead + (left.shape[-1] + right.shape[-1],))
 
     def value(self, z, count=None):
         z = self._check(z)

@@ -46,7 +46,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("iteration budget must be at least 1")
-        if self.gamma is not None and self.gamma <= 0:
+        if self.gamma is not None and not self.gamma > 0:
             raise ValueError("step size must be positive")
         if self.batch < 0:
             raise ValueError("batch size must be nonnegative")

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert import (AvgPoolStage, BatchNormStage, BlockStage,
-                       DenseBiAffinePart, DimensionMismatch, ElementwiseStage,
+import chaincert as cc
+from chaincert import (AvgPoolStage, BatchNormStage, BiAffinePart, BlockStage,
+                       ConvPart, DenseBiAffinePart, DimensionMismatch, ElementwiseStage,
                        FCPart, IdentityPart, MaxPoolStage, OpCounter,
                        ResidualPart, SoftmaxStage, conv2d, get_activation)
+from chaincert.stages import _PoolBase
 
 SEEDS = st.integers(0, 2**32 - 1)
 SETTINGS = settings(max_examples=15, deadline=None)
@@ -81,14 +83,14 @@ def _assert_stacked_matches_loop(call, stack):
     """``call(v, count)`` on a (k, d) stack against single calls on its rows.
 
     The stacked result must match row by row and charge k times the units of
-    one single call.
+    one single call, also for k = 0.
     """
     stacked, single = OpCounter(), OpCounter()
     got = call(stack, stacked)
-    rows = [call(v, None) for v in stack]
-    call(stack[0], single)
-    assert got.shape == (len(stack),) + rows[0].shape
-    for g, want in zip(got, rows):
+    one = call(np.zeros(stack.shape[1]), single)
+    assert got.shape == (len(stack),) + one.shape
+    for g, v in zip(got, stack):
+        want = call(v, None)
         scale = 1.0 + np.abs(want).max(initial=0.0)
         assert np.allclose(g, want, rtol=1e-12, atol=1e-12 * scale)
     assert stacked.total == len(stack) * single.total
@@ -100,7 +102,7 @@ def _assert_stacked_matches_loop(call, stack):
 def test_part_stacked_adjoints_match_single_calls(kind, seed):
     rng = np.random.default_rng(seed)
     part = PARTS[kind](rng)
-    k = int(rng.integers(1, 5))
+    k = int(rng.integers(0, 5))
     x, u, w = (rng.standard_normal(n) for n in (part.d_in, part.p, part.d_out))
     W, X = rng.standard_normal((k, part.d_out)), rng.standard_normal((k, part.d_in))
     _assert_stacked_matches_loop(lambda v, c: part.vjp_x(u, v, c), W)
@@ -191,6 +193,75 @@ def test_stage_stacked_products_match_single_calls(kind, seed):
     rng = np.random.default_rng(seed)
     stage = STAGES[kind](rng)
     lin = stage.linearize(rng.integers(-2, 3, size=stage.in_total).astype(float))
-    k = int(rng.integers(1, 5))
+    k = int(rng.integers(0, 5))
     _assert_stacked_matches_loop(lin.jvp, rng.standard_normal((k, stage.in_total)))
     _assert_stacked_matches_loop(lin.vjp, rng.standard_normal((k, stage.out_total)))
+
+
+def _record(monkeypatch, stacked, every):
+    """Patch methods so that their calls are listed by ``Class.name``.
+
+    A method in ``stacked`` is listed when an argument is a (k, d) stack;
+    one in ``every`` on each call.
+    """
+    seen = []
+    for (cls, name), always in [(t, False) for t in stacked] + [(t, True) for t in every]:
+        def wrapped(self, *args, _real=getattr(cls, name), _key=f"{cls.__name__}.{name}",
+                    _always=always, **kw):
+            if _always or any(np.ndim(a) == 2 for a in args):
+                seen.append(_key)
+            return _real(self, *args, **kw)
+        monkeypatch.setattr(cls, name, wrapped)
+    return seen
+
+
+def _fc_oracles_calls():
+    """One Newton-DP and one GN-dual step at the fc-oracles benchmark shape."""
+    chain = cc.ChainSpec(tuple(
+        cc.fully_connected(4, 32, 32, activation="softplus" if t < 5 else "identity")
+        for t in range(6)))
+    rng = np.random.default_rng(1)
+    h = cc.squared_objective(rng.standard_normal((4, 32)))
+    x0 = cc.sample_state(chain.d0, 1.0, rng)
+    u = cc.sample_params(chain.param_dims, 1.0, rng)
+    cc.solve_newton_dp(cc.build_lq(cc.forward(chain, x0, u), h, None, "newton", 0.5))
+    cc.solve_gauss_newton_dual(cc.forward(chain, x0, u), h, None, 0.5)
+
+
+def _cnn_train_calls():
+    """One train_pgd and one train_sgd call at the cnn-train smoke shape."""
+    m, s, f = 2, 8, 4
+    chain = cc.ChainSpec((
+        conv2d(m, 3, s, s, f, 3, activation="softplus-centered"),
+        conv2d(m, f, s - 2, s - 2, f, 3, activation="softplus-centered"),
+        cc.avgpool2d(m, f, s - 4, s - 4, 2),
+        cc.fully_connected(m, f * ((s - 4) // 2) ** 2, 10),
+    ))
+    rng = np.random.default_rng(1)
+    dom = cc.BoundedDomain.uniform(chain.tau, 1.0, 1.0)
+    x0 = cc.sample_state(chain.d0, dom.m0, rng)
+    y = np.zeros((m, 10))
+    y[np.arange(m), rng.integers(0, 10, m)] = 1.0
+    h = cc.logistic_objective(y)
+    u = cc.sample_params(chain.param_dims, dom.radii, rng)
+    cc.train_pgd(chain, h, None, x0, cc.TrainConfig(dom, 3), u)
+    cc.train_sgd(chain, h, None, x0, cc.TrainConfig(dom, 3, batch=2, seed=1), u)
+
+
+@pytest.mark.parametrize("workload", [_fc_oracles_calls, _cnn_train_calls],
+                         ids=["fc-oracles", "cnn-train"])
+def test_benchmarked_paths_make_no_stacked_part_call(monkeypatch, workload):
+    # A stacked vjp_u, conv vjp_x or pooling vjp is answered one row at a
+    # time, and dense_ju and second_cross form p-wide arrays; the benchmarked
+    # oracles and training loops reach none of them.
+    seen = _record(monkeypatch,
+                   stacked=[(FCPart, "vjp_u"), (ConvPart, "vjp_u"), (ConvPart, "vjp_x"),
+                            (_PoolBase, "_scatter")],
+                   every=[(BiAffinePart, "dense_ju"), (FCPart, "dense_ju"),
+                          (BiAffinePart, "second_cross")])
+    calls = []
+    rows = BiAffinePart._rows
+    monkeypatch.setattr(BiAffinePart, "_rows",
+                        staticmethod(lambda *a: calls.append(a) or rows(*a)))
+    workload()
+    assert seen == [] and calls == []

@@ -142,6 +142,7 @@ def test_train_sgd_variance_line(tiny_arch, capsys):
 
 def test_train_usage_errors(tiny_arch, capsys):
     assert main(["train", tiny_arch, "--steps", "3", "--gamma", "0"]) == 2
+    assert main(["train", tiny_arch, "--steps", "3", "--gamma", "nan"]) == 2
     assert main(["train", tiny_arch, "--steps", "3"]) == 2
     capsys.readouterr()
 

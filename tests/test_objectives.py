@@ -273,6 +273,7 @@ def test_regularizers():
     assert np.allclose(alphas[0] * np.eye(3), 2.0 * np.eye(3))
     assert np.allclose(alphas[1] * np.eye(2), 0.5 * np.eye(2))
     assert r.smooth == 2.0
+    assert BlockRidge((-2.0, 0.5)).smooth == BlockRidge(-2.0).smooth == 2.0
 
     rs = BlockRidge(1.5)
     assert rs.value(u) == pytest.approx(0.75 * u.norm() ** 2)

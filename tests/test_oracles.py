@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert import (BlockRidge, ChainSpec, FCPart, InfeasibleModel, InvalidBasis,
-                       LQProblem, NumericError, ResidualPart, ZeroReg, build_lq,
-                       forward, fully_connected, grad_objective, layer_second_contract,
-                       residual_wrap,
+from chaincert import (BlockRidge, BoundedDomain, ChainSpec, FCPart, InfeasibleModel,
+                       InnerProblem, InvalidBasis, LogMag, LQProblem, NumericError,
+                       ResidualPart, TrainConfig, ZeroReg, build_lq, eval_convex_cluster,
+                       forward, fully_connected, grad_objective, input_smoothness,
+                       layer_second_contract, refine_on_ball, residual_wrap,
                        sample_params, sample_state, solve_dense_reference,
-                       solve_gauss_newton_dual, solve_gradient_step,
+                       solve_gauss_newton_dual, solve_gradient_step, solve_inner,
                        solve_newton_dp, squared_objective, logistic_objective)
 from chaincert import oracles
 from chaincert.cli import _bench_chain
@@ -439,11 +440,15 @@ def test_kronecker_basis_spans_the_parameter_jacobian(seed, nin, nout, bias, sam
                            axis=1).ravel()
     JuT = part.dense_ju(x).T
     U, F, kron = oracles._part_basis(part, x)
-    if U is None:  # the input factor is square: the basis would be every parameter
-        assert not bias and batch == nin
+    # a residual-wrapped part has no Kronecker factor: it takes the thin QR
+    # of its (p, d_out) transposed Jacobian when d_out < p
+    rank = part.d_out if residual else nout * batch
+    assert kron == (not residual and U is not None)
+    if U is None:  # the basis would be every parameter
+        assert part.d_out >= part.p if residual else (not bias and batch == nin)
         return
     D = U.dense()
-    assert D.shape == (part.p, nout * batch) == U.shape
+    assert D.shape == (part.p, rank) == U.shape
     assert np.abs(D.T @ D - np.eye(D.shape[1])).max() < 1e-13
     assert U.gram_error() < 1e-13
     Y, Z = rng.standard_normal((part.p, 3)), rng.standard_normal((D.shape[1], 3))
@@ -484,8 +489,8 @@ def test_kronecker_dense_and_identity_bases_give_one_step(monkeypatch, batch, wi
 def test_kronecker_cross_block_matches_the_dense_contraction(seed, batch, nin, nout, bias,
                                                              same, residual):
     # An FC chain whose middle layer is fully connected or residual-wrapped
-    # (the dense path of a Kronecker basis), with or without bias; identical
-    # samples make every input factor rank-deficient.
+    # (a thin-QR basis, with no Kronecker factor), with or without bias;
+    # identical samples make every input factor rank-deficient.
     rng = np.random.default_rng(seed)
     mid = fully_connected(batch, nin, nout, activation="softplus", bias=bias)
     if residual:
@@ -819,6 +824,43 @@ def test_gn_dual_refuses_nonpositive_shifted_curvature(alphas):
     tape = forward(chain, x0, u)
     with pytest.raises(InfeasibleModel):
         solve_gauss_newton_dual(tape, h, BlockRidge(alphas), 1.0)
+    assert tape.ad_calls == 0
+
+
+def _inner_problem():
+    return InnerProblem(1, 1, lambda a, b: b - a, lambda a, b: np.eye(1),
+                        lambda a, b: -np.eye(1), mu=1.0, lip=1.0, hess_lip=0.0)
+
+
+NAN = float("nan")
+NAN_REFUSALS = {
+    "gn-dual-tol": lambda c, u, tape, h: solve_gauss_newton_dual(tape, h, None, 1.0, tol=NAN),
+    "gn-dual-kappa": lambda c, u, tape, h: solve_gauss_newton_dual(tape, h, None, NAN),
+    "build-lq-kappa": lambda c, u, tape, h: build_lq(tape, h, None, "newton", NAN),
+    "lq-kappa": lambda c, u, tape, h: replace(build_lq(tape, h, None, "newton", 1.0),
+                                              kappa=NAN),
+    "gradient-step-gamma": lambda c, u, tape, h: solve_gradient_step(
+        build_lq(tape, h, None, "gradient", 1.0), NAN),
+    "convex-cluster-tol": lambda c, u, tape, h: eval_convex_cluster(np.eye(3), NAN),
+    "inner-tol": lambda c, u, tape, h: solve_inner(_inner_problem(), np.ones(1), NAN),
+    "inner-mu": lambda c, u, tape, h: replace(_inner_problem(), mu=NAN),
+    "train-gamma": lambda c, u, tape, h: TrainConfig(BoundedDomain.uniform(c.tau, 1.0, 1.0),
+                                                     1, gamma=NAN),
+    "input-smoothness-radius": lambda c, u, tape, h: input_smoothness(c, u, NAN),
+    "ball-radius": lambda c, u, tape, h: refine_on_ball(NAN, 1.0, 1.0, 1.0, 0.0),
+    "magnitude": lambda c, u, tape, h: LogMag.of(NAN),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAN_REFUSALS))
+def test_a_nan_setting_is_refused_before_any_work(case):
+    # each guard reads ``not x > 0`` (``>= 0`` for a radius or a tolerance),
+    # which NaN fails, so no solve runs to its cap or reports convergence and
+    # no bound comes back NaN
+    chain, u, x0, h = _small_instance(0, tau=2)
+    tape = forward(chain, x0, u)
+    with pytest.raises(ValueError):
+        NAN_REFUSALS[case](chain, u, tape, h)
     assert tape.ad_calls == 0
 
 

@@ -59,6 +59,21 @@ def test_certified_step_finite_on_smooth_chain():
     assert 0 < gamma < 1
 
 
+def test_certified_step_bounds_a_ridge_by_its_largest_magnitude():
+    # the gradient (alpha_t u_t)_t is max_t |alpha_t|-Lipschitz, whatever the signs
+    chain, h, x0, dom, _ = _toy()
+
+    def lip(alphas):
+        return certified_step(chain, h, BlockRidge(alphas), x0, dom)[1]
+
+    assert lip([-0.5, 0.1]) == lip([0.5, 0.1]) > lip([0.1, 0.1])
+    assert lip(-0.5) == lip(0.5)
+    ridge = BlockRidge(iter([0.5, 0.1]))  # an iterator is read once, at construction
+    for _ in range(2):
+        assert certified_step(chain, h, ridge, x0, dom)[1] == lip([0.5, 0.1])
+        assert list(ridge.curvatures(chain.param_dims)) == [0.5, 0.1]
+
+
 @pytest.mark.parametrize("label_scale, skips", [(0.3, True), (1e4, False)])
 def test_certified_step_skips_the_reference_forward_only_where_it_cannot_matter(
         label_scale, skips, monkeypatch):
