@@ -90,19 +90,20 @@ class BiAffinePart:
     """Interface shared by all bi-affine maps.
 
     A part defines five things: ``value``, ``vjp_x``, ``vjp_u``, ``jvp`` and
-    ``constants``.  The adjoints also take a stack: ``vjp_x(u, W)`` and
-    ``vjp_u(x, W)`` with a (k, d_out) stack of cotangents, and
-    ``vjp_u(X, w)`` with a (k, d_in) stack of points, return one row per
-    stacked vector (k may be 0) and charge k times the units of a single
-    call.  A stack of k vectors is k single sweeps (vector reverse mode,
-    Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3-4), so a
-    part with no stacked kernel answers it one row at a time (``_rows``).
+    ``constants``, all on single vectors, except that ``vjp_x(u, W)`` also
+    takes a (k, d_out) stack of cotangents: it returns one row per stacked
+    vector (k may be 0) and charges k times the units of a single call.  A
+    stack of k vectors is k single sweeps (vector reverse mode, Griewank &
+    Walther, *Evaluating Derivatives*, 2nd ed., ch. 3-4), so a part with no
+    stacked kernel answers it one row at a time (``_rows``).
 
-    Everything else is derived here, each from one stacked call: the dense
+    Everything else is derived here, each from one identity stack: the dense
     Jacobians ``dense_jx``/``dense_ju`` are the adjoints of the identity
-    stack of cotangents, and ``second_cross`` follows from ``vjp_u`` on the
-    identity stack of points by bilinearity.  Each checks ``numeric``
-    before it builds an identity stack.
+    cotangents, and ``second_cross`` follows from ``vjp_u`` at the identity
+    points by bilinearity.  ``dense_ju`` and ``second_cross`` loop single
+    ``vjp_u`` calls through ``_rows``, the one place that builds a
+    many-vector ``vjp_u``.  Each checks ``numeric`` before it builds an
+    identity stack.
 
     Subclasses set ``d_in``, ``d_out``, ``p`` and the four sparsity figures
     ``s_beta``, ``s_beta_u``, ``s_beta_x``, ``s_beta0`` (stored nonzeros of
@@ -129,10 +130,7 @@ class BiAffinePart:
         raise NotImplementedError
 
     def vjp_u(self, x: np.ndarray, w: np.ndarray, count=None) -> np.ndarray:
-        """Transposed parameter Jacobian at ``x`` applied to ``w``.
-
-        Either ``x`` or ``w`` may be a stack, not both.
-        """
+        """Transposed parameter Jacobian at ``x`` applied to ``w``."""
         raise NotImplementedError
 
     # Parts whose samples stay apart also define ``vjp_u_samples(x, w,
@@ -148,10 +146,11 @@ class BiAffinePart:
         """The part at ``(x, u)`` for the sweeps of one tape, ``x`` and ``u`` checked here.
 
         It has ``value``, ``vjp_x``, ``vjp_u``, ``jvp`` (and ``vjp_u_samples``
-        where the part has it) on single vectors, and holds views of ``x`` and
-        ``u`` only, never a gathered copy.  This one calls the public methods,
-        whose checks cost well under 1% of a convolution; ``FCPart``, where
-        checks and splitting took a third of a call, overrides it.
+        where the part has it) under the part's own stack contract, and holds
+        views of ``x`` and ``u`` only, never a gathered copy.  This one calls
+        the public methods, whose checks cost well under 1% of a convolution;
+        ``FCPart``, where checks and splitting took a third of a call,
+        overrides it with ``_FCLin``, the only copy of its arithmetic.
         """
         self._require_numeric()
         return _PartLin(self, self._check_x(x), self._check_u(u))
@@ -164,7 +163,7 @@ class BiAffinePart:
     def dense_ju(self, x: np.ndarray) -> np.ndarray:
         """Parameter Jacobian at ``x``, shape (d_out, p); row k is ``vjp_u(x, e_k)``."""
         self._require_numeric()
-        return self.vjp_u(self._check_x(x), np.eye(self.d_out))
+        return self._rows(self.vjp_u, self._check_x(x), np.eye(self.d_out), self.p, None)
 
     def second_cross(self, w: np.ndarray) -> np.ndarray:
         """Cross second derivative contracted with ``w``, shape (d_in, p).
@@ -175,7 +174,7 @@ class BiAffinePart:
         """
         self._require_numeric()
         w = self._check_w(w)
-        cross = self.vjp_u(np.eye(self.d_in), w)
+        cross = self._rows(self.vjp_u, np.eye(self.d_in), w, self.p, None)
         cross -= self.vjp_u(np.zeros(self.d_in), w)
         return cross
 
@@ -230,18 +229,6 @@ class BiAffinePart:
     def _check_w(self, w, stack: bool = False) -> np.ndarray:
         return self._check(w, self.d_out, "cotangent", stack)
 
-    def _check_vjp_u(self, x, w):
-        """``(x, w, stack)`` for ``vjp_u``; ``stack`` is whichever is a stack, or None."""
-        x = self._check(x, self.d_in, "state", stack=True)
-        w = self._check_w(w, stack=True)
-        if x.ndim == 1:
-            return x, w, (w if w.ndim == 2 else None)
-        if w.ndim == 2:
-            raise DimensionMismatch(
-                f"{type(self).__name__}: vjp_u takes a stack of states or of cotangents, "
-                "not both")
-        return x, w, x
-
 
 class DenseBiAffinePart(BiAffinePart):
     """Explicitly stored bi-affine map, mainly for small problems and tests.
@@ -281,9 +268,9 @@ class DenseBiAffinePart(BiAffinePart):
         return np.einsum("kij,...k,j->...i", self.bil, w, u) + w @ self.mx
 
     def vjp_u(self, x, w, count=None):
-        x, w, stack = self._check_vjp_u(x, w)
-        _charge(count, self.s_beta + self.s_beta_u, stack)
-        return np.einsum("kij,...k,...i->...j", self.bil, w, x) + w @ self.mu
+        x, w = self._check_x(x), self._check_w(w)
+        _charge(count, self.s_beta + self.s_beta_u)
+        return np.einsum("kij,k,i->j", self.bil, w, x) + w @ self.mu
 
     def jvp(self, x, u, dx, du, count=None):
         x, u = self._check_x(x), self._check_u(u)
@@ -342,59 +329,24 @@ class FCPart(BiAffinePart):
     def linearize(self, x, u):
         return _FCLin(self, self._check_x(x), self._check_u(u))
 
-    # Kernels on checked views, shared by the public methods and _FCLin:
-    # ``xv`` is the (m, n_in) input, ``W`` and ``b`` the split parameters.
-
-    def _value(self, xv, W, b, count):
-        _charge(count, self.s_beta + self.s_beta_u)
-        return (xv @ W.T + b).ravel()
-
-    def _vjp_x(self, W, w, count):
-        _charge(count, self.s_beta, w)
-        return (w.reshape(-1, self.nout) @ W).reshape(w.shape[:-1] + (self.d_in,))
-
-    def _vjp_u(self, xv, w, count):
-        _charge(count, self.s_beta + self.s_beta_u)
-        wv = w.reshape(self.m, self.nout)
-        out = np.empty(self.p)  # the weight and bias gradients written in place, no concatenation
-        np.matmul(wv.T, xv, out=out[:self.nout * self.nin].reshape(self.nout, self.nin))
-        if self.bias:
-            wv.sum(axis=0, out=out[self.nout * self.nin:])
-        return out
-
-    def _vjp_u_samples(self, xv, w, count):
-        _charge(count, self.s_beta + self.s_beta_u)
-        wv = w.reshape(self.m, self.nout)
-        gw = (wv[:, :, None] * xv[:, None, :]).reshape(self.m, -1)
-        return np.concatenate([gw, wv], axis=1) if self.bias else gw
-
-    def _jvp(self, xv, W, dx, du, count):
-        _charge(count, 2 * self.s_beta + self.s_beta_u)
-        dW, db = self._split(du)
-        return (dx.reshape(self.m, self.nin) @ W.T + xv @ dW.T + db).ravel()
+    # The public methods check their arguments, then run the arithmetic of
+    # an ``_FCLin`` that holds only the half of the point they read.
 
     def value(self, x, u, count=None):
         return self.linearize(x, u).value(count)
 
     def vjp_x(self, u, w, count=None):
-        u, w = self._check_u(u), self._check_w(w, stack=True)
-        return self._vjp_x(self._split(u)[0], w, count)
+        return _FCLin(self, u=self._check_u(u)).vjp_x(self._check_w(w, stack=True), count)
 
     def vjp_u(self, x, w, count=None):
-        x, w, stack = self._check_vjp_u(x, w)
-        if stack is not None:
-            return self._rows(self.vjp_u, x, w, self.p, count)
-        return self._vjp_u(x.reshape(self.m, self.nin), w, count)
+        return _FCLin(self, self._check_x(x)).vjp_u(self._check_w(w), count)
 
     def vjp_u_samples(self, x, w, count=None):
         """Row s is sample s's outer product ``w_s x_s^T``, then ``w_s`` for the bias."""
-        x, w = self._check_x(x), self._check_w(w)
-        return self._vjp_u_samples(x.reshape(self.m, self.nin), w, count)
+        return _FCLin(self, self._check_x(x)).vjp_u_samples(self._check_w(w), count)
 
     def jvp(self, x, u, dx, du, count=None):
-        x, u = self._check_x(x), self._check_u(u)
-        dx, du = self._check_x(dx), self._check_u(du)
-        return self._jvp(x.reshape(self.m, self.nin), self._split(u)[0], dx, du, count)
+        return self.linearize(x, u).jvp(self._check_x(dx), self._check_u(du), count)
 
     def kron_factor(self, x):
         """Augmented inputs ``[x_s; 1]`` as columns (``x_s`` alone without bias).
@@ -433,32 +385,54 @@ class FCPart(BiAffinePart):
 
 
 class _FCLin:
-    """An ``FCPart`` at one checked point: its (m, n_in) input and split parameters.
+    """An ``FCPart`` at one checked point, and the only copy of its arithmetic.
 
-    The sweeps call the part's kernels on these views with no check or split
-    per call; a tangent ``du`` is split per call, as it changes.
+    It holds the (m, n_in) input view ``xv`` and the split weights ``W`` and
+    bias ``b``, so a sweep runs with no check or split per call; a tangent
+    ``du`` is split per call, as it changes.  A public ``FCPart`` method
+    builds one that holds only the half it reads, the other left None.
     """
 
     __slots__ = ("part", "xv", "W", "b")
 
-    def __init__(self, part: FCPart, x, u):
-        self.part, self.xv = part, x.reshape(part.m, part.nin)
-        self.W, self.b = part._split(u)
+    def __init__(self, part: FCPart, x=None, u=None):
+        self.part = part
+        self.xv = None if x is None else x.reshape(part.m, part.nin)
+        self.W, self.b = (None, None) if u is None else part._split(u)
 
     def value(self, count=None):
-        return self.part._value(self.xv, self.W, self.b, count)
+        fc = self.part
+        _charge(count, fc.s_beta + fc.s_beta_u)
+        return (self.xv @ self.W.T + self.b).ravel()
 
     def vjp_x(self, w, count=None):
-        return self.part._vjp_x(self.W, w, count)
+        """``W^T`` applied to ``w`` or, in one GEMM, to each row of a (k, d_out) stack."""
+        fc = self.part
+        _charge(count, fc.s_beta, w)
+        return (w.reshape(-1, fc.nout) @ self.W).reshape(w.shape[:-1] + (fc.d_in,))
 
     def vjp_u(self, w, count=None):
-        return self.part._vjp_u(self.xv, w, count)
+        fc = self.part
+        _charge(count, fc.s_beta + fc.s_beta_u)
+        wv = w.reshape(fc.m, fc.nout)
+        out = np.empty(fc.p)  # the weight and bias gradients written in place, no concatenation
+        np.matmul(wv.T, self.xv, out=out[:fc.nout * fc.nin].reshape(fc.nout, fc.nin))
+        if fc.bias:
+            wv.sum(axis=0, out=out[fc.nout * fc.nin:])
+        return out
 
     def vjp_u_samples(self, w, count=None):
-        return self.part._vjp_u_samples(self.xv, w, count)
+        fc = self.part
+        _charge(count, fc.s_beta + fc.s_beta_u)
+        wv = w.reshape(fc.m, fc.nout)
+        gw = (wv[:, :, None] * self.xv[:, None, :]).reshape(fc.m, -1)
+        return np.concatenate([gw, wv], axis=1) if fc.bias else gw
 
     def jvp(self, dx, du, count=None):
-        return self.part._jvp(self.xv, self.W, dx, du, count)
+        fc = self.part
+        _charge(count, 2 * fc.s_beta + fc.s_beta_u)
+        dW, db = fc._split(du)
+        return (dx.reshape(fc.m, fc.nin) @ self.W.T + self.xv @ dW.T + db).ravel()
 
 
 class _ConvGeometry(BiAffinePart):
@@ -587,9 +561,7 @@ class ConvPart(_ConvGeometry):
         return np.matmul(wv, self._cols(x)), wv
 
     def vjp_u(self, x, w, count=None):
-        x, w, stack = self._check_vjp_u(x, w)
-        if stack is not None:
-            return self._rows(self.vjp_u, x, w, self.p, count)
+        x, w = self._check_x(x), self._check_w(w)
         _charge(count, self.s_beta + self.s_beta_u)
         gF, wv = self._filter_terms(x, w)
         gF = gF.sum(axis=0)
@@ -681,8 +653,8 @@ class IdentityPart(BiAffinePart):
         return self._check_w(w, stack=True).copy()
 
     def vjp_u(self, x, w, count=None):
-        stack = self._check_vjp_u(x, w)[2]
-        return np.zeros(0 if stack is None else (len(stack), 0))
+        self._check_x(x), self._check_w(w)
+        return np.zeros(0)
 
     def jvp(self, x, u, dx, du, count=None):
         self._check_x(x), self._check_u(u), self._check_u(du)
@@ -720,10 +692,9 @@ class ResidualPart(BiAffinePart):
         self.refusal = inner.refusal
 
     def _split_in(self, x):
-        """Inner input ``x1`` (flat per row of a stack) and carried block ``x2`` (..., m, db)."""
-        lead = x.shape[:-1]
-        xv = x.reshape(lead + (self.m, self.da + self.db))
-        return xv[..., : self.da].reshape(lead + (self.inner.d_in,)), xv[..., self.da:]
+        """Inner input ``x1`` (flat) and carried block ``x2`` (m, db)."""
+        xv = x.reshape(self.m, self.da + self.db)
+        return xv[:, : self.da].reshape(self.inner.d_in), xv[:, self.da:]
 
     def value(self, x, u, count=None):
         x = self._check_x(x)
@@ -748,9 +719,8 @@ class ResidualPart(BiAffinePart):
         return np.concatenate([g1, wv[..., : self.db]], axis=-1).reshape(lead + (self.d_in,))
 
     def _inner_adjoint_args(self, x, w):
-        """The inner part's input and cotangent at ``(x, w)``, either a stack."""
-        x, w, _ = self._check_vjp_u(x, w)
-        return self._split_in(x)[0], self._split_out(w)[1]
+        """The inner part's input and cotangent at ``(x, w)``."""
+        return self._split_in(self._check_x(x))[0], self._split_out(self._check_w(w))[1]
 
     def vjp_u(self, x, w, count=None):
         return self.inner.vjp_u(*self._inner_adjoint_args(x, w), count)

@@ -268,22 +268,18 @@ def layer_second_contract(tape, t: int, lam):
     ``tape`` is a :class:`chaincert.autodiff.Tape`.  Layer ``t`` is taken at
     its recorded input ``tape.states[t]`` and parameters ``tape.u.blocks[t]``,
     and its recorded stage linearisations ``tape.stage_lins[t]`` are reused,
-    so nothing is evaluated forward again.  Returns ``(Hxx, Hxu, H)`` with
-    shapes (d_in, d_in), (d_in, p), (d_part, d_part), where ``H`` is the
-    contracted Hessian of the stages at the part output: the parameter
-    block is ``Huu = Ju^T H Ju``, which callers keep factored instead of
-    forming a (p, p) array.  The bi-affine part is affine in each argument
-    separately, so its only second-order piece is ``second_cross(w)`` in
-    ``Hxu``.  Every product with a Jacobian is a stacked ``vjp``, so no dense
-    Jacobian is formed.  ``build_lq`` shares all but ``Hxu`` (``_layer_curvature``).
+    so nothing is evaluated forward again.  Returns ``(Hxx, JxH, H, w)``
+    with shapes (d_in, d_in), (d_in, d_part), (d_part, d_part) and
+    (d_part,): ``H`` is the contracted Hessian of the stages at the part
+    output, ``w`` the cotangent there and ``JxH = Jx^T H``.  The parameter
+    blocks stay factored for the caller: ``Huu = Ju^T H Ju`` and, as the
+    bi-affine part is affine in each argument separately and its only
+    second-order piece is ``second_cross(w)``, ``Hxu = JxH Ju +
+    second_cross(w)``.  This is the Newton model's one curvature routine
+    (:func:`chaincert.oracles.build_lq`, whose ``dense_R`` gives ``Hxu``).
+    Every product with a Jacobian is a stacked ``vjp``, so no dense
+    Jacobian is formed.
     """
-    Hxx, JxH, H, w = _layer_curvature(tape, t, lam)
-    part = tape.chain.layers[t].part
-    return Hxx, part.vjp_u(tape.states[t], JxH) + part.second_cross(w), H
-
-
-def _layer_curvature(tape, t: int, lam):
-    """``(Hxx, Jx^T H, H, w)``, ``w`` the cotangent at the part output: all but ``Hxu``."""
     layer = tape.chain.layers[t]
     if not layer.second_order:
         raise SecondOrderUnavailable(

@@ -16,6 +16,7 @@ import numpy as np
 
 from .chain import ParamVector
 from .errors import DimensionMismatch, IterationLimit, SecondOrderUnavailable
+from .stages import _softmax_rows
 
 __all__ = [
     "eval_squared",
@@ -51,12 +52,6 @@ def eval_squared(yhat, y):
     n = y.shape[0]
     r = yh - y
     return 0.5 * float(np.sum(r * r)) / n, (r / n).ravel()
-
-
-def _softmax_rows(z):
-    zs = z - z.max(axis=1, keepdims=True)
-    e = np.exp(zs)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def eval_logistic(yhat, y):

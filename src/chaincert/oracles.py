@@ -26,7 +26,7 @@ import numpy as np
 from .autodiff import Tape, backward, jvp
 from .chain import ParamVector
 from .errors import DimensionMismatch, InfeasibleModel, InvalidBasis, NumericError
-from .layers import _layer_curvature
+from .layers import layer_second_contract
 from .objectives import Regularizer, ZeroReg
 
 __all__ = [
@@ -289,13 +289,13 @@ def _part_basis(part, x: np.ndarray):
     from the thin QR ``Q_x R_x`` of its (n, m) input factor, in O(n m^2), and
     ``F = I_g kron R_x`` in the factor's sample-major output order, with
     ``kron`` True.  Other parts, a residual-wrapped one among them, get the
-    thin QR basis of ``Ju^T = dense_ju(x)^T`` (:func:`_range_basis`).
+    thin QR ``U F`` of the tall ``Ju^T = dense_ju(x)^T``.
     """
     factor = part.kron_factor(x)
     if part.d_out >= part.p:  # for a Kronecker part, m >= n
         return None, part.dense_ju(x).T, False
     if factor is None:
-        U, F = _range_basis(part.dense_ju(x).T)
+        U, F = np.linalg.qr(part.dense_ju(x).T)
         return _Basis(U), F, False
     (X, bias), g = factor, part.p // factor[0].shape[0]
     Q, Rx = np.linalg.qr(X)
@@ -314,11 +314,6 @@ def _cross_block(part, U, F, kron: bool, JxH: np.ndarray, w: np.ndarray):
         return JxH @ (F if U is None else U.apply(F)).T + part.second_cross(w), None
     E = _KronCross(U, w.reshape(-1, U.g))
     return JxH @ F.T + np.einsum("sf,ia->sifa", E.W, U._Qw).reshape(E.shape[0], -1), E
-
-
-def _range_basis(J: np.ndarray):
-    """``(U, F)`` with orthonormal columns in ``U`` and ``J = U F``, J tall: its thin QR."""
-    return np.linalg.qr(J)
 
 
 def _require_finite(tape: Tape, t: int, *blocks) -> None:
@@ -341,8 +336,10 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
     ``R_t U_t = JxH F_t^T + X_c U_t`` (:func:`_cross_block`), in closed form
     from the QR of a fully-connected part's input factor, so no array with a
     p_t-sized axis besides ``q_t`` is formed.  Layers are visited once, last
-    to first, with the stage curvature of ``layer_second_contract``.  A
-    non-finite block raises ``NumericError`` naming its layer.
+    to first; for "newton" each visit makes one call of
+    ``layer_second_contract``, the one curvature routine, which gives
+    ``P_t = Hxx``, ``JxH``, ``H`` and ``w``.  A non-finite block raises
+    ``NumericError`` naming its layer.
     """
     if kind not in ("gradient", "gauss-newton", "newton"):
         raise ValueError(f"unknown model kind '{kind}'")
@@ -371,7 +368,7 @@ def build_lq(tape: Tape, h, r: Optional[Regularizer], kind: str, kappa: float) -
     for t in range(tau - 1, -1, -1):
         A[t], B[t], U[t], F, kron = _layer_blocks(tape, t)
         if kind == "newton":
-            P[t], JxH, H, w = _layer_curvature(tape, t, lam)
+            P[t], JxH, H, w = layer_second_contract(tape, t, lam)
             R[t], E[t] = _cross_block(chain.layers[t].part, U[t], F, kron, JxH, w)
             S[t] = F @ H @ F.T
             _require_finite(tape, t, P[t], R[t], S[t])

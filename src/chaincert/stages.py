@@ -157,6 +157,12 @@ class _ElementwiseLin(StageLin):
 # softmax, per sample
 
 
+def _softmax_rows(z):
+    """Softmax of each row of a 2-d array, shifted by the row maximum; the losses share it."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class SoftmaxStage(Stage):
     def __init__(self, batch: int, classes: int):
         self.batch = int(batch)
@@ -170,12 +176,8 @@ class SoftmaxStage(Stage):
 
     def value(self, z, count=None):
         z = self._check(z)
-        rows = self._rows(z)
-        shifted = rows - rows.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        out = e / e.sum(axis=1, keepdims=True)
         _charge(count, 2 * self.in_total)
-        return out.ravel()
+        return _softmax_rows(self._rows(z)).ravel()
 
     def linearize(self, z):
         s = self._rows(self.value(z))
@@ -411,20 +413,20 @@ class BatchNormStage(Stage):
         # (features, batch): row i = feature i across samples, per row of a stack
         return z.reshape(z.shape[:-1] + (self.batch, self.features)).swapaxes(-1, -2)
 
-    def value(self, z, count=None):
-        z = self._check(z)
-        _charge(count, self.grad_sparsity())
-        x = self._rows(z)
+    def _centred(self, z):
+        """``(xc, f)``: the checked ``z`` as (features, batch) rows centred over
+        the batch, and the scale of each row."""
+        x = self._rows(self._check(z))
         xc = x - x.mean(axis=1, keepdims=True)
-        f = np.sqrt(self.eps + (xc**2).sum(axis=1) / self.batch)
+        return xc, np.sqrt(self.eps + (xc**2).sum(axis=1) / self.batch)
+
+    def value(self, z, count=None):
+        xc, f = self._centred(z)
+        _charge(count, self.grad_sparsity())
         return (xc / f[:, None]).T.ravel()
 
     def linearize(self, z):
-        z = self._check(z)
-        x = self._rows(z)
-        xc = x - x.mean(axis=1, keepdims=True)
-        f = np.sqrt(self.eps + (xc**2).sum(axis=1) / self.batch)
-        return _BatchNormLin(self, xc, f)
+        return _BatchNormLin(self, *self._centred(z))
 
     def constants(self) -> StageConstants:
         # Each output row is xc/f with ||xc/f||^2 = m ||xc||^2 / (m eps + ||xc||^2)

@@ -106,10 +106,10 @@ def test_part_stacked_adjoints_match_single_calls(kind, seed):
     x, u, w = (rng.standard_normal(n) for n in (part.d_in, part.p, part.d_out))
     W, X = rng.standard_normal((k, part.d_out)), rng.standard_normal((k, part.d_in))
     _assert_stacked_matches_loop(lambda v, c: part.vjp_x(u, v, c), W)
-    _assert_stacked_matches_loop(lambda v, c: part.vjp_u(x, v, c), W)
-    _assert_stacked_matches_loop(lambda v, c: part.vjp_u(v, w, c), X)
-    with pytest.raises(DimensionMismatch):
-        part.vjp_u(X, W)
+    # vjp_u takes single vectors only: a stack of cotangents, of states or of both is refused
+    for args in [(x, W), (X, w), (X, W)]:
+        with pytest.raises(DimensionMismatch):
+            part.vjp_u(*args)
 
 
 @pytest.mark.parametrize("kind", sorted(PARTS))
@@ -251,12 +251,11 @@ def _cnn_train_calls():
 @pytest.mark.parametrize("workload", [_fc_oracles_calls, _cnn_train_calls],
                          ids=["fc-oracles", "cnn-train"])
 def test_benchmarked_paths_make_no_stacked_part_call(monkeypatch, workload):
-    # A stacked vjp_u, conv vjp_x or pooling vjp is answered one row at a
-    # time, and dense_ju and second_cross form p-wide arrays; the benchmarked
-    # oracles and training loops reach none of them.
+    # A stacked conv vjp_x or pooling vjp is answered one row at a time, and
+    # dense_ju and second_cross form p-wide arrays from single vjp_u calls;
+    # the benchmarked oracles and training loops reach none of them.
     seen = _record(monkeypatch,
-                   stacked=[(FCPart, "vjp_u"), (ConvPart, "vjp_u"), (ConvPart, "vjp_x"),
-                            (_PoolBase, "_scatter")],
+                   stacked=[(ConvPart, "vjp_x"), (_PoolBase, "_scatter")],
                    every=[(BiAffinePart, "dense_ju"), (FCPart, "dense_ju"),
                           (BiAffinePart, "second_cross")])
     calls = []

@@ -3,8 +3,8 @@
 Each layer is evaluated as a one-layer chain: values come from the forward
 tape, the transposed Jacobians from pulling a cotangent back through the
 recorded stage linearisations, and the second-order blocks from
-``layer_second_contract`` on that tape (the parameter block through the
-Newton model that ``build_lq`` keeps factored).
+``layer_second_contract`` on that tape (the cross and parameter blocks
+through the Newton model that ``build_lq`` keeps factored).
 """
 
 import numpy as np
@@ -71,8 +71,9 @@ def _check_layer_second_order(layer, rng, tol=5e-4):
     u = rng.standard_normal(layer.p) * 0.5
     lam = rng.standard_normal(layer.d_out)
     tape = _tape(layer, x, u)
-    Hxx, Hxu, _ = layer_second_contract(tape, 0, lam)
-    Huu = build_lq(tape, _LinearObjective(lam), None, "newton", 1.0).dense_Q(0)
+    Hxx = layer_second_contract(tape, 0, lam)[0]
+    lq = build_lq(tape, _LinearObjective(lam), None, "newton", 1.0)
+    Hxu, Huu = lq.dense_R(0), lq.dense_Q(0)
 
     def scalar(xv, uv):
         return float(lam @ _value(layer, xv, uv))
@@ -359,7 +360,8 @@ def test_multi_stage_second_contract_matches_dense_chain_rule(make):
     u = rng.standard_normal(layer.p) * 0.5
     lam = rng.standard_normal(layer.d_out)
     tape = _tape(layer, x, u)
-    got = layer_second_contract(tape, 0, lam)
+    Hxx, JxH, H, w = layer_second_contract(tape, 0, lam)
+    got = Hxx, JxH @ layer.part.dense_ju(x) + layer.part.second_cross(w), H
     want = _dense_second_contract(layer, x, u, tape.stage_lins[0], lam)
     for a, b in zip(got, want):
         assert a.shape == b.shape

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert import (BlockRidge, BoundedDomain, ChainSpec, FCPart, InfeasibleModel,
-                       InnerProblem, InvalidBasis, LogMag, LQProblem, NumericError,
-                       ResidualPart, TrainConfig, ZeroReg, build_lq, eval_convex_cluster,
-                       forward, fully_connected, grad_objective, input_smoothness,
-                       layer_second_contract, refine_on_ball, residual_wrap,
-                       sample_params, sample_state, solve_dense_reference,
+from chaincert import (BlockRidge, BoundedDomain, ChainSpec, DenseBiAffinePart, FCPart,
+                       InfeasibleModel, InnerProblem, InvalidBasis, LogMag, LQProblem,
+                       NumericError, ResidualPart, TrainConfig, ZeroReg, build_lq,
+                       eval_convex_cluster, forward, fully_connected, grad_objective,
+                       input_smoothness, layer_second_contract, refine_on_ball,
+                       residual_wrap, sample_params, sample_state, solve_dense_reference,
                        solve_gauss_newton_dual, solve_gradient_step, solve_inner,
                        solve_newton_dp, squared_objective, logistic_objective)
 from chaincert import oracles
@@ -371,6 +371,20 @@ def _assert_curvature_matches_dense(tape, lq, alpha):
         lam = lq.A[t] @ lam
 
 
+def test_newton_model_calls_the_public_curvature_routine_once_per_layer(monkeypatch):
+    # build_lq calls layer_second_contract by name, so a wrapper bound to that
+    # name sees every layer curvature the Newton model uses
+    chain, u, x0, h = _fc_instance(0, 2, 5, tau=4)
+    calls, real = [], oracles.layer_second_contract
+    monkeypatch.setattr(oracles, "layer_second_contract",
+                        lambda tape, t, lam: calls.append(t) or real(tape, t, lam))
+    tape = forward(chain, x0, u)
+    build_lq(tape, h, None, "gauss-newton", 0.5)
+    assert calls == []
+    lq = build_lq(tape, h, None, "newton", 0.5)
+    assert len(calls) == lq.tau == 4 and calls == [3, 2, 1, 0]
+
+
 @pytest.mark.parametrize("kind", ["gradient", "newton"])
 def test_model_keeps_the_parameter_jacobian_in_its_basis(kind):
     # r_t = batch * width = 10 coordinates against p_t = 30 parameters
@@ -508,7 +522,8 @@ def test_kronecker_cross_block_matches_the_dense_contraction(seed, batch, nin, n
     lam = lq.p[lq.tau]
     for t in range(lq.tau - 1, -1, -1):
         part, x = chain.layers[t].part, tape.states[t]
-        Hxu = layer_second_contract(tape, t, lam)[1]
+        _, JxH, _, w = layer_second_contract(tape, t, lam)
+        Hxu = JxH @ part.dense_ju(x) + part.second_cross(w)
         scale = max(1.0, np.abs(Hxu).max())
         assert np.allclose(lq.dense_R(t), Hxu, rtol=0.0, atol=1e-12 * scale)
         U, F, kron = oracles._part_basis(part, x)
@@ -560,7 +575,8 @@ def test_newton_step_working_memory_is_below_the_dense_bases(monkeypatch):
     chain, u, x0, h = _fc_instance(1, 4, 32, tau=6)
     tape = forward(chain, x0, u)
     refuse = lambda *a: pytest.fail("a dense fully-connected basis was formed")  # noqa: E731
-    monkeypatch.setattr(oracles, "_range_basis", refuse)
+    # the thin-QR basis is formed from dense_ju, so refusing it refuses that basis
+    monkeypatch.setattr(FCPart, "dense_ju", refuse)
     monkeypatch.setattr(oracles._Basis, "dense", refuse)
     tracemalloc.start()
     try:
@@ -596,10 +612,14 @@ def test_build_lq_working_memory_at_the_benchmark_shape():
 
 @pytest.mark.parametrize("rank", [6, 3, 0], ids=["full-rank", "rank-deficient", "zero"])
 def test_range_basis_is_orthonormal_and_factors_its_input(rank):
-    from chaincert.oracles import _range_basis
+    # the thin-QR basis of a part with no Kronecker factor: a dense part at
+    # x = 0, whose transposed parameter Jacobian is its affine piece mu^T
     rng = np.random.default_rng(rank)
     J = rng.standard_normal((40, rank)) @ rng.standard_normal((rank, 6))
-    U, F = _range_basis(J)
+    part = DenseBiAffinePart(np.zeros((6, 1, 40)), mu=J.T)
+    Ub, F, kron = oracles._part_basis(part, np.zeros(1))
+    U = Ub.dense()
+    assert not kron and part.d_out < part.p
     assert U.shape == (40, 6) and F.shape == (6, 6)
     assert np.abs(U.T @ U - np.eye(6)).max() < 1e-13
     assert np.allclose(U @ F, J, rtol=0.0, atol=1e-12 * max(1.0, np.abs(J).max()))
