@@ -9,15 +9,18 @@ Subcommands:
 * ``train``        projected (stochastic) gradient descent driver.
 
 Exit codes: 0 success, 1 failed check or infeasible computation, 2 usage
-or parse error.  Logarithms in reports are natural logs printed to 12
-significant digits; deep stacks overflow double precision, so the log is
-the primary quantity.
+or parse error; options are checked before any work.  The parser is built
+once per process, so repeated in-process ``main`` calls only parse.
+Logarithms in reports are natural logs printed to 12 significant digits;
+deep stacks overflow double precision, so the log is the primary quantity.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import math
 import sys
 import time
 from dataclasses import replace
@@ -73,6 +76,13 @@ def _smooth_report(path: str, args) -> Tuple[str, float, float]:
     return "\n".join(lines), ll, ls
 
 
+def _log_difference(a: float, b: float) -> str:
+    """``b - a`` of two log bounds; two equal infinite logs have no difference."""
+    if a == b and math.isinf(a):
+        return f"undefined (both bounds {'infinite' if a > 0 else 'zero'})"
+    return _g(b - a)
+
+
 def cmd_smoothness(args) -> int:
     text_a, lip_a, smooth_a = _smooth_report(args.arch, args)
     print(text_a)
@@ -81,8 +91,8 @@ def cmd_smoothness(args) -> int:
         print()
         print(text_b)
         print()
-        print(f"log lipschitz difference  (b - a) = {_g(lip_b - lip_a)}")
-        print(f"log smoothness difference (b - a) = {_g(smooth_b - smooth_a)}")
+        print(f"log lipschitz difference  (b - a) = {_log_difference(lip_a, lip_b)}")
+        print(f"log smoothness difference (b - a) = {_log_difference(smooth_a, smooth_b)}")
     return 0
 
 
@@ -194,15 +204,16 @@ def cmd_oracle_bench(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.gamma is not None and not args.gamma > 0:
-        print("error: --gamma must be a positive step size", file=sys.stderr)
-        return 2
     if args.gamma is None and not args.certified:
         print("error: pass --gamma <step> or --certified", file=sys.stderr)
         return 2
     chain, dom, h = parse_arch(args.arch)
     if not chain.numeric:
         return _refuse_symbolic(1)
+    if args.batch > h.n:
+        print(f"error: --batch {args.batch} exceeds the {h.n} samples of {args.arch}",
+              file=sys.stderr)
+        return 2
     rng = np.random.default_rng(args.seed)
     x0 = sample_state(chain.d0, dom.m0, rng)
     # Zero parameters are a stationary point of the synthetic objectives,
@@ -234,7 +245,26 @@ def cmd_train(args) -> int:
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _checked(convert, test, what):
+    """An argparse ``type=`` that converts, then refuses values failing ``test``."""
+    def parse(text):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_pos_int = _checked(int, lambda v: v > 0, "a positive integer")
+_nonneg_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_pos_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_nonneg_float = _checked(float, lambda v: v >= 0, "a nonnegative number")
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="chaincert",
         description="Certified smoothness, oracles and training for chained "
@@ -252,32 +282,38 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("arch")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--step", type=_pos_float, default=1e-6)
+    p.add_argument("--tol", type=_nonneg_float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("oracle-bench", help="second-order oracle benchmark")
-    p.add_argument("--tau", type=int, nargs="+", default=[1, 2, 4, 8])
-    p.add_argument("--width", type=int, default=6)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--kappa", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tau", type=_pos_int, nargs="+", default=[1, 2, 4, 8])
+    p.add_argument("--width", type=_pos_int, default=6)
+    p.add_argument("--reps", type=_pos_int, default=3)
+    p.add_argument("--kappa", type=_pos_float, default=0.5)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle_bench)
 
     p = sub.add_parser("train", help="projected (stochastic) gradient descent")
     p.add_argument("arch")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--steps", type=_pos_int, required=True)
+    p.add_argument("--gamma", type=_pos_float, default=None)
     p.add_argument("--certified", action="store_true")
-    p.add_argument("--batch", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--batch", type=_nonneg_int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--eps", type=_nonneg_float, default=0.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_train)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except ParseError as exc:

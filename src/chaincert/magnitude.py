@@ -10,6 +10,12 @@ constant (e.g. the smoothness bound of a piecewise-linear map).  The product
 ``0 * inf`` is defined as 0: a factor of exactly zero always comes from a
 structurally vanishing term (a zero radius, a zero curvature), so the whole
 term is absent regardless of the other factor.
+
+The arithmetic has one owner, the two float kernels ``log_mul`` and
+``log_add``.  The propagation recursions call them on raw logs and box only
+their results; ``LogMag``'s operators call them too.  They are also the
+place for outward rounding (rounding every log product and sum upward, Rump,
+Acta Numerica 2010), which would keep each bound above its exact value.
 """
 
 from __future__ import annotations
@@ -22,19 +28,27 @@ __all__ = ["LogMag", "lm_min"]
 _INF = math.inf
 
 
+def log_mul(a: float, b: float) -> float:
+    """The log of a product of the magnitudes with logs ``a`` and ``b``; 0 * inf = 0."""
+    return -_INF if a == -_INF or b == -_INF else a + b
+
+
+def log_add(a: float, b: float) -> float:
+    """The log of a sum of the magnitudes with logs ``a`` and ``b``."""
+    if a == -_INF:
+        return b
+    if b == -_INF:
+        return a
+    if a == _INF or b == _INF:
+        return _INF
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
+
+
 @dataclass(frozen=True, slots=True)
 class LogMag:
-    """A nonnegative magnitude stored as its natural log.
-
-    Propagating the constants of a deep chain makes hundreds of products
-    and sums, so the arithmetic is kept lean: ``*`` and ``+`` read the raw
-    ``lg`` floats once and test them directly instead of going through
-    ``is_zero``/``is_inf``, and results are made by ``_make``, which fills
-    the slot without the frozen dataclass's ``__init__`` (that goes through
-    ``object.__setattr__``, about as costly as the arithmetic itself).  The
-    formulas are unchanged, so every result is bitwise what the plain form
-    gives.  Instances stay immutable: assigning ``lg`` raises.
-    """
+    """A nonnegative magnitude stored as its natural log; assigning ``lg`` raises."""
 
     lg: float
 
@@ -61,23 +75,10 @@ class LogMag:
         return self.lg == math.inf
 
     def __mul__(self, other: "LogMag") -> "LogMag":
-        a, b = self.lg, other.lg
-        out = _new(LogMag)  # the hottest constructor: _make, inlined
-        # 0 * inf = 0, see module docstring.
-        _set_lg(out, -_INF if a == -_INF or b == -_INF else a + b)
-        return out
+        return _make(log_mul(self.lg, other.lg))
 
     def __add__(self, other: "LogMag") -> "LogMag":
-        a, b = self.lg, other.lg
-        if a == -_INF:
-            return other
-        if b == -_INF:
-            return self
-        if a == _INF or b == _INF:
-            return _make(_INF)
-        if a < b:
-            a, b = b, a
-        return _make(a + math.log1p(math.exp(b - a)))
+        return _make(log_add(self.lg, other.lg))
 
     def __lt__(self, other: "LogMag") -> bool:
         return self.lg < other.lg
@@ -94,7 +95,8 @@ _set_lg = LogMag.__dict__["lg"].__set__
 
 
 def _make(lg: float) -> LogMag:
-    """``LogMag(lg)`` without the frozen ``__init__``: fill the slot directly."""
+    """``LogMag(lg)`` without the frozen ``__init__`` (which goes through
+    ``object.__setattr__``): fill the slot directly."""
     out = _new(LogMag)
     _set_lg(out, lg)
     return out

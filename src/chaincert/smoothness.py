@@ -2,7 +2,9 @@
 
 Every bound here is a sound upper estimate computed layer by layer from the
 bi-affine and stage constants, entirely in the log domain so deep stacks
-cannot overflow.  Two propagation directions are covered:
+cannot overflow.  The recursions run on raw float logs through
+``magnitude.log_mul`` and ``log_add`` and box only their results.  Two
+propagation directions are covered:
 
 * ``propagate_chain``  bounds the chain as a function of its parameters,
   over a product of per-layer parameter balls;
@@ -27,7 +29,7 @@ from .biaffine import BiAffineConstants
 from .chain import ChainSpec, ParamVector
 from .errors import DimensionMismatch
 from .layers import LayerDescriptor
-from .magnitude import LogMag, lm_min
+from .magnitude import LogMag, _make, log_add as _add, log_mul as _mul
 from .stages import StageConstants
 
 __all__ = [
@@ -43,21 +45,22 @@ __all__ = [
     "objective_smoothness",
 ]
 
-_ZERO = LogMag(-math.inf)
-_ONE = LogMag(0.0)
-_TWO = LogMag(math.log(2.0))
-
 
 # Constants repeat across layers (3, 1, 0.25, inf, ...), so their logs are
-# memoised.  ``LogMag.of`` is pure and a LogMag immutable, so sharing a result
-# changes nothing but the time; the bound keeps the memo small.
-_log_of = functools.lru_cache(maxsize=1024)(LogMag.of)
+# memoised.  ``LogMag.of`` is pure, so sharing a result changes nothing but
+# the time; the bound keeps the memo small.
+_log_of = functools.lru_cache(maxsize=1024)(lambda v: LogMag.of(v).lg)
 
 
-def _lm(x) -> LogMag:
+def _lm(x) -> float:
     if isinstance(x, LogMag):
-        return x
+        return x.lg
     return _log_of(float(x))
+
+
+# The logs of 0, 1 and 2.  No log here is NaN, so the recursions take the
+# builtin ``min``, which picks as ``lm_min`` does, ties included.
+_ZERO, _ONE, _TWO = _lm(0.0), _lm(1.0), _lm(2.0)
 
 
 @dataclass(frozen=True)
@@ -144,34 +147,32 @@ def propagate_layers(chain: ChainSpec, dom: BoundedDomain,
         raise DimensionMismatch(f"{len(dom.radii)} radii for {chain.tau} layers")
 
     m = _lm(dom.m0)
-    lip = _ZERO
-    smo = _ZERO
+    lip = smo = _ZERO
     trace: List[SmoothTriple] = []
     for (bc, stage_cs), radius in zip(consts, dom.radii):
         R = _lm(radius)
         Lb = _lm(bc.L_b)
-        lx = Lb * R + _lm(bc.l_x)
-        lu = Lb * m + _lm(bc.l_u)
-        m_cur = lx * m + lu * R + _lm(bc.beta0_norm)
-        l0 = _ONE
-        L_cur = _ZERO
+        lx = _add(_mul(Lb, R), _lm(bc.l_x))
+        lu = _add(_mul(Lb, m), _lm(bc.l_u))
+        m_cur = _add(_add(_mul(lx, m), _mul(lu, R)), _lm(bc.beta0_norm))
+        l0, L_cur = _ONE, _ZERO
         for sc in stage_cs:
             lip_a = _lm(sc.lip)
             L_a = _lm(sc.smooth)
             # Refined slope serves the composite slope and magnitude lines;
             # the curvature line keeps the global stage slope.
-            lt = lm_min(lip_a, _lm(sc.slope0) + L_a * m_cur)
-            L_cur = L_cur * lip_a + L_a * l0 * l0
-            l0 = lt * l0
-            m_cur = lm_min(_lm(sc.m_a), _lm(sc.a0_norm) + lt * m_cur)
-        m_new = m_cur
-        lip_new = lx * l0 * lip + lu * l0
-        smo_new = (smo * lx * l0
-                   + lx * lx * L_cur * lip * lip
-                   + _TWO * (lu * lx * L_cur + Lb * l0) * lip
-                   + lu * lu * L_cur)
-        m, lip, smo = m_new, lip_new, smo_new
-        trace.append(SmoothTriple(m, lip, smo))
+            lt = min(lip_a, _add(_lm(sc.slope0), _mul(L_a, m_cur)))
+            L_cur = _add(_mul(L_cur, lip_a), _mul(_mul(L_a, l0), l0))
+            l0 = _mul(lt, l0)
+            m_cur = min(_lm(sc.m_a), _add(_lm(sc.a0_norm), _mul(lt, m_cur)))
+        # smo lx l0 + lx^2 L lip^2 + 2 (lu lx L + Lb l0) lip + lu^2 L, left to right
+        smo = _add(_add(_add(_mul(_mul(smo, lx), l0),
+                             _mul(_mul(_mul(_mul(lx, lx), L_cur), lip), lip)),
+                        _mul(_mul(_TWO, _add(_mul(_mul(lu, lx), L_cur), _mul(Lb, l0))), lip)),
+                   _mul(_mul(lu, lu), L_cur))
+        lip = _add(_mul(_mul(lx, l0), lip), _mul(lu, l0))
+        m = m_cur
+        trace.append(SmoothTriple(_make(m), _make(lip), _make(smo)))
     return trace
 
 
@@ -207,23 +208,21 @@ def input_smoothness(chain: ChainSpec, u: ParamVector, R: float,
             f"parameter dims {u.dims} do not match chain {chain.param_dims}")
 
     m = _lm(R)
-    lip = _ONE
-    smo = _ZERO
+    lip, smo = _ONE, _ZERO
     for (bc, stage_cs), block in zip(consts, u.blocks):
         un = _lm(float(np.linalg.norm(block)))
-        l_aff = _lm(bc.L_b) * un + _lm(bc.l_x)
-        m_cur = l_aff * m + _lm(bc.beta0_norm) + _lm(bc.l_u) * un
-        l_loc = l_aff
-        L_loc = _ZERO
+        l_aff = _add(_mul(_lm(bc.L_b), un), _lm(bc.l_x))
+        m_cur = _add(_add(_mul(l_aff, m), _lm(bc.beta0_norm)), _mul(_lm(bc.l_u), un))
+        l_loc, L_loc = l_aff, _ZERO
         for sc in stage_cs:
-            lt = lm_min(_lm(sc.lip), _lm(sc.slope0) + _lm(sc.smooth) * m_cur)
-            L_loc = L_loc * lt + _lm(sc.smooth) * l_loc * l_loc
-            l_loc = l_loc * lt
-            m_cur = lm_min(_lm(sc.m_a), _lm(sc.a0_norm) + lt * m_cur)
-        smo = L_loc * lip * lip + smo * l_loc
-        lip = lip * l_loc
+            lt = min(_lm(sc.lip), _add(_lm(sc.slope0), _mul(_lm(sc.smooth), m_cur)))
+            L_loc = _add(_mul(L_loc, lt), _mul(_mul(_lm(sc.smooth), l_loc), l_loc))
+            l_loc = _mul(l_loc, lt)
+            m_cur = min(_lm(sc.m_a), _add(_lm(sc.a0_norm), _mul(lt, m_cur)))
+        smo = _add(_mul(_mul(L_loc, lip), lip), _mul(smo, l_loc))
+        lip = _mul(lip, l_loc)
         m = m_cur
-    return SmoothTriple(m, lip, smo)
+    return SmoothTriple(_make(m), _make(lip), _make(smo))
 
 
 def generic_recursion(phi_constants: Sequence[Tuple[float, float]]) -> Tuple[LogMag, LogMag]:
@@ -233,15 +232,13 @@ def generic_recursion(phi_constants: Sequence[Tuple[float, float]]) -> Tuple[Log
     ``smooth``-smooth jointly in (state, params); returns Lipschitz and
     smoothness bounds of the whole chain in its parameters.
     """
-    lip = _ZERO
-    smo = _ZERO
+    lip = smo = _ZERO
     for lp, Lp in phi_constants:
-        lphi = _lm(lp)
-        Lphi = _lm(Lp)
-        one_plus = _ONE + lip
-        smo = smo * lphi + Lphi * one_plus * one_plus
-        lip = lphi + lip * lphi
-    return lip, smo
+        lphi, Lphi = _lm(lp), _lm(Lp)
+        one_plus = _add(_ONE, lip)
+        smo = _add(_mul(smo, lphi), _mul(_mul(Lphi, one_plus), one_plus))
+        lip = _add(lphi, _mul(lip, lphi))
+    return _make(lip), _make(smo)
 
 
 def recenter_domain(constants: Sequence[LayerConstants],
@@ -266,14 +263,14 @@ def recenter_domain(constants: Sequence[LayerConstants],
     return out
 
 
-def _slope_reach(psi: SmoothTriple, dom: BoundedDomain, L_h: float) -> LogMag:
-    """``L_h lip diam``: how far the loss slope can move over the domain.
+def _slope_reach(psi: SmoothTriple, dom: BoundedDomain, L_h: float) -> float:
+    """The log of ``L_h lip diam``: how far the loss slope can move over the domain.
 
     ``diam = 2 sqrt(sum R_t^2)`` is the domain diameter and ``lip`` the
     chain's Lipschitz bound in ``psi``.
     """
-    diam = _TWO * _lm(float(np.sqrt(sum(r * r for r in dom.radii))))
-    return _lm(L_h) * psi.lip * diam
+    diam = _mul(_TWO, _lm(float(np.sqrt(sum(r * r for r in dom.radii)))))
+    return _mul(_mul(_lm(L_h), psi.lip.lg), diam)
 
 
 def objective_smoothness(psi: SmoothTriple, dom: BoundedDomain, ell_h: float,
@@ -287,6 +284,7 @@ def objective_smoothness(psi: SmoothTriple, dom: BoundedDomain, ell_h: float,
     is first tightened to ``min(ell_h, grad_ref_norm + L_h lip diam)``
     (:func:`_slope_reach`); returns ``(L_F, ell_h_refined)``.
     """
-    ell_ref = lm_min(_lm(ell_h), _lm(grad_ref_norm) + _slope_reach(psi, dom, L_h))
-    L_F = psi.smooth * ell_ref + psi.lip * psi.lip * _lm(L_h) + _lm(L_r)
-    return L_F, ell_ref
+    ell_ref = min(_lm(ell_h), _add(_lm(grad_ref_norm), _slope_reach(psi, dom, L_h)))
+    lip = psi.lip.lg
+    L_F = _add(_add(_mul(psi.smooth.lg, ell_ref), _mul(_mul(lip, lip), _lm(L_h))), _lm(L_r))
+    return _make(L_F), _make(ell_ref)

@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError("step size must be positive")
         if self.batch < 0:
             raise ValueError("batch size must be nonnegative")
+        if not self.eps >= 0:
+            raise ValueError("stopping tolerance must be nonnegative")
 
 
 @dataclass(eq=False)

@@ -219,6 +219,89 @@ def chain_objective_instance(rng, kind="squared", tau=2, width=4, batch=1):
     return chain, u, x0, h
 
 
+# ---------------------------------------------------------------- operator-form recursions
+
+# The four log-domain recursions of ``chaincert.smoothness`` written with
+# ``LogMag`` operators, as the package computed them before its recursions
+# moved to raw float logs.  The package must agree with these bitwise.
+
+def _ref_lm(x):
+    return x if isinstance(x, cc.LogMag) else cc.LogMag.of(float(x))
+
+
+_R_ZERO, _R_ONE, _R_TWO = cc.LogMag(-np.inf), cc.LogMag(0.0), cc.LogMag(np.log(2.0))
+
+
+def ref_propagate_layers(chain, dom):
+    """Running (magnitude, Lipschitz, smoothness) bounds after each layer."""
+    lm, lm_min = _ref_lm, cc.lm_min
+    m, lip, smo = lm(dom.m0), _R_ZERO, _R_ZERO
+    trace = []
+    for layer, radius in zip(chain.layers, dom.radii):
+        bc, stage_cs = cc.catalog_constants(layer)
+        R, Lb = lm(radius), lm(bc.L_b)
+        lx = Lb * R + lm(bc.l_x)
+        lu = Lb * m + lm(bc.l_u)
+        m_cur = lx * m + lu * R + lm(bc.beta0_norm)
+        l0, L_cur = _R_ONE, _R_ZERO
+        for sc in stage_cs:
+            lip_a, L_a = lm(sc.lip), lm(sc.smooth)
+            lt = lm_min(lip_a, lm(sc.slope0) + L_a * m_cur)
+            L_cur = L_cur * lip_a + L_a * l0 * l0
+            l0 = lt * l0
+            m_cur = lm_min(lm(sc.m_a), lm(sc.a0_norm) + lt * m_cur)
+        lip_new = lx * l0 * lip + lu * l0
+        smo_new = (smo * lx * l0
+                   + lx * lx * L_cur * lip * lip
+                   + _R_TWO * (lu * lx * L_cur + Lb * l0) * lip
+                   + lu * lu * L_cur)
+        m, lip, smo = m_cur, lip_new, smo_new
+        trace.append((m.lg, lip.lg, smo.lg))
+    return trace
+
+
+def ref_input_smoothness(chain, u, R):
+    """Input-space (magnitude, Lipschitz, smoothness) logs over ``|x0| <= R``."""
+    lm, lm_min = _ref_lm, cc.lm_min
+    m, lip, smo = lm(R), _R_ONE, _R_ZERO
+    for layer, block in zip(chain.layers, u.blocks):
+        bc, stage_cs = cc.catalog_constants(layer)
+        un = lm(float(np.linalg.norm(block)))
+        l_aff = lm(bc.L_b) * un + lm(bc.l_x)
+        m_cur = l_aff * m + lm(bc.beta0_norm) + lm(bc.l_u) * un
+        l_loc, L_loc = l_aff, _R_ZERO
+        for sc in stage_cs:
+            lt = lm_min(lm(sc.lip), lm(sc.slope0) + lm(sc.smooth) * m_cur)
+            L_loc = L_loc * lt + lm(sc.smooth) * l_loc * l_loc
+            l_loc = l_loc * lt
+            m_cur = lm_min(lm(sc.m_a), lm(sc.a0_norm) + lt * m_cur)
+        smo = L_loc * lip * lip + smo * l_loc
+        lip = lip * l_loc
+        m = m_cur
+    return m.lg, lip.lg, smo.lg
+
+
+def ref_generic_recursion(phi_constants):
+    """Chain (Lipschitz, smoothness) logs from per-layer joint constants."""
+    lip = smo = _R_ZERO
+    for lp, Lp in phi_constants:
+        lphi, Lphi = _ref_lm(lp), _ref_lm(Lp)
+        one_plus = _R_ONE + lip
+        smo = smo * lphi + Lphi * one_plus * one_plus
+        lip = lphi + lip * lphi
+    return lip.lg, smo.lg
+
+
+def ref_objective_smoothness(psi, dom, ell_h, L_h, grad_ref_norm, L_r=0.0):
+    """``(log L_F, log ell_h_refined)`` with the slope reach ``L_h lip diam``."""
+    lm = _ref_lm
+    diam = _R_TWO * lm(float(np.sqrt(sum(r * r for r in dom.radii))))
+    reach = lm(L_h) * psi.lip * diam
+    ell_ref = cc.lm_min(lm(ell_h), lm(grad_ref_norm) + reach)
+    L_F = psi.smooth * ell_ref + psi.lip * psi.lip * lm(L_h) + lm(L_r)
+    return L_F.lg, ell_ref.lg
+
+
 # ---------------------------------------------------------------- closed forms
 
 def cluster_two_points(yhat: np.ndarray):

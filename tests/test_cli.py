@@ -140,13 +140,6 @@ def test_train_sgd_variance_line(tiny_arch, capsys):
     assert "gradient variance" in capsys.readouterr().out
 
 
-def test_train_usage_errors(tiny_arch, capsys):
-    assert main(["train", tiny_arch, "--steps", "3", "--gamma", "0"]) == 2
-    assert main(["train", tiny_arch, "--steps", "3", "--gamma", "nan"]) == 2
-    assert main(["train", tiny_arch, "--steps", "3"]) == 2
-    capsys.readouterr()
-
-
 def test_train_certified_refusal_is_check_failure(relu_arch, capsys):
     rc = main(["train", relu_arch, "--steps", "3", "--certified"])
     assert rc == 1
@@ -178,3 +171,62 @@ def test_bad_override_is_a_parse_error_naming_it(fixture, flag, value, name, cap
 def test_missing_file_exit_code(capsys):
     assert main(["smoothness", "/nonexistent/x.arch"]) == 2
     capsys.readouterr()
+
+
+def test_compare_of_two_infinite_or_zero_bounds_is_undefined(relu_arch, tmp_path, capsys):
+    # a relu network has no finite smoothness bound and a network without
+    # parameters a zero one in them; inf - inf has no value
+    assert main(["smoothness", relu_arch, "--compare", relu_arch]) == 0
+    out = capsys.readouterr().out
+    assert "log lipschitz difference  (b - a) = 0\n" in out
+    assert "log smoothness difference (b - a) = undefined (both bounds infinite)\n" in out
+    free = tmp_path / "free.arch"
+    free.write_text("input samples=2 features=3 norm=1\nradius 1\nobjective squared\n"
+                    "layer activation name=softplus\n")
+    assert main(["smoothness", str(free), "--compare", str(free)]) == 0
+    out += capsys.readouterr().out
+    assert "log lipschitz difference  (b - a) = undefined (both bounds zero)\n" in out
+    assert "nan" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "{arch}", "--step", "0"],
+    ["gradcheck", "{arch}", "--step", "nan"],
+    ["gradcheck", "{arch}", "--tol", "-1"],
+    ["gradcheck", "{arch}", "--tol", "nan"],
+    ["gradcheck", "{arch}", "--seed", "-1"],
+    ["train", "{arch}", "--certified", "--steps", "0"],
+    ["train", "{arch}", "--certified", "--steps", "-1"],
+    ["train", "{arch}", "--certified", "--steps", "3", "--batch", "-1"],
+    ["train", "{arch}", "--certified", "--steps", "3", "--batch", "9"],
+    ["train", "{arch}", "--certified", "--steps", "3", "--eps", "nan"],
+    ["train", "{arch}", "--steps", "3", "--gamma", "0"],
+    ["train", "{arch}", "--steps", "3", "--gamma", "nan"],
+    ["train", "{arch}", "--steps", "3"],
+    ["oracle-bench", "--tau", "0"],
+    ["oracle-bench", "--width", "0"],
+    ["oracle-bench", "--reps", "0"],
+    ["oracle-bench", "--kappa", "0"],
+], ids=lambda argv: " ".join(a for a in argv if a != "{arch}"))
+def test_usage_errors_exit_2_before_any_work(argv, tiny_arch, capsys, no_sampling):
+    # tiny_arch holds 4 samples, so a batch of 9 is refused after the parse
+    assert main([a.format(arch=tiny_arch) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_options(tiny_arch, relu_arch, capsys):
+    cli._parser.cache_clear()  # the next call builds it as a fresh process would
+    runs = [["smoothness", tiny_arch], ["train", tiny_arch, "--steps", "2", "--certified"]]
+    fresh = []
+    for argv in runs:
+        assert main(argv) == 0
+        fresh.append(capsys.readouterr().out)
+    parser = cli._parser()
+    for argv, extra, out in zip(runs, (["--compare", relu_arch], ["--batch", "2"]), fresh):
+        assert main(argv + extra) == 0
+        assert capsys.readouterr().out != out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+    assert cli._parser() is parser

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chaincert import LogMag, lm_min
+from chaincert.magnitude import log_add, log_mul
 
 finite_pos = st.floats(min_value=1e-8, max_value=1e8)
 
@@ -108,3 +109,12 @@ def test_zero_annihilates_every_magnitude_and_logs_are_frozen(a):
     with pytest.raises(AttributeError):
         x.lg = 0.0
     assert x.lg == a
+
+
+@given(logs, logs)
+def test_kernels_are_the_operators_bitwise(a, b):
+    # the float kernels own the arithmetic; the operators only box their results
+    x, y = LogMag(a), LogMag(b)
+    assert log_mul(a, b).hex() == (x * y).lg.hex() == _ref_mul(a, b).hex()
+    assert log_add(a, b).hex() == (x + y).lg.hex() == _ref_add(a, b).hex()
+    assert log_mul(-math.inf, math.inf) == log_mul(math.inf, -math.inf) == -math.inf

@@ -17,6 +17,9 @@ from chaincert import (BoundedDomain, ChainSpec, DenseBiAffinePart,
 import chaincert.cli
 from chaincert.biaffine import BiAffineConstants
 
+from helpers import (random_catalog_chain, ref_generic_recursion, ref_input_smoothness,
+                     ref_objective_smoothness, ref_propagate_layers)
+
 
 def _plain_constants(lb, lu, lx, beta0=0.0):
     return BiAffineConstants(L_b=lb, l_u=lu, l_x=lx, beta0_norm=beta0)
@@ -381,3 +384,50 @@ def test_vgg16_compare_differences_are_pinned_bitwise(capsys):
     diffs = [line.rsplit("=", 1)[1].strip() for line in capsys.readouterr().out.splitlines()
              if "difference" in line]
     assert diffs == [format(float.fromhex(h), ".12g") for h in _PINNED_COMPARE]
+
+
+# ---------------------------------------------------------------- float-log recursions
+
+def _hex(logs):
+    return tuple(float.hex(float(v)) for v in logs)
+
+
+# magnitudes at both ends of the log domain (0 and inf), tiny, huge and plain
+_MAGNITUDES = st.one_of(st.sampled_from([0.0, math.inf, 1.0, 1e-300, 1e300]),
+                        st.floats(0.0, 1e6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 3.0]), _MAGNITUDES,
+       _MAGNITUDES, _MAGNITUDES, _MAGNITUDES,
+       st.lists(st.tuples(_MAGNITUDES, _MAGNITUDES), max_size=6))
+def test_float_recursions_equal_the_operator_form_bitwise(seed, m0, ell_h, L_h, grad_ref,
+                                                          L_r, phi):
+    # relu and max pooling give infinite curvature, a zero input bound or a
+    # zero parameter block a zero magnitude: both ends of the log domain
+    rng = np.random.default_rng(seed)
+    chain = random_catalog_chain(rng, smooth_only=False, with_softmax=rng.random() < 0.3)
+    dom = BoundedDomain(tuple(float(r) for r in rng.uniform(0.05, 4.0, chain.tau)), m0)
+    assert [_hex(t.logs()) for t in propagate_layers(chain, dom)] == \
+        [_hex(t) for t in ref_propagate_layers(chain, dom)]
+    u = (ParamVector.zeros(chain.param_dims) if rng.random() < 0.25
+         else sample_params(chain.param_dims, dom.radii, rng))
+    R = float(rng.choice([0.0, 0.3, 2.0]))
+    assert _hex(input_smoothness(chain, u, R).logs()) == \
+        _hex(ref_input_smoothness(chain, u, R))
+    psi = propagate_chain(chain, dom)
+    got = objective_smoothness(psi, dom, ell_h, L_h, grad_ref, L_r)
+    assert _hex(x.lg for x in got) == \
+        _hex(ref_objective_smoothness(psi, dom, ell_h, L_h, grad_ref, L_r))
+    assert _hex(x.lg for x in generic_recursion(phi)) == _hex(ref_generic_recursion(phi))
+
+
+def test_propagation_boxes_only_its_results(monkeypatch):
+    # the recursion runs on raw logs: no LogMag arithmetic on any fixture
+    def refuse(self, other):
+        raise AssertionError("LogMag arithmetic inside propagate_layers")
+    monkeypatch.setattr(LogMag, "__mul__", refuse)
+    monkeypatch.setattr(LogMag, "__add__", refuse)
+    for name in ("vgg16", "vgg16-smooth", "vgg16-batchnorm"):
+        chain, dom, _ = parse_arch(_fixture(name))
+        assert len(propagate_layers(chain, dom)) == chain.tau

@@ -50,6 +50,9 @@ def test_config_validation():
         TrainConfig(dom, budget=5, gamma=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(dom, budget=5, batch=-1)
+    for eps in (-1e-3, float("nan")):  # a check written as eps < 0 lets NaN pass
+        with pytest.raises(ValueError):
+            TrainConfig(dom, budget=5, eps=eps)
 
 
 def test_certified_step_finite_on_smooth_chain():

@@ -15,7 +15,17 @@ through chaincert's public API only, and prints one digest per quantity:
 * ``cnn-train``: two certified PGD calls and one SGD call from the same
   start as one benchmark round, with their objective values, final
   iterates, step sizes and the SGD variance proxy;
-* the ``OpCounter`` units of one ``backward`` on each chain.
+* the ``OpCounter`` units of one ``backward`` on each chain;
+* ``input_smoothness`` on a seeded FC chain at three input radii, and
+  ``generic_recursion`` on every prefix of seeded per-layer constants
+  followed by entries of 0 and inf, as ``float.hex``.
+
+Once, under the seed column ``-``, it prints digests of the symbolic path
+of the ``vgg16-symbolic`` workload: ``float.hex`` of every prefix's logs
+from ``propagate_layers`` on each VGG16 fixture, the two differences of
+``smoothness vgg16-smooth.arch --compare vgg16-batchnorm.arch --bn-eps
+0.01`` (as ``float.hex`` and as printed), and ``backward_formula`` on the
+three chains.
 
 Two checkouts that print the same lines compute these numbers bitwise
 alike.  A run takes a few seconds.
@@ -23,7 +33,10 @@ alike.  A run takes a few seconds.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
+import math
 import os
 import sys
 
@@ -110,18 +123,62 @@ def cnn_train(cc, seed: int):
     }, [counter.total]
 
 
+def recursions(cc, seed: int):
+    """``input_smoothness`` and ``generic_recursion`` on seeded inputs."""
+    rng = np.random.default_rng(seed)
+    chain = cc.ChainSpec(tuple(cc.fully_connected(4, 32, 32, activation=act)
+                               for act in ("softplus", "sigmoid", "softplus-centered", "identity")))
+    logs = [cc.input_smoothness(chain, cc.sample_params(chain.param_dims, 1.0, rng), R).logs()
+            for R in (0.0, 0.5, 3.0)]
+    phi = [tuple(map(float, row)) for row in rng.uniform(0.0, 3.0, (12, 2))]
+    phi += [(2.0, 0.0), (0.0, 0.0), (0.0, math.inf), (math.inf, 0.0), (1.0, 1.0)]
+    generic = [cc.generic_recursion(phi[:k]) for k in range(len(phi) + 1)]
+    return {
+        "smoothness.input": _digest(tuple(float.hex(v) for tri in logs for v in tri)),
+        "smoothness.generic": _digest(tuple(x.lg.hex() for pair in generic for x in pair)),
+    }
+
+
+def vgg16_symbolic(cc):
+    """The symbolic path on the three VGG16 fixtures; independent of the seed."""
+    fixtures = os.path.join(os.path.dirname(cc.__file__), "fixtures")
+    path = {n: os.path.join(fixtures, n + ".arch")
+            for n in ("vgg16", "vgg16-smooth", "vgg16-batchnorm")}
+    rows, chains = {}, []
+    for name, p in path.items():
+        chain, dom, _ = cc.parse_arch(p)
+        chains.append(chain)
+        rows[f"{name}.prefixes"] = _digest(tuple(
+            tuple(float.hex(v) for v in tri.logs()) for tri in cc.propagate_layers(chain, dom)))
+    a, b = (cc.propagate_layers(*cc.parse_arch(path[n], bn_eps=0.01)[:2])[-1].logs()
+            for n in ("vgg16-smooth", "vgg16-batchnorm"))
+    rows["vgg16.compare.hex"] = _digest((float.hex(b[1] - a[1]), float.hex(b[2] - a[2])))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cc.cli.main(["smoothness", path["vgg16-smooth"], "--compare",
+                          path["vgg16-batchnorm"], "--bn-eps", "0.01"])
+    rows["vgg16.compare.printed"] = _digest(rc, tuple(
+        line for line in out.getvalue().splitlines() if "difference" in line))
+    rows["vgg16.backward_formula"] = _digest(tuple(cc.backward_formula(c) for c in chains))
+    return rows
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
     import chaincert as cc
+    import chaincert.cli  # noqa: F401  (``cc.cli`` for the compare report)
 
     for seed in SEEDS:
         fc, fc_units = fc_oracles(cc, seed)
         cnn, cnn_units = cnn_train(cc, seed)
-        rows = {**fc, **cnn, "backward.units": _digest(tuple(fc_units + cnn_units))}
+        rows = {**fc, **cnn, "backward.units": _digest(tuple(fc_units + cnn_units)),
+                **recursions(cc, seed)}
         for name, value in rows.items():
             print(f"{seed:<5} {name:<30} {value}")
+    for name, value in vgg16_symbolic(cc).items():
+        print(f"{'-':<5} {name:<30} {value}")
     return 0
 
 
