@@ -32,8 +32,6 @@ __all__ = [
     "LayerSparsity",
     "layer_sparsity",
     "backward_formula",
-    "OpCount",
-    "count_backward_cost",
 ]
 
 
@@ -279,56 +277,3 @@ def layer_sparsity(layer: LayerDescriptor) -> LayerSparsity:
 def backward_formula(chain: ChainSpec) -> int:
     """Closed-form unit count of one reverse sweep over catalogue layers."""
     return sum(layer_sparsity(l).backward_units for l in chain.layers)
-
-
-@dataclass(frozen=True)
-class OpCount:
-    """Measured and predicted operation counts for one chain."""
-
-    forward: int
-    backward: int
-    backward_predicted: int
-    per_layer: tuple
-    fc_figure: Optional[int]
-
-    @property
-    def exact(self) -> bool:
-        return self.backward == self.backward_predicted
-
-
-def count_backward_cost(chain: ChainSpec, x0=None, u: Optional[ParamVector] = None,
-                        seed: int = 0) -> OpCount:
-    """Run one metered forward/backward pass and compare with the formula.
-
-    The chain must be numerically evaluable.  The formula counts applied
-    stored operators only; layers with extra routing additions (skip
-    connections) will measure above it.  ``fc_figure`` reports
-    ``sum 2 m d_t (d_{t-1} + 1)`` over fully-connected layers, the familiar
-    dense backpropagation figure, or None when no such layer exists.
-    """
-    rng = np.random.default_rng(seed)
-    if x0 is None:
-        x0 = rng.standard_normal(chain.d0)
-        n = np.linalg.norm(x0)
-        if n > 0:
-            x0 = x0 / n
-    if u is None:
-        u = ParamVector([rng.standard_normal(p) for p in chain.param_dims])
-    cf = OpCounter()
-    tape = forward(chain, x0, u, cf)
-    mu = rng.standard_normal(chain.d_out)
-    nm = np.linalg.norm(mu)
-    if nm > 0:
-        mu = mu / nm
-    cb = OpCounter()
-    backward(tape, mu, cb)
-    per_layer = tuple(layer_sparsity(l) for l in chain.layers)
-    fc_terms = [2 * l.batch * l.hyper["out_features"] * (l.hyper["in_features"] + 1)
-                for l in chain.layers if l.kind == "fully-connected"]
-    return OpCount(
-        forward=cf.total,
-        backward=cb.total,
-        backward_predicted=backward_formula(chain),
-        per_layer=per_layer,
-        fc_figure=sum(fc_terms) if fc_terms else None,
-    )

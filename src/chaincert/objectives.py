@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .chain import ParamVector
-from .errors import DimensionMismatch, IterationLimit, SecondOrderUnavailable
+from .errors import DimensionMismatch, IterationLimit, NumericError, SecondOrderUnavailable
 from .stages import _softmax_rows
 
 __all__ = [
@@ -95,7 +95,9 @@ def eval_convex_cluster(yhat: np.ndarray, tol: float):
     the returned gradient ``yhat - y`` is within ``sqrt(2 tol)`` of the true
     envelope gradient ``yhat - y*``, both up to rounding.  Raises
     ``IterationLimit``, with the iteration count and the last gap, when
-    ``_CLUSTER_CAP`` iterations do not close the gap.
+    ``_CLUSTER_CAP`` iterations do not close the gap, and ``NumericError``
+    before any iteration when ``yhat`` has a NaN or inf entry (its gap
+    would be NaN at every iteration).
 
     The computed gap has a rounding floor that grows with the number of
     pairs and the scale of the points, about 4e-13 at n = 16 on unit-scale
@@ -105,6 +107,8 @@ def eval_convex_cluster(yhat: np.ndarray, tol: float):
     yhat = np.asarray(yhat, dtype=float)
     if yhat.ndim != 2:
         raise DimensionMismatch(f"clustering input must be (n, q), got {yhat.shape}")
+    if not np.isfinite(yhat).all():
+        raise NumericError("clustering input has a NaN or inf entry")
     if not tol > 0:
         raise ValueError("tol must be positive")
     n, q = yhat.shape

@@ -570,8 +570,7 @@ def solve_dense_reference(lq: LQProblem) -> OracleStep:
 
 
 def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: float,
-                            tol: float = 1e-10, max_iter: Optional[int] = None,
-                            compute_gap: bool = False) -> OracleStep:
+                            tol: float = 1e-10, compute_gap: bool = False) -> OracleStep:
     """Prox-linear step through the dual, metered in chain-derivative calls.
 
     ``h`` gives ``grad_hess_blocks(y) -> (g, blocks)``: the loss gradient and
@@ -593,7 +592,8 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     adjoint/tangent calls, which is at most ``2 d_tau + 1`` whenever CG
     stops before ``d_tau`` full iterations (one call short of the cap).
     ``exit_reason`` says why CG stopped: ``"tolerance"``, ``"zero_gradient"``
-    (nothing to solve), ``"nonpositive_curvature"`` or ``"iteration_cap"``;
+    (nothing to solve), ``"nonpositive_curvature"`` or ``"iteration_cap"``
+    (``d_tau`` iterations ran and the residual is still above ``tol``);
     ``converged`` is True for the first two only.  Beside ``ad_calls``,
     ``cg_iterations`` (equal to ``iterations``), ``budget`` and
     ``budget_ok``, the diagnostics carry the keys every solver shares:
@@ -670,12 +670,11 @@ def solve_gauss_newton_dual(tape: Tape, h, r: Optional[Regularizer], kappa: floa
     res = rhs.copy()
     rr = float(res @ res)
     tol_abs = tol * (1.0 + float(np.linalg.norm(rhs)))
-    cap = d_tau if max_iter is None else int(max_iter)
     iters = 0
     p = res.copy()
     exit_reason = "tolerance"
     while np.sqrt(rr) > tol_abs:
-        if iters >= cap:
+        if iters >= d_tau:
             exit_reason = "iteration_cap"
             break
         t1 = H(p)

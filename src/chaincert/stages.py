@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .activations import ScalarActivation
-from .biaffine import _charge
+from .biaffine import _charge, _join_blocks, _split_blocks
 from .errors import DimensionMismatch, SecondOrderUnavailable
 
 __all__ = ["StageConstants", "StageLin", "Stage", "ElementwiseStage", "SoftmaxStage",
@@ -511,28 +511,14 @@ class BlockStage(Stage):
         self.second_order = inner.second_order
         self.name = f"residual({inner.name})"
 
-    def _split(self, z, per_sample_left):
-        """Each sample's leading block and the rest, flat per row of a stack."""
-        lead, m = z.shape[:-1], self.batch
-        view = z.reshape(lead + (m, z.shape[-1] // m))
-        return (view[..., :per_sample_left].reshape(lead + (m * per_sample_left,)),
-                view[..., per_sample_left:].reshape(lead + (m * self.pass_dim,)))
-
-    @staticmethod
-    def _join(left, right, batch):
-        lead = left.shape[:-1]
-        lv = left.reshape(lead + (batch, left.shape[-1] // batch))
-        rv = right.reshape(lead + (batch, right.shape[-1] // batch))
-        return np.concatenate([lv, rv], axis=-1).reshape(lead + (left.shape[-1] + right.shape[-1],))
-
     def value(self, z, count=None):
         z = self._check(z)
-        left, right = self._split(z, self.inner_in)
-        return self._join(self.inner.value(left, count), right, self.batch)
+        left, right = _split_blocks(z, self.batch, self.inner_in)
+        return _join_blocks(self.inner.value(left, count), right, self.batch)
 
     def linearize(self, z):
         z = self._check(z)
-        left, _ = self._split(z, self.inner_in)
+        left, _ = _split_blocks(z, self.batch, self.inner_in)
         return _BlockLin(self, self.inner.linearize(left))
 
     def constants(self) -> StageConstants:
@@ -550,19 +536,19 @@ class _BlockLin(StageLin):
 
     def vjp(self, lam, count=None):
         st = self.stage
-        left, right = st._split(lam, st.inner_out)
+        left, right = _split_blocks(lam, st.batch, st.inner_out)
         _charge(count, st.batch * st.pass_dim, lam)
-        return st._join(self.inner_lin.vjp(left, count), right, st.batch)
+        return _join_blocks(self.inner_lin.vjp(left, count), right, st.batch)
 
     def jvp(self, dz, count=None):
         st = self.stage
-        left, right = st._split(dz, st.inner_in)
+        left, right = _split_blocks(dz, st.batch, st.inner_in)
         _charge(count, st.batch * st.pass_dim, dz)
-        return st._join(self.inner_lin.jvp(left, count), right, st.batch)
+        return _join_blocks(self.inner_lin.jvp(left, count), right, st.batch)
 
     def hess_contract(self, lam):
         st = self.stage
-        left, _ = st._split(lam, st.inner_out)
+        left, _ = _split_blocks(lam, st.batch, st.inner_out)
         hin = self.inner_lin.hess_contract(left)
         out = np.zeros((st.in_total, st.in_total))
         # inner coordinate i of sample s sits at s * (inner_in + pass_dim) + i

@@ -17,7 +17,7 @@ import numpy as np
 
 from .autodiff import _backward_samples, _separates_samples, backward, forward
 from .chain import ChainSpec, ParamVector
-from .errors import InfeasibleModel
+from .errors import DimensionMismatch, InfeasibleModel
 from .objectives import Objective, Regularizer, ZeroReg
 from .smoothness import (BoundedDomain, _lm, _slope_reach, objective_smoothness,
                          propagate_chain)
@@ -89,7 +89,7 @@ class TrainTrace:
 def project_domain(u: ParamVector, dom: BoundedDomain) -> ParamVector:
     """Blockwise radial projection onto the per-layer balls."""
     if len(dom.radii) != len(u.blocks):
-        raise ValueError(f"{len(dom.radii)} radii for {len(u.blocks)} blocks")
+        raise DimensionMismatch(f"{len(dom.radii)} radii for {len(u.blocks)} blocks")
     out = []
     for b, r in zip(u.blocks, dom.radii):
         n = float(np.linalg.norm(b))

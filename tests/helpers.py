@@ -219,6 +219,16 @@ def chain_objective_instance(rng, kind="squared", tau=2, width=4, batch=1):
     return chain, u, x0, h
 
 
+def backward_units(chain, rng) -> int:
+    """``OpCounter`` units of one ``backward`` at a sampled point and a unit cotangent."""
+    u = cc.sample_params(chain.param_dims, 1.0, rng)
+    tape = cc.forward(chain, cc.sample_state(chain.d0, 1.0, rng), u)
+    mu = rng.standard_normal(chain.d_out)
+    counter = cc.OpCounter()
+    cc.backward(tape, mu / np.linalg.norm(mu), counter)
+    return counter.total
+
+
 # ---------------------------------------------------------------- operator-form recursions
 
 # The four log-domain recursions of ``chaincert.smoothness`` written with

@@ -15,7 +15,7 @@ import pytest
 import chaincert as cc
 from chaincert import (BoundedDomain, InnerProblem, Objective, ParamVector,
                        SoftmaxStage, TrainConfig, backward, backward_formula,
-                       build_lq, catalog_constants, count_backward_cost,
+                       build_lq, catalog_constants,
                        eval_convex_cluster, forward, implicit_gradient,
                        lemma_error_bound, parse_arch, propagate_chain,
                        sample_params, sample_state, solve_dense_reference,
@@ -23,7 +23,7 @@ from chaincert import (BoundedDomain, InnerProblem, Objective, ParamVector,
                        train_pgd)
 from chaincert.stages import BatchNormStage
 
-from helpers import chain_objective_instance, flat, random_catalog_chain
+from helpers import backward_units, chain_objective_instance, flat, random_catalog_chain
 
 FIXDIR = os.path.join(os.path.dirname(cc.__file__), "fixtures")
 
@@ -231,9 +231,8 @@ def test_criterion_6_backward_cost_formula():
     rows = []
     for _ in range(10):
         chain = random_catalog_chain(rng, dim_max=6, smooth_only=True)
-        res = count_backward_cost(chain, seed=int(rng.integers(0, 1000)))
-        assert res.backward == backward_formula(chain)
-        rows.append(res.exact)
+        measured = backward_units(chain, np.random.default_rng(int(rng.integers(0, 1000))))
+        rows.append(measured == backward_formula(chain))
     ok = all(rows)
     _report(6, "backward-cost accounting", ok,
             f"10 instances, measured == formula: {sum(rows)}/10")

@@ -10,7 +10,7 @@ from chaincert import (BiAffinePart, BlockStage, ChainSpec, DenseBiAffinePart, D
                        ElementwiseStage, FCPart, IdentityPart, LayerDescriptor,
                        NumericError, OpCounter, ParamVector, ResidualPart,
                        activation_layer, avgpool2d, backward, backward_formula,
-                       batchnorm_layer, conv2d, count_backward_cost, forward,
+                       batchnorm_layer, conv2d, forward,
                        fully_connected, get_activation, grad_objective, jvp,
                        layer_sparsity, maxpool2d, residual_wrap, sample_params,
                        sample_state, squared_objective)
@@ -18,7 +18,7 @@ import chaincert.training as training
 from chaincert.autodiff import _backward_samples, _separates_samples
 from chaincert.training import _sample_spread
 
-from helpers import fd_grad, flat, random_catalog_chain, unflat
+from helpers import backward_units, fd_grad, flat, random_catalog_chain, unflat
 
 
 def test_forward_states_match_manual_composition():
@@ -160,24 +160,20 @@ def test_backward_formula_sums_layer_sparsities():
     assert backward_formula(chain) == total
 
 
-def test_count_backward_cost_exact_on_catalog_chain():
+def test_backward_units_equal_formula_on_catalog_chain():
     rng = np.random.default_rng(8)
     chain = ChainSpec((
         fully_connected(2, 3, 4, activation="softplus", bias=True),
         fully_connected(2, 4, 2, activation="sigmoid", bias=False),
     ))
-    res = count_backward_cost(chain, seed=1)
-    assert res.exact
-    assert res.backward == res.backward_predicted
-    assert res.fc_figure == sum(2 * 2 * o * (i + 1) for (i, o) in ((3, 4), (4, 2)))
+    assert backward_units(chain, rng) == backward_formula(chain)
 
 
 def test_residual_routing_measures_above_formula():
     base = fully_connected(1, 3, 3, activation="softplus", bias=True)
     chain = ChainSpec((residual_wrap(base),))
-    res = count_backward_cost(chain, seed=0)
     # skip additions are charged honestly, so the measure exceeds the formula
-    assert res.backward > res.backward_predicted
+    assert backward_units(chain, np.random.default_rng(0)) > backward_formula(chain)
 
 
 def _fc_tape(seed=0):

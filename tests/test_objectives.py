@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert import (BlockRidge, DimensionMismatch, IterationLimit,
+from chaincert import (BlockRidge, DimensionMismatch, IterationLimit, NumericError,
                        Objective, ParamVector, SecondOrderUnavailable, ZeroReg,
                        cluster_objective, eval_convex_cluster, eval_logistic,
                        eval_squared, logistic_objective, squared_objective)
@@ -76,6 +76,16 @@ def test_cluster_objective_value_grad_is_the_envelope_on_flat_outputs():
     want_val, want_grad = eval_convex_cluster(yhat, tol)
     assert val == want_val
     assert grad.shape == (12,) and np.array_equal(grad, want_grad.ravel())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cluster_refuses_non_finite_input_before_iterating(monkeypatch, bad):
+    yhat = np.zeros((4, 2))
+    yhat[2, 1] = bad
+    # refused before any work: the solve would first build the incidence matrix
+    monkeypatch.setattr(objectives, "_incidence_t", lambda n: pytest.fail("incidence built"))
+    with pytest.raises(NumericError):
+        eval_convex_cluster(yhat, tol=1e-10)
 
 
 def test_cluster_single_point_is_zero():

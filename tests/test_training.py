@@ -7,8 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from chaincert import (BlockRidge, BoundedDomain, ChainSpec, InfeasibleModel,
-                       OpCounter, ParamVector, TrainConfig, avgpool2d,
+from chaincert import (BlockRidge, BoundedDomain, ChainSpec, DimensionMismatch,
+                       InfeasibleModel, OpCounter, ParamVector, TrainConfig, avgpool2d,
                        backward, backward_formula, batchnorm_layer,
                        certified_step, conv2d, forward, fully_connected,
                        logistic_objective, project_domain, residual_wrap,
@@ -38,7 +38,7 @@ def test_projection_scales_only_oversized_blocks():
     assert np.allclose(pu.blocks[0], [0.6, 0.8])
     assert np.allclose(pu.blocks[1], [0.1, 0.0])
     assert np.allclose(pu.blocks[2], 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         project_domain(u, BoundedDomain((1.0,), 1.0))
 
 

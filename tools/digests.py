@@ -16,6 +16,9 @@ through chaincert's public API only, and prints one digest per quantity:
   start as one benchmark round, with their objective values, final
   iterates, step sizes and the SGD variance proxy;
 * the ``OpCounter`` units of one ``backward`` on each chain;
+* a seeded ``residual_wrap`` chain, an FC layer and then a conv layer with
+  an average-pooling stage: its ``forward`` output, ``backward`` blocks and
+  a ``jvp``, and the ``OpCounter`` units of each;
 * ``input_smoothness`` on a seeded FC chain at three input radii, and
   ``generic_recursion`` on every prefix of seeded per-layer constants
   followed by entries of 0 and inf, as ``float.hex``.
@@ -123,6 +126,33 @@ def cnn_train(cc, seed: int):
     }, [counter.total]
 
 
+def residual(cc, seed: int):
+    """A ``residual_wrap`` chain: an FC layer, then a conv layer whose stages end in average pooling."""
+    m = 2
+    conv = cc.conv2d(m, 1, 5, 5, 2, 2, activation="softplus")  # 1x5x5 -> 2x4x4
+    # 2x2 windows at stride 2 over each 4x4 filter map
+    windows = np.array([0, 2, 8, 10])[:, None] + np.array([0, 1, 4, 5])
+    pool = cc.AvgPoolStage(m, 2, 16, windows)
+    pooled = cc.LayerDescriptor("conv", conv.part, conv.stages + (pool,), m)
+    # per sample the FC block maps 25 -> 32 and carries 25: 57 = 25 + 32, the conv's input
+    chain = cc.ChainSpec((cc.residual_wrap(cc.fully_connected(m, 25, 32, activation="softplus")),
+                          cc.residual_wrap(pooled)))
+    rng = np.random.default_rng(seed)
+    x0 = cc.sample_state(chain.d0, 1.0, rng)
+    u = cc.sample_params(chain.param_dims, 1.0, rng)
+    counters = [cc.OpCounter() for _ in range(3)]
+    tape = cc.forward(chain, x0, u, counters[0])
+    grad = cc.backward(tape, rng.standard_normal(chain.d_out), counters[1])
+    du = cc.sample_params(chain.param_dims, 1.0, rng)
+    tangent = cc.jvp(tape, du, rng.standard_normal(chain.d0), counters[2])
+    return {
+        "residual.forward": _digest(tape.output),
+        "residual.backward": _digest(*grad.blocks),
+        "residual.jvp": _digest(tangent),
+        "residual.units": _digest(tuple(c.total for c in counters)),
+    }
+
+
 def recursions(cc, seed: int):
     """``input_smoothness`` and ``generic_recursion`` on seeded inputs."""
     rng = np.random.default_rng(seed)
@@ -174,7 +204,7 @@ def main(argv=None) -> int:
         fc, fc_units = fc_oracles(cc, seed)
         cnn, cnn_units = cnn_train(cc, seed)
         rows = {**fc, **cnn, "backward.units": _digest(tuple(fc_units + cnn_units)),
-                **recursions(cc, seed)}
+                **residual(cc, seed), **recursions(cc, seed)}
         for name, value in rows.items():
             print(f"{seed:<5} {name:<30} {value}")
     for name, value in vgg16_symbolic(cc).items():
