@@ -63,6 +63,15 @@ def _join_blocks(left, right, m: int):
     return np.concatenate([lv, rv], axis=-1).reshape(lead + (left.shape[-1] + right.shape[-1],))
 
 
+def _window_table(patches, spatial: int) -> np.ndarray:
+    """A conv part's or pooling stage's table, checked: 2-d integer, entries in [0, ``spatial``)."""
+    t = np.asarray(patches)
+    if t.ndim != 2 or not np.issubdtype(t.dtype, np.integer) or \
+            t.size and (t.min() < 0 or t.max() >= spatial):
+        raise DimensionMismatch(f"window table must be a 2-d integer array in [0, {spatial})")
+    return t
+
+
 def operator_norm(m: np.ndarray) -> float:
     """Largest singular value ``||m||_{2,2}``; 0 for an empty matrix."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
@@ -219,8 +228,11 @@ class BiAffinePart:
         """(k, width) rows of ``method(a, b, count)``, one call per row of the stack ``a`` or ``b``.
 
         Each call charges its own units, so the stack is charged k times one call.
+        A zero ``width`` (a parameter-free part's ``vjp_u``) makes no call.
         """
         out = np.empty((len(b) if b.ndim == 2 else len(a), width))
+        if not width:
+            return out
         for r in range(len(out)):
             out[r] = method(a, b[r], count) if b.ndim == 2 else method(a[r], b, count)
         return out
@@ -492,14 +504,9 @@ class ConvPart(_ConvGeometry):
     def __init__(self, batch: int, channels: int, spatial: int, patches: np.ndarray,
                  n_filters: int, bias: bool = False,
                  kernel_shape: tuple = (), stride: tuple = ()):
-        patches = np.asarray(patches)
-        if patches.ndim != 2 or not np.issubdtype(patches.dtype, np.integer):
-            raise DimensionMismatch("patch table must be a 2-d integer array")
-        if patches.size and (patches.min() < 0 or patches.max() >= spatial):
-            raise DimensionMismatch("patch indices out of spatial range")
-        super().__init__(batch, channels, spatial, *patches.shape, n_filters, bias,
+        self.patches = _window_table(patches, spatial)
+        super().__init__(batch, channels, spatial, *self.patches.shape, n_filters, bias,
                          kernel_shape, stride)
-        self.patches = patches
         self._cols_index = None
 
     def _split(self, u):

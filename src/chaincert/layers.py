@@ -80,6 +80,8 @@ class LayerDescriptor:
 
 def _valid_grid(height, width, kh, kw, sh, sw):
     """Output grid ``(rows, cols)`` of a valid (unpadded) 2-d window sweep."""
+    if min(kh, kw, sh, sw) < 1:
+        raise DimensionMismatch(f"kernel {kh}x{kw} and stride {sh}x{sw} must be at least 1")
     if kh > height or kw > width:
         raise DimensionMismatch(f"kernel {kh}x{kw} exceeds input {height}x{width}")
     return (height - kh) // sh + 1, (width - kw) // sw + 1

@@ -240,12 +240,16 @@ class Objective:
         return g, H.reshape(self.dim, self.dim)
 
     def grad_minibatch(self, yhat, idx) -> np.ndarray:
-        """Gradient of the minibatch average, embedded at full output size."""
+        """Gradient of the average over the distinct samples ``idx``, at full output size."""
         if not self.decomposable:
             raise ValueError("minibatch gradients need a per-sample decomposable objective")
         idx = np.asarray(idx, dtype=int)
         if idx.size == 0:
             raise ValueError("empty minibatch")
+        if idx.ndim != 1 or idx.min() < 0 or idx.max() >= self.n or \
+                len(set(idx.tolist())) < idx.size:
+            raise DimensionMismatch(
+                f"minibatch indices must be distinct and in [0, {self.n}), got {idx.tolist()}")
         loss = eval_squared if self.kind == "squared" else eval_logistic
         out = np.zeros((self.n, self.q))
         out[idx] = loss(self._rows(yhat)[idx], self.y[idx])[1].reshape(idx.size, self.q)
@@ -282,14 +286,19 @@ class _LabelsOnRead(Objective):
         return self._make(self.n, self.q)
 
 
-def squared_objective(y: np.ndarray) -> Objective:
+def _labelled(kind: str, y) -> Objective:
     y = np.asarray(y, dtype=float)
-    return Objective("squared", y.shape[0], y.shape[1], y)
+    if y.ndim != 2:
+        raise DimensionMismatch(f"labels must be (n, q), got shape {y.shape}")
+    return Objective(kind, y.shape[0], y.shape[1], y)
+
+
+def squared_objective(y: np.ndarray) -> Objective:
+    return _labelled("squared", y)
 
 
 def logistic_objective(y: np.ndarray) -> Objective:
-    y = np.asarray(y, dtype=float)
-    return Objective("logistic", y.shape[0], y.shape[1], y)
+    return _labelled("logistic", y)
 
 
 def cluster_objective(n: int, q: int, tol: float = 1e-10) -> Objective:

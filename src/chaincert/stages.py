@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .activations import ScalarActivation
-from .biaffine import _charge, _join_blocks, _split_blocks
+from .biaffine import _charge, _join_blocks, _split_blocks, _window_table
 from .errors import DimensionMismatch, SecondOrderUnavailable
 
 __all__ = ["StageConstants", "StageLin", "Stage", "ElementwiseStage", "SoftmaxStage",
@@ -235,13 +235,8 @@ class _SoftmaxLin(StageLin):
 
 class _PoolBase(Stage):
     def __init__(self, batch: int, channels: int, spatial_in: int, patches: np.ndarray):
-        patches = np.asarray(patches, dtype=int)
-        if patches.ndim != 2:
-            raise DimensionMismatch("patch index set must be (n_out, patch_size)")
-        if patches.size and (patches.min() < 0 or patches.max() >= spatial_in):
-            raise DimensionMismatch("patch indices out of range")
-        self._shape(batch, channels, spatial_in, *patches.shape)
-        self._patches = patches
+        self._patches = _window_table(patches, spatial_in)
+        self._shape(batch, channels, spatial_in, *self._patches.shape)
 
     @classmethod
     def _deferred(cls, batch, channels, spatial_in, n_out, patch_size, table):

@@ -9,9 +9,19 @@ tests freeze against.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 
 import chaincert as cc
+
+# The benchmark's workloads and recorder, used read-only: a test of a
+# benchmarked path takes its inputs and calls from ``perfbench/workloads.py``.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import workloads  # noqa: E402
+from run import Recorder  # noqa: E402,F401
 
 
 # ---------------------------------------------------------------- linear algebra

@@ -327,12 +327,19 @@ def test_pool_stages_from_layers_equal_explicit_table_stages_bitwise(kind, geome
 
 
 def test_explicit_pool_tables_are_checked_at_construction():
-    from chaincert import DimensionMismatch
+    from chaincert import ConvPart, DimensionMismatch
 
+    # pooling stages and conv parts refuse the same tables, a float one
+    # included, with one error
+    for bad in (np.array([[0, 4]]), np.array([[-1, 0]]), np.array([0, 1]),
+                np.array([[0.7, 1.9], [2.2, 3.99]])):
+        messages = set()
+        for build in (AvgPoolStage, MaxPoolStage, lambda *a: ConvPart(*a, n_filters=1)):
+            with pytest.raises(DimensionMismatch) as err:
+                build(1, 1, 4, bad)
+            messages.add(str(err.value))
+        assert len(messages) == 1
     for cls in (AvgPoolStage, MaxPoolStage):
-        for bad in (np.array([[0, 4]]), np.array([[-1, 0]]), np.array([0, 1])):
-            with pytest.raises(DimensionMismatch):
-                cls(1, 1, 4, bad)
         # the one-coordinate stage a profiler builds to reach the private
         # linearisation classes
         st = cls(1, 1, 1, np.zeros((1, 1), dtype=int))

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import chaincert as cc
 from chaincert import (AvgPoolStage, BatchNormStage, BiAffinePart, BlockStage,
                        ConvPart, DenseBiAffinePart, DimensionMismatch, ElementwiseStage,
                        FCPart, IdentityPart, MaxPoolStage, OpCounter,
                        ResidualPart, SoftmaxStage, conv2d, get_activation)
 from chaincert.stages import _PoolBase
+
+from helpers import Recorder, workloads
 
 SEEDS = st.integers(0, 2**32 - 1)
 SETTINGS = settings(max_examples=15, deadline=None)
@@ -215,45 +216,14 @@ def _record(monkeypatch, stacked, every):
     return seen
 
 
-def _fc_oracles_calls():
-    """One Newton-DP and one GN-dual step at the fc-oracles benchmark shape."""
-    chain = cc.ChainSpec(tuple(
-        cc.fully_connected(4, 32, 32, activation="softplus" if t < 5 else "identity")
-        for t in range(6)))
-    rng = np.random.default_rng(1)
-    h = cc.squared_objective(rng.standard_normal((4, 32)))
-    x0 = cc.sample_state(chain.d0, 1.0, rng)
-    u = cc.sample_params(chain.param_dims, 1.0, rng)
-    cc.solve_newton_dp(cc.build_lq(cc.forward(chain, x0, u), h, None, "newton", 0.5))
-    cc.solve_gauss_newton_dual(cc.forward(chain, x0, u), h, None, 0.5)
-
-
-def _cnn_train_calls():
-    """One train_pgd and one train_sgd call at the cnn-train smoke shape."""
-    m, s, f = 2, 8, 4
-    chain = cc.ChainSpec((
-        conv2d(m, 3, s, s, f, 3, activation="softplus-centered"),
-        conv2d(m, f, s - 2, s - 2, f, 3, activation="softplus-centered"),
-        cc.avgpool2d(m, f, s - 4, s - 4, 2),
-        cc.fully_connected(m, f * ((s - 4) // 2) ** 2, 10),
-    ))
-    rng = np.random.default_rng(1)
-    dom = cc.BoundedDomain.uniform(chain.tau, 1.0, 1.0)
-    x0 = cc.sample_state(chain.d0, dom.m0, rng)
-    y = np.zeros((m, 10))
-    y[np.arange(m), rng.integers(0, 10, m)] = 1.0
-    h = cc.logistic_objective(y)
-    u = cc.sample_params(chain.param_dims, dom.radii, rng)
-    cc.train_pgd(chain, h, None, x0, cc.TrainConfig(dom, 3), u)
-    cc.train_sgd(chain, h, None, x0, cc.TrainConfig(dom, 3, batch=2, seed=1), u)
-
-
-@pytest.mark.parametrize("workload", [_fc_oracles_calls, _cnn_train_calls],
+@pytest.mark.parametrize("workload, rounds", [(workloads.FcOracles(False), 3),
+                                               (workloads.CnnTrain(True), 1)],
                          ids=["fc-oracles", "cnn-train"])
-def test_benchmarked_paths_make_no_stacked_part_call(monkeypatch, workload):
+def test_benchmarked_paths_make_no_stacked_part_call(monkeypatch, workload, rounds):
     # A stacked conv vjp_x or pooling vjp is answered one row at a time, and
     # dense_ju and second_cross form p-wide arrays from single vjp_u calls;
-    # the benchmarked oracles and training loops reach none of them.
+    # the benchmark's own rounds (fc-oracles at full size, one per point,
+    # cnn-train at smoke size) reach none of them.
     seen = _record(monkeypatch,
                    stacked=[(ConvPart, "vjp_x"), (_PoolBase, "_scatter")],
                    every=[(BiAffinePart, "dense_ju"), (FCPart, "dense_ju"),
@@ -262,5 +232,9 @@ def test_benchmarked_paths_make_no_stacked_part_call(monkeypatch, workload):
     rows = BiAffinePart._rows
     monkeypatch.setattr(BiAffinePart, "_rows",
                         staticmethod(lambda *a: calls.append(a) or rows(*a)))
-    workload()
+    workload.setup(1)
+    rec = Recorder()
+    for i in range(rounds):
+        workload.round(rec, i)
     assert seen == [] and calls == []
+    assert rec.failed == 0, rec.errors

@@ -89,3 +89,14 @@ def test_sample_state_exact_norm():
     x = sample_state(6, 3.0, rng)
     assert np.linalg.norm(x) == pytest.approx(3.0)
     assert sample_state(4, 0.0, rng) == pytest.approx(np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_samplers_refuse_a_negative_or_nan_radius(bad):
+    rng = np.random.default_rng(0)
+    for draw in (lambda: sample_params((3, 2), bad, rng),
+                 lambda: sample_params((3, 2), [1.0, bad], rng),
+                 lambda: sample_state(4, bad, rng)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw()
+    assert not sample_params((3, 2), 0.0, rng).flat().any()  # zero stays valid

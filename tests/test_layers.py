@@ -227,6 +227,18 @@ def test_valid_patches_refuse_oversized_kernels():
         conv1d(1, 1, 3, 1, 4)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: conv2d(1, 1, 4, 4, 1, 0), lambda: conv2d(1, 1, 4, 4, 1, -1),
+    lambda: conv2d(1, 1, 4, 4, 1, 2, stride=0), lambda: conv1d(1, 1, 4, 1, 0),
+    lambda: conv1d(1, 1, 4, 1, 2, stride=0), lambda: maxpool2d(1, 1, 4, 4, 2, stride=0),
+    lambda: avgpool2d(1, 1, 4, 4, 0), lambda: avgpool2d(1, 1, 4, 4, (2, 0)),
+], ids=["conv2d-kernel-0", "conv2d-kernel--1", "conv2d-stride-0", "conv1d-kernel-0",
+        "conv1d-stride-0", "maxpool2d-stride-0", "avgpool2d-size-0", "avgpool2d-size-2x0"])
+def test_window_constructors_refuse_a_kernel_or_stride_below_one(build):
+    with pytest.raises(DimensionMismatch, match="at least 1"):
+        build()
+
+
 def test_symbolic_conv_constructors_build_no_window_table():
     # A declared patch count that differs from the valid-window count gives a
     # symbolic part, which would throw the table away: at 224 x 224 with a

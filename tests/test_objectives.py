@@ -161,6 +161,10 @@ def test_objective_validation():
     h = squared_objective(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatch):
         h.value_grad(np.zeros(5))
+    for make in (squared_objective, logistic_objective):
+        for y in (np.zeros(3), np.float64(1.0)):
+            with pytest.raises(DimensionMismatch, match="labels must be"):
+                make(y)
 
 
 def test_grad_hess_squared_and_logistic():
@@ -243,6 +247,14 @@ def test_grad_minibatch_rows_are_the_per_sample_loss_gradients(kind):
     want = np.zeros((n, q))
     want[idx] = rows / idx.size
     assert np.array_equal(h.grad_minibatch(z, idx), want.ravel())
+
+
+@pytest.mark.parametrize("idx", [[-1], [0, 0], [4], [1, 4], [[0, 1]]],
+                         ids=["negative", "repeated", "n", "past-n", "2-d"])
+def test_grad_minibatch_refuses_indices_out_of_range_or_repeated(idx):
+    h = squared_objective(np.ones((4, 2)))
+    with pytest.raises(DimensionMismatch, match="minibatch indices"):
+        h.grad_minibatch(np.zeros(8), idx)
 
 
 def test_decomposable_flag():

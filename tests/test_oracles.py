@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincert import (BlockRidge, BoundedDomain, ChainSpec, DenseBiAffinePart, FCPart,
-                       InfeasibleModel, InnerProblem, InvalidBasis, LogMag, LQProblem,
-                       NumericError, ResidualPart, TrainConfig, ZeroReg, build_lq,
-                       eval_convex_cluster, forward, fully_connected, grad_objective,
+from chaincert import (BiAffinePart, BlockRidge, BoundedDomain, ChainSpec, DenseBiAffinePart,
+                       FCPart, IdentityPart, InfeasibleModel, InnerProblem, InvalidBasis,
+                       LogMag, LQProblem, NumericError, ResidualPart, TrainConfig, ZeroReg,
+                       avgpool2d, build_lq, conv2d, eval_convex_cluster, forward,
+                       fully_connected, grad_objective,
                        input_smoothness, layer_second_contract, refine_on_ball,
                        residual_wrap, sample_params, sample_state, solve_dense_reference,
                        solve_gauss_newton_dual, solve_gradient_step, solve_inner,
@@ -25,7 +26,7 @@ from chaincert.cli import _bench_chain
 from chaincert.errors import DimensionMismatch
 from chaincert.objectives import Objective
 
-from helpers import flat, unflat
+from helpers import flat, unflat, workloads
 
 
 def _small_instance(seed, tau=3, width=3, batch=2, kind="squared"):
@@ -268,15 +269,10 @@ def test_dp_diagnostics_count_sweeps_and_stage_visits():
 
 def _benchmark_points(seed):
     """The fc-oracles workload's chain (batch 4, width 32, tau 6), loss and
-    three points, drawn in its order; its kappa is 0.5."""
-    chain = ChainSpec(tuple(
-        fully_connected(4, 32, 32, activation="softplus" if t < 5 else "identity")
-        for t in range(6)))
-    rng = np.random.default_rng(seed)
-    h = squared_objective(rng.standard_normal((4, 32)))
-    points = [(sample_state(chain.d0, 1.0, rng), sample_params(chain.param_dims, 1.0, rng))
-              for _ in range(3)]
-    return chain, h, points
+    three points, from its own set-up; its kappa is 0.5."""
+    w = workloads.FcOracles(False)
+    w.setup(seed)
+    return w.chain, w.h, w.points
 
 
 @pytest.mark.parametrize("seed, pinned", [
@@ -383,6 +379,40 @@ def test_newton_model_calls_the_public_curvature_routine_once_per_layer(monkeypa
     assert calls == []
     lq = build_lq(tape, h, None, "newton", 0.5)
     assert len(calls) == lq.tau == 4 and calls == [3, 2, 1, 0]
+
+
+def test_newton_model_makes_no_row_call_for_a_parameter_free_part(monkeypatch):
+    # The pooling layer's identity part has p = 0, so dense_ju and
+    # second_cross have zero-width rows and _rows makes no vjp_u call for
+    # them; second_cross's affine offset is the one call left.  A per-row
+    # loop at every width gives the same model bitwise.
+    chain = ChainSpec((conv2d(2, 1, 6, 6, 2, 3, activation="softplus"),
+                       avgpool2d(2, 2, 4, 4, 2), fully_connected(2, 8, 3)))
+    rng = np.random.default_rng(0)
+    tape = forward(chain, sample_state(chain.d0, 1.0, rng),
+                   sample_params(chain.param_dims, 1.0, rng))
+    h = squared_objective(rng.standard_normal((2, 3)))
+    calls, vjp_u = [], IdentityPart.vjp_u
+    monkeypatch.setattr(IdentityPart, "vjp_u",
+                        lambda self, *a: calls.append(a) or vjp_u(self, *a))
+    lq = build_lq(tape, h, None, "newton", 0.5)
+    assert len(calls) == 1
+
+    def every_row(method, a, b, width, count):
+        out = np.empty((len(b) if b.ndim == 2 else len(a), width))
+        for r in range(len(out)):
+            out[r] = method(a, b[r], count) if b.ndim == 2 else method(a[r], b, count)
+        return out
+
+    monkeypatch.setattr(BiAffinePart, "_rows", staticmethod(every_row))
+    ref = build_lq(tape, h, None, "newton", 0.5)
+    assert len(calls) == 1 + 129
+    for t in range(lq.tau):
+        for name in ("A", "B", "S", "q", "R"):
+            assert np.array_equal(getattr(lq, name)[t], getattr(ref, name)[t]), (name, t)
+        for block in (lq.dense_B, lq.dense_Q, lq.dense_R):
+            assert np.array_equal(block(t), getattr(ref, block.__name__)(t))
+    assert all(np.array_equal(a, b) for a, b in zip(lq.P + lq.p, ref.P + ref.p))
 
 
 @pytest.mark.parametrize("kind", ["gradient", "newton"])

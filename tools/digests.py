@@ -5,17 +5,20 @@ Usage::
     python tools/digests.py [CHECKOUT]
 
 ``CHECKOUT`` is a source tree of this project (default: the one holding this
-script); its ``src`` directory is imported as ``chaincert``.  For seeds 1 and
-7331 the script rebuilds the inputs of two workloads at their full shapes,
-through chaincert's public API only, and prints one digest per quantity:
+script); its ``src`` directory is imported as ``chaincert``.  The workloads
+are those of ``perfbench/workloads.py`` in the checkout holding this script,
+run at their full shapes through its ``Recorder``, so inputs and calls are
+the benchmark's own.  For seeds 1 and 7331 it prints one digest per quantity:
 
-* ``fc-oracles``: the Newton-DP step on each of the three seeded points with
-  its ``kappa_used`` and ``doublings``, and the Gauss-Newton-dual step with
-  its ``ad_calls``;
-* ``cnn-train``: two certified PGD calls and one SGD call from the same
-  start as one benchmark round, with their objective values, final
-  iterates, step sizes and the SGD variance proxy;
+* ``fc-oracles``, one round per seeded point: the Newton-DP step with its
+  ``kappa_used`` and ``doublings``, and the Gauss-Newton-dual step with its
+  ``ad_calls``;
+* ``cnn-train``, one round: the two certified PGD calls and the SGD call,
+  with their objective values, final iterates, step sizes and the SGD
+  variance proxy;
 * the ``OpCounter`` units of one ``backward`` on each chain;
+* ``cluster-envelope``, one round: the envelope value and gradient at
+  every probe;
 * a seeded ``residual_wrap`` chain, an FC layer and then a conv layer with
   an average-pooling stage: its ``forward`` output, ``backward`` blocks and
   a ``jvp``, and the ``OpCounter`` units of each;
@@ -60,61 +63,54 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
-def fc_oracles(cc, seed: int, kappa: float = 0.5):
-    """The ``fc-oracles`` workload's three points: 6 FC layers of width 32, batch 4."""
-    m, width, tau = 4, 32, 6
-    chain = cc.ChainSpec(tuple(
-        cc.fully_connected(m, width, width, activation="softplus" if t + 1 < tau else "identity")
-        for t in range(tau)))
-    rng = np.random.default_rng(seed)
-    h = cc.squared_objective(rng.standard_normal((m, width)))
-    points = [(cc.sample_state(chain.d0, 1.0, rng), cc.sample_params(chain.param_dims, 1.0, rng))
-              for _ in range(3)]
-    newton, gn, units = [], [], []
-    for x0, u in points:
-        tape = cc.forward(chain, x0, u)
-        step = cc.solve_newton_dp(cc.build_lq(tape, h, None, "newton", kappa))
-        newton.append((step.v.flat(), step.diagnostics["kappa_used"],
-                       step.diagnostics["doublings"]))
-        step = cc.solve_gauss_newton_dual(cc.forward(chain, x0, u), h, None, kappa)
-        gn.append((step.v.flat(), step.diagnostics["ad_calls"]))
-        counter = cc.OpCounter()
-        cc.backward(tape, h.value_grad(tape.output)[1], counter)
-        units.append(counter.total)
-    return {
-        "fc-oracles.newton.step": _digest(*(s for s, _, _ in newton)),
-        "fc-oracles.newton.kappa_used": _digest(*(k for _, k, _ in newton)),
-        "fc-oracles.newton.doublings": _digest(*(d for _, _, d in newton)),
-        "fc-oracles.gn.step": _digest(*(s for s, _ in gn)),
-        "fc-oracles.gn.ad_calls": _digest(*(a for _, a in gn)),
-    }, units
-
-
-def cnn_train(cc, seed: int):
-    """One ``cnn-train`` round: two conv layers, average pooling, an FC head; batch 8."""
-    m, s, f, classes = 8, 32, 16, 10
-    chain = cc.ChainSpec((
-        cc.conv2d(m, 3, s, s, f, 3, activation="softplus-centered"),
-        cc.conv2d(m, f, s - 2, s - 2, f, 3, activation="softplus-centered"),
-        cc.avgpool2d(m, f, s - 4, s - 4, 2),
-        cc.fully_connected(m, f * ((s - 4) // 2) ** 2, classes),
-    ))
-    rng = np.random.default_rng(seed)
-    dom = cc.BoundedDomain.uniform(chain.tau, 1.0, 1.0)
-    x0 = cc.sample_state(chain.d0, dom.m0, rng)
-    y = np.zeros((m, classes))
-    y[np.arange(m), rng.integers(0, classes, m)] = 1.0
-    h = cc.logistic_objective(y)
-    u = cc.sample_params(chain.param_dims, dom.radii, rng)
-    pgd = []
-    for _ in range(2):
-        trace = cc.train_pgd(chain, h, None, x0, cc.TrainConfig(dom, 3), u)
-        pgd.append(trace)
-        u = trace.final_u
-    sgd = cc.train_sgd(chain, h, None, x0, cc.TrainConfig(dom, 3, batch=4, seed=seed * 1000), u)
-    tape = cc.forward(chain, x0, sgd.final_u)
+def _backward_units(cc, chain, h, x0, u) -> int:
+    """``OpCounter`` units of one ``backward`` of ``h``'s gradient at ``(x0, u)``."""
+    tape = cc.forward(chain, x0, u)
     counter = cc.OpCounter()
     cc.backward(tape, h.value_grad(tape.output)[1], counter)
+    return counter.total
+
+
+def _rounds(w, seed: int, rounds: int):
+    """The results, by kind, of the timed calls in ``rounds`` rounds of ``w`` set up at ``seed``."""
+    from run import Recorder
+
+    w.setup(seed)
+    rec, results = Recorder(), {}
+    op = rec.op
+
+    def keep(kind, fn, units=None):
+        out = op(kind, fn, units)
+        results.setdefault(kind, []).append(out)
+        return out
+
+    rec.op = keep
+    for i in range(rounds):
+        w.round(rec, i)
+    if rec.failed:
+        raise RuntimeError(f"{w.name} at seed {seed}: {rec.errors}")
+    return results
+
+
+def fc_oracles(cc, workloads, seed: int):
+    """``fc-oracles`` rounds, one per seeded point: a Newton-DP and a Gauss-Newton-dual step."""
+    w = workloads.FcOracles(False)
+    out = _rounds(w, seed, w.n_points)
+    newton, gn = out[w.main], out[w.second]
+    return {
+        "fc-oracles.newton.step": _digest(*(s.v.flat() for s in newton)),
+        "fc-oracles.newton.kappa_used": _digest(*(s.diagnostics["kappa_used"] for s in newton)),
+        "fc-oracles.newton.doublings": _digest(*(s.diagnostics["doublings"] for s in newton)),
+        "fc-oracles.gn.step": _digest(*(s.v.flat() for s in gn)),
+        "fc-oracles.gn.ad_calls": _digest(*(s.diagnostics["ad_calls"] for s in gn)),
+    }, [_backward_units(cc, w.chain, w.h, x0, u) for x0, u in w.points]
+
+
+def cnn_train(cc, workloads, seed: int):
+    """One ``cnn-train`` round: two certified PGD calls, then one SGD call."""
+    w = workloads.CnnTrain(False)
+    out = _rounds(w, seed, 1)
+    pgd, (sgd,) = out[w.main], out[w.second]
     return {
         "cnn-train.pgd.values": _digest(*(t.values for t in pgd)),
         "cnn-train.pgd.final_u": _digest(*(t.final_u.flat() for t in pgd)),
@@ -123,7 +119,17 @@ def cnn_train(cc, seed: int):
         "cnn-train.sgd.final_u": _digest(sgd.final_u.flat()),
         "cnn-train.sgd.gamma": _digest(sgd.gamma),
         "cnn-train.sgd.variance_proxy": _digest(sgd.variance_proxy),
-    }, [counter.total]
+    }, [_backward_units(cc, w.chain, w.h, w.x0, sgd.final_u)]
+
+
+def cluster_envelope(workloads, seed: int):
+    """One ``cluster-envelope`` round: the envelope value and gradient at every probe."""
+    w = workloads.ClusterEnvelope(False)
+    out = _rounds(w, seed, 1)
+    return {
+        "cluster-envelope.value": _digest([v for v, _ in out[w.main]]),
+        "cluster-envelope.grad": _digest(*(g for _, g in out[w.main])),
+    }
 
 
 def residual(cc, seed: int):
@@ -195,16 +201,18 @@ def vgg16_symbolic(cc):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    root = argv[0] if argv else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    root = argv[0] if argv else here
     sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    sys.path.insert(1, os.path.join(here, "perfbench"))
     import chaincert as cc
-    import chaincert.cli  # noqa: F401  (``cc.cli`` for the compare report)
+    import workloads  # imports chaincert.cli, so ``cc.cli`` is there for the compare report
 
     for seed in SEEDS:
-        fc, fc_units = fc_oracles(cc, seed)
-        cnn, cnn_units = cnn_train(cc, seed)
+        fc, fc_units = fc_oracles(cc, workloads, seed)
+        cnn, cnn_units = cnn_train(cc, workloads, seed)
         rows = {**fc, **cnn, "backward.units": _digest(tuple(fc_units + cnn_units)),
-                **residual(cc, seed), **recursions(cc, seed)}
+                **residual(cc, seed), **recursions(cc, seed), **cluster_envelope(workloads, seed)}
         for name, value in rows.items():
             print(f"{seed:<5} {name:<30} {value}")
     for name, value in vgg16_symbolic(cc).items():
