@@ -134,6 +134,12 @@ class BiAffinePart:
     identity stack.  No part overrides them; for ``FCPart`` the stacked
     ``vjp_x`` of ``dense_jx`` is a single GEMM.
 
+    Units are the closed-form charge of the applied operator, an upper bound
+    on the work done: a part may skip work whose result is exactly zero, as
+    ``ConvPart``'s adjoints skip the samples whose cotangent is zero (a
+    minibatch gradient, or one identity row of ``dense_jx``), and still
+    charges it.
+
     Subclasses set ``d_in``, ``d_out``, ``p`` and the four sparsity figures
     ``s_beta``, ``s_beta_u``, ``s_beta_x``, ``s_beta0`` (stored nonzeros of
     the bilinear, parameter-affine, state-affine and constant pieces).
@@ -499,6 +505,11 @@ class ConvPart(_ConvGeometry):
     dimensionality, stride and padding scheme that keeps indices in range.
     Parameters are the ravel of filters (n_filters, channels, patch_len),
     then the per-filter bias if present.
+
+    ``vjp_x`` and ``vjp_u`` on a single cotangent cost no scatter or gather
+    for a sample whose cotangent block is zero: it adds exact zeros, so its
+    rows are written as zeros.  They return the bits of running every
+    sample, and charge its units, the closed form.
     """
 
     def __init__(self, batch: int, channels: int, spatial: int, patches: np.ndarray,
@@ -562,22 +573,38 @@ class ConvPart(_ConvGeometry):
         F2 = F.reshape(self.n_f, self.C * self.k_sp)
         index = self._index().ravel()
         width = self.C * self.n_sp
+        live = self._live(wv, F)
         # col2im: each window column adds back into the input it read
-        gx = np.empty((self.m, width))
-        for s in range(self.m):
+        gx = np.empty((self.m, width)) if isinstance(live, slice) else np.zeros((self.m, width))
+        for s in np.arange(self.m)[live]:
             gx[s] = np.bincount(index, weights=(wv[s].T @ F2).ravel(), minlength=width)
         return gx.ravel()
 
-    def _filter_terms(self, x, w):
-        """Per-sample filter gradients ``w_s cols(x_s)`` (m, n_f, K) and ``w`` as (m, n_f, n_p)."""
-        wv = w.reshape(self.m, self.n_f, self.n_p)
-        return np.matmul(wv, self._cols(x)), wv
+    def _live(self, wv, operand):
+        """Samples whose (n_f, n_p) cotangent block has a nonzero entry; ``slice(None)`` for all.
+
+        A NaN counts as nonzero.  A zero block adds exact zeros to an adjoint,
+        so its sample is skipped, unless ``operand`` (the filters or the
+        state it multiplies) is not finite: then the product is NaN, and
+        every sample runs as before.
+        """
+        live = np.flatnonzero((wv.reshape(self.m, -1) != 0).any(axis=1))
+        if len(live) == self.m or not np.isfinite(operand).all():
+            return slice(None)
+        return live
+
+    def _filter_terms(self, x, wv, live):
+        """Filter gradients ``w_s cols(x_s)`` (samples, n_f, K) of the samples ``live``.
+
+        ``wv`` is the cotangent as (m, n_f, n_p).
+        """
+        return np.matmul(wv[live], np.take(x.reshape(self.m, -1)[live], self._index(), axis=-1))
 
     def vjp_u(self, x, w, count=None):
         x, w = self._check_x(x), self._check_w(w)
         _charge(count, self.s_beta + self.s_beta_u)
-        gF, wv = self._filter_terms(x, w)
-        gF = gF.sum(axis=0)
+        wv = w.reshape(self.m, self.n_f, self.n_p)
+        gF = self._filter_terms(x, wv, self._live(wv, x)).sum(axis=0)
         if self.bias:
             return np.concatenate([gF.ravel(), wv.sum(axis=(0, 2))])
         return gF.ravel()
@@ -586,8 +613,8 @@ class ConvPart(_ConvGeometry):
         """Row s is sample s's filter gradient, then its bias sums."""
         x, w = self._check_x(x), self._check_w(w)
         _charge(count, self.s_beta + self.s_beta_u)
-        gF, wv = self._filter_terms(x, w)
-        gF = gF.reshape(self.m, -1)
+        wv = w.reshape(self.m, self.n_f, self.n_p)
+        gF = self._filter_terms(x, wv, slice(None)).reshape(self.m, -1)
         if self.bias:
             return np.concatenate([gF, wv.sum(axis=2)], axis=1)
         return gF

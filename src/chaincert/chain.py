@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -152,8 +153,8 @@ def sample_params(dims: Sequence[int], radii, rng: np.random.Generator,
                   surface: bool = False) -> ParamVector:
     """Draw each block uniformly from the ball (or sphere) of its radius."""
     radii = _broadcast_radii(radii, len(dims))
-    if not all(r >= 0.0 for r in radii):
-        raise ValueError(f"radii must be nonnegative, got {radii}")
+    if not all(0.0 <= r < math.inf for r in radii):
+        raise ValueError(f"radii must be nonnegative and finite, got {radii}")
     blocks = []
     for d, r in zip(dims, radii):
         if d == 0:
@@ -169,8 +170,8 @@ def sample_params(dims: Sequence[int], radii, rng: np.random.Generator,
 
 def sample_state(dim: int, norm: float, rng: np.random.Generator) -> np.ndarray:
     """A state of exactly the requested Euclidean norm."""
-    if not norm >= 0.0:
-        raise ValueError(f"state norm must be nonnegative, got {norm}")
+    if not 0.0 <= norm < math.inf:
+        raise ValueError(f"state norm must be nonnegative and finite, got {norm}")
     v = rng.standard_normal(dim)
     n = np.linalg.norm(v)
     if n == 0:

@@ -243,13 +243,14 @@ class Objective:
         """Gradient of the average over the distinct samples ``idx``, at full output size."""
         if not self.decomposable:
             raise ValueError("minibatch gradients need a per-sample decomposable objective")
-        idx = np.asarray(idx, dtype=int)
+        idx = np.asarray(idx)
         if idx.size == 0:
             raise ValueError("empty minibatch")
-        if idx.ndim != 1 or idx.min() < 0 or idx.max() >= self.n or \
-                len(set(idx.tolist())) < idx.size:
-            raise DimensionMismatch(
-                f"minibatch indices must be distinct and in [0, {self.n}), got {idx.tolist()}")
+        # a float or bool index is refused, not truncated to a sample
+        if not np.issubdtype(idx.dtype, np.integer) or idx.ndim != 1 or idx.min() < 0 or \
+                idx.max() >= self.n or len(set(idx.tolist())) < idx.size:
+            raise DimensionMismatch(f"minibatch indices must be distinct integers in "
+                                    f"[0, {self.n}), got {idx.tolist()}")
         loss = eval_squared if self.kind == "squared" else eval_logistic
         out = np.zeros((self.n, self.q))
         out[idx] = loss(self._rows(yhat)[idx], self.y[idx])[1].reshape(idx.size, self.q)

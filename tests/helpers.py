@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -136,6 +137,11 @@ def unflat(dims, vec: np.ndarray) -> cc.ParamVector:
 
 
 # ---------------------------------------------------------------- hand convolution
+
+def every_conv_sample_runs():
+    """Conv adjoints that scatter and gather every sample, zero cotangent or not: the reference."""
+    return mock.patch.object(cc.ConvPart, "_live", lambda self, wv, operand: slice(None))
+
 
 def direct_conv(x, weights, patches, channels, spatial, bias=None):
     """Direct nested-loop 'im2col-free' convolution per sample.

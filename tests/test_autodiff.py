@@ -18,7 +18,8 @@ import chaincert.training as training
 from chaincert.autodiff import _backward_samples, _separates_samples
 from chaincert.training import _sample_spread
 
-from helpers import backward_units, fd_grad, flat, random_catalog_chain, unflat
+from helpers import (backward_units, every_conv_sample_runs, fd_grad, flat, random_catalog_chain,
+                     unflat)
 
 
 def test_forward_states_match_manual_composition():
@@ -362,3 +363,56 @@ def test_per_sample_sweep_matches_masked_sweeps(coupling, seed):
     assert abs(_sample_spread(chain, h, tape) - spread) <= tol
     with mock.patch.object(training, "_separates_samples", lambda chain: False):
         assert abs(_sample_spread(chain, h, tape) - spread) <= tol
+
+
+def _conv_pool_fc_chain(rng):
+    """A batch-2-to-4 chain of two convs, average pooling and an FC layer; no layer mixes samples."""
+    m = int(rng.integers(2, 5))
+    c, f, side = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(5, 7))
+    s = (side - 2) // 2
+    return ChainSpec((
+        conv2d(m, c, side, side, f, 2, activation="softplus", bias=bool(rng.random() < 0.5)),
+        conv2d(m, f, side - 1, side - 1, f, 2, activation="softplus-centered"),
+        avgpool2d(m, f, side - 2, side - 2, 2),
+        fully_connected(m, f * s * s, int(rng.integers(1, 4)), bias=bool(rng.random() < 0.5)),
+    ))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_minibatch_backward_sums_the_subsets_per_sample_rows(seed):
+    # An SGD cotangent is zero outside its minibatch; the conv adjoints skip
+    # those samples, yet give the bits of the sweep that runs them all.
+    rng = np.random.default_rng(seed)
+    chain = _conv_pool_fc_chain(rng)
+    m = chain.batch
+    assert _separates_samples(chain)
+    u = sample_params(chain.param_dims, 1.0, rng)
+    tape = forward(chain, sample_state(chain.d0, 1.0, rng), u)
+    mu = rng.standard_normal((m, chain.d_out // m))
+    subset = rng.choice(m, size=int(rng.integers(0, m + 1)), replace=False)
+    mini = np.zeros_like(mu)
+    mini[subset] = mu[subset]
+    counter, full_counter = OpCounter(), OpCounter()
+    got = backward(tape, mini.ravel(), counter)
+    rows = list(_backward_samples(tape, mu.ravel()))[::-1]
+    for g, r in zip(got.blocks, rows):
+        want = r[subset].sum(axis=0)
+        assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(np.abs(r[subset]).sum(axis=0))
+    with every_conv_sample_runs():
+        full = backward(tape, mini.ravel(), full_counter)
+    assert all(np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+               for a, b in zip(got.blocks, full.blocks))
+    assert counter.total == full_counter.total == backward_formula(chain)
+
+
+def test_nan_in_one_samples_cotangent_still_raises():
+    # the chain ends in the parameter-free pool, so the NaN first shows in a conv adjoint
+    rng = np.random.default_rng(3)
+    chain = ChainSpec(_conv_pool_fc_chain(rng).layers[:3])
+    tape = forward(chain, sample_state(chain.d0, 1.0, rng), sample_params(chain.param_dims, 1.0, rng))
+    mu = np.zeros((chain.batch, chain.d_out // chain.batch))
+    mu[1, 0] = np.nan
+    with pytest.raises(NumericError, match="non-finite adjoint at layer 1"):
+        backward(tape, mu.ravel())
+    assert tape.ad_calls == 0

@@ -6,6 +6,7 @@ bi-affinity), ``jvp`` and a four-point difference of ``value``.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from chaincert import (BiAffineConstants, ChainSpec, ConvPart, DenseBiAffinePart
                        conv2d, fully_connected, operator_norm)
 from chaincert.layers import _valid_patches_2d
 
-from helpers import direct_conv, jacobi_largest_sv, tensor_norm_222
+from helpers import direct_conv, every_conv_sample_runs, jacobi_largest_sv, tensor_norm_222
 
 
 def _check_part(part, rng, x=None, u=None, atol=1e-10):
@@ -177,6 +178,65 @@ def test_conv_part_products_match_explicit_loops(case):
         assert got.shape == ref.shape
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         assert count.total == units
+
+
+def _spied_conv_adjoints(part, u, x, w):
+    """``vjp_x`` and ``vjp_u`` at ``w`` with their units, the ``bincount`` calls of
+    ``vjp_x`` and the samples whose windows ``vjp_u`` gathers."""
+    scatters, gathered = [], []
+    real_bincount, real_take = np.bincount, np.take
+    with mock.patch.object(np, "bincount",
+                           lambda *a, **kw: scatters.append(1) or real_bincount(*a, **kw)), \
+            mock.patch.object(np, "take",
+                              lambda a, *r, **kw: gathered.append(len(a)) or real_take(a, *r, **kw)):
+        cx, cu = OpCounter(), OpCounter()
+        gx, gu = part.vjp_x(u, w, cx), part.vjp_u(x, w, cu)
+    return gx, gu, (cx.total, cu.total), len(scatters), sum(gathered)
+
+
+@pytest.mark.parametrize("live", [(), (1,), (0, 3), (0, 1, 2, 3)])
+def test_conv_adjoints_scatter_and_gather_only_the_samples_with_a_cotangent(live):
+    m = 4
+    part = conv2d(m, 2, 5, 5, 3, 2, bias=True).part
+    rng = np.random.default_rng(6)
+    u, x = rng.standard_normal(part.p), rng.standard_normal(part.d_in)
+    w = np.zeros((m, part.d_out // m))
+    w[list(live)] = rng.standard_normal((len(live), w.shape[1]))
+    gx, gu, units, scatters, gathered = _spied_conv_adjoints(part, u, x, w.ravel())
+    assert (scatters, gathered) == (len(live), len(live))
+    # the charge stays the closed form, an upper bound on the work done
+    assert units == (part.s_beta, part.s_beta + part.s_beta_u)
+    with every_conv_sample_runs():
+        full = _spied_conv_adjoints(part, u, x, w.ravel())
+    assert full[2:] == (units, m, m)
+    for got, want in zip((gx, gu), full):
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_conv_adjoints_of_a_zero_cotangent_keep_every_bit(zero):
+    # a signed-zero cotangent, and non-finite filters or states, which turn
+    # a zero cotangent into NaN when every sample runs
+    part = conv2d(3, 2, 5, 5, 3, 2, bias=True).part
+    rng = np.random.default_rng(7)
+    u, x = rng.standard_normal(part.p), rng.standard_normal(part.d_in)
+    w = np.full(part.d_out, zero)
+    u_inf, x_nan = u.copy(), x.copy()
+    u_inf[2], x_nan[-1] = np.inf, np.nan
+    w_one = w.copy()
+    w_one[0] = 1.0  # sample 0 alone has a cotangent
+    calls = [lambda: part.vjp_x(u, w), lambda: part.vjp_u(x, w),
+             lambda: part.vjp_x(u_inf, w_one), lambda: part.vjp_u(x_nan, w_one)]
+    with np.errstate(invalid="ignore"):
+        got = [call() for call in calls]
+        with every_conv_sample_runs():
+            want = [call() for call in calls]
+    for g, f in zip(got, want):
+        assert np.array_equal(g, f, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(f))
+    assert not got[0].any() and not got[1].any()
+    assert np.isnan(got[2].reshape(3, -1)[1:]).any(axis=1).all()  # the two idle samples
+    assert np.isnan(got[3]).any()
 
 
 def test_numeric_conv_construction_allocates_no_im2col_index():

@@ -91,7 +91,7 @@ def test_sample_state_exact_norm():
     assert sample_state(4, 0.0, rng) == pytest.approx(np.zeros(4))
 
 
-@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
 def test_samplers_refuse_a_negative_or_nan_radius(bad):
     rng = np.random.default_rng(0)
     for draw in (lambda: sample_params((3, 2), bad, rng),

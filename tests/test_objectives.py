@@ -249,8 +249,11 @@ def test_grad_minibatch_rows_are_the_per_sample_loss_gradients(kind):
     assert np.array_equal(h.grad_minibatch(z, idx), want.ravel())
 
 
-@pytest.mark.parametrize("idx", [[-1], [0, 0], [4], [1, 4], [[0, 1]]],
-                         ids=["negative", "repeated", "n", "past-n", "2-d"])
+# truncated, [0.7] would be sample 0 and [True] sample 1
+@pytest.mark.parametrize("idx", [[-1], [0, 0], [4], [1, 4], [[0, 1]],
+                                 [0.7], [True], np.array([1.0])],
+                         ids=["negative", "repeated", "n", "past-n", "2-d",
+                              "float", "bool", "float-array"])
 def test_grad_minibatch_refuses_indices_out_of_range_or_repeated(idx):
     h = squared_objective(np.ones((4, 2)))
     with pytest.raises(DimensionMismatch, match="minibatch indices"):

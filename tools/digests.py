@@ -17,6 +17,11 @@ the benchmark's own.  For seeds 1 and 7331 it prints one digest per quantity:
   with their objective values, final iterates, step sizes and the SGD
   variance proxy;
 * the ``OpCounter`` units of one ``backward`` on each chain;
+* one ``backward`` on the ``cnn-train`` chain at its set-up point, of the
+  minibatch gradient of samples 1, 4 and 6 (the cotangent is zero outside
+  them), and its ``OpCounter`` units;
+* ``dense_jx`` of a small seeded conv part with bias, built one identity
+  row at a time;
 * ``cluster-envelope``, one round: the envelope value and gradient at
   every probe;
 * a seeded ``residual_wrap`` chain, an FC layer and then a conv layer with
@@ -122,6 +127,26 @@ def cnn_train(cc, workloads, seed: int):
     }, [_backward_units(cc, w.chain, w.h, w.x0, sgd.final_u)]
 
 
+def cnn_minibatch(cc, workloads, seed: int):
+    """One ``backward`` on the ``cnn-train`` chain of a cotangent that is zero outside samples 1, 4, 6."""
+    w = workloads.CnnTrain(False)
+    w.setup(seed)
+    tape = cc.forward(w.chain, w.x0, w.u)
+    counter = cc.OpCounter()
+    grad = cc.backward(tape, w.h.grad_minibatch(tape.output, [1, 4, 6]), counter)
+    return {
+        "cnn-train.minibatch.backward": _digest(*grad.blocks),
+        "cnn-train.minibatch.units": _digest(counter.total),
+    }
+
+
+def conv_dense_jx(cc, seed: int):
+    """``dense_jx`` of a batch-3 conv part: each identity row has one sample's cotangent."""
+    part = cc.conv2d(3, 2, 6, 6, 3, 3, bias=True).part
+    u = cc.sample_params((part.p,), 1.0, np.random.default_rng(seed))
+    return {"conv.dense_jx": _digest(part.dense_jx(u.blocks[0]))}
+
+
 def cluster_envelope(workloads, seed: int):
     """One ``cluster-envelope`` round: the envelope value and gradient at every probe."""
     w = workloads.ClusterEnvelope(False)
@@ -212,6 +237,7 @@ def main(argv=None) -> int:
         fc, fc_units = fc_oracles(cc, workloads, seed)
         cnn, cnn_units = cnn_train(cc, workloads, seed)
         rows = {**fc, **cnn, "backward.units": _digest(tuple(fc_units + cnn_units)),
+                **cnn_minibatch(cc, workloads, seed), **conv_dense_jx(cc, seed),
                 **residual(cc, seed), **recursions(cc, seed), **cluster_envelope(workloads, seed)}
         for name, value in rows.items():
             print(f"{seed:<5} {name:<30} {value}")
